@@ -259,7 +259,10 @@ def find_unit(a: AlgebraTable) -> Optional[Element]:
 
 
 def product_span(a: AlgebraTable, u: Subspace, v: Subspace) -> Subspace:
-    """Span of all products x*y with x in u, y in v (via basis row pairs)."""
+    """Span of all products x*y with x in u, y in v (via basis row pairs).
+
+    Canonical rows, not stored ones: they are sparser and keep Q entries small.
+    """
     s = Subspace.zero(a.field, a.dim)
     for x in u.rows:
         for y in v.rows:
@@ -270,8 +273,9 @@ def product_span(a: AlgebraTable, u: Subspace, v: Subspace) -> Subspace:
 def subalgebra_closure(a: AlgebraTable, vectors: Iterable[Element]) -> Subspace:
     """Least subspace containing the vectors and closed under multiplication."""
     v = Subspace.span(a.field, a.dim, vectors)
-    while True:
+    while v.dim < a.dim:
         nxt = v.sum(product_span(a, v, v))
         if nxt.dim == v.dim:
             return nxt
         v = nxt
+    return v

@@ -1150,17 +1150,18 @@ def length_upper_bound(dim: int, d0: int, kind: str) -> int:
     return k
 
 
+def descending_kinds(a: AlgebraTable) -> list:
+    """The descending properties ("flexible", "alternative") certified on a."""
+    return [k for k in ("flexible", "alternative") if f"descending-{k}" in a.certificates]
+
+
 def certify_bounds(a: AlgebraTable, reports: Sequence) -> Verdict:
     """Check every report's length against the certified descending floors.
 
     Reports need .d, .length, .generating. A violation would contradict the
     established inequalities, so it is returned as a counterexample.
     """
-    kinds = [
-        k
-        for k in ("flexible", "alternative")
-        if f"descending-{k}" in a.certificates
-    ]
+    kinds = descending_kinds(a)
     if not kinds:
         raise CertificateMissing(
             "no descending certificate cached for this algebra; "

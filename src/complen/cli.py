@@ -6,7 +6,7 @@ or sampled subspaces), verify-paper (the bundled theorem/example suite).
 Everything prints JSON except verify-paper, whose default format is TSV.
 
 Exit codes: 0 success, 2 cost-cap exceeded, 1 any other failure (including
-suite FAIL rows).
+suite FAIL rows). Failures print a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except ComplenError as e:
+    except (ComplenError, OSError) as e:
         print(
             json.dumps({"error": type(e).__name__, "message": str(e)}),
             file=sys.stderr,

@@ -8,11 +8,20 @@ one-sided recursion Lin_{m+1} = Lin_m + Lin_m*S + S*Lin_m and stops at the
 first plateau; both steps are only valid on algebras carrying a descending
 certificate, so the mode refuses to run without one unless overridden.
 
-The descending mode is incremental: span rows are kept in forward-reduced
-echelon form and never mutated after insertion, so every stored row lies in
-the span of the level at which it was inserted. Products of rows inserted at
-earlier levels with S were already taken then, hence each level multiplies
-only the newly inserted rows against a basis of span(S), in both orders.
+Both modes are incremental. Each level is a Subspace snapshot, and inserting
+into a Subspace never rewrites a stored row, so the rows a level adds (those
+whose pivots the level below lacks) span it modulo that level. Products of
+rows added at earlier levels were already taken then: the general mode
+builds Lin_k from products of rows added at levels i and k-i, and the
+descending mode multiplies only the rows added at the last level against a
+basis of span(S), in both orders.
+
+The length search is one loop of three parts. A source yields subspaces in
+a fixed order: every nonzero subspace (as Subspace objects, or over GF(2) as
+bitmask rows) or seeded random ones. A lane evaluates each: lin_spans, or
+the bitmask recursion with product lookup tables. The loop itself is the one
+accumulator of the census, the witness and the count of truncated chains,
+and builds the SearchResult.
 """
 
 from __future__ import annotations
@@ -22,11 +31,12 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import AlgebraTable, Element, product_span, subalgebra_closure
-from .checkers import validate_report
-from .errors import CostCapExceeded, InfiniteField, ModeUnjustified
+from .algebra import AlgebraTable, Element, subalgebra_closure
+from .checkers import descending_kinds, validate_report
+from .errors import CostCapExceeded, InfiniteField, ModeUnjustified, ParseError
 from .fields import Field
 from .linalg import Subspace, gaussian_binomial
 
@@ -35,7 +45,11 @@ GENERAL_MAX_K_FACTOR = 2
 
 
 def cost_cap() -> int:
-    return int(os.environ.get("COMPLEN_COST_CAP", DEFAULT_COST_CAP))
+    raw = os.environ.get("COMPLEN_COST_CAP", str(DEFAULT_COST_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"COMPLEN_COST_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -74,13 +88,14 @@ class SearchResult:
             "mode": self.mode,
             "exact": self.exact,
             "witness": None,
-            "stats": {k: v for k, v in self.stats.items() if k != "d_census"},
+            "stats": {
+                **self.stats,
+                "d_census": {
+                    " ".join(map(str, d)): c
+                    for d, c in sorted(self.stats["d_census"].items())
+                },
+            },
         }
-        if "d_census" in self.stats:
-            out["stats"]["d_census"] = {
-                " ".join(map(str, d)): c
-                for d, c in sorted(self.stats["d_census"].items())
-            }
         if self.witness is not None:
             f = self.witness.field
             out["witness"] = [[f.format(x) for x in row] for row in self.witness.rows]
@@ -88,10 +103,8 @@ class SearchResult:
 
 
 def _trim(d: Sequence[int]) -> tuple:
-    last = 0
-    for k, x in enumerate(d):
-        if x != 0:
-            last = k
+    """d without trailing zeros (but never empty), so l = len(d) - 1."""
+    last = max((k for k, x in enumerate(d) if x != 0), default=0)
     return tuple(d[: last + 1])
 
 
@@ -101,102 +114,50 @@ def has_descending_certificate(a: AlgebraTable) -> bool:
 
 def _lin0(a: AlgebraTable) -> Subspace:
     e = a.unit_element()
-    s = Subspace.zero(a.field, a.dim)
-    if e is not None:
-        s = s.insert(e)
-    return s
+    return Subspace.span(a.field, a.dim, [] if e is None else [e])
+
+
+def _new_rows(old: Subspace, new: Subspace) -> list:
+    """Rows of new whose pivots old lacks: new = old + their span, because
+    inserting into a forward-reduced store never rewrites a stored row."""
+    have = set(old.pivots)
+    return [r for r, p in zip(new.basis, new.pivots) if p not in have]
 
 
 def _general_spans(a: AlgebraTable, s: Sequence[Element], max_k: int):
     lin0 = _lin0(a)
-    lin1 = lin0
-    for v in s:
-        lin1 = lin1.insert(v)
-    target = subalgebra_closure(a, s)
-    for row in lin0.rows:
-        target = target.insert(row)
-    spans = [lin0, lin1]
+    target = subalgebra_closure(a, s).sum(lin0)
+    spans = [lin0, lin0.sum(Subspace.span(a.field, a.dim, s))]
+    # new[i] spans Lin_i modulo Lin_{i-1}; the unit row of Lin_0 only ever
+    # yields shorter words, so Lin_k = Lin_{k-1} + sum over i+j=k of new[i]*new[j]
+    new = [[], _new_rows(*spans)]
     while spans[-1] != target and len(spans) - 1 < max_k:
         k = len(spans)
-        acc = spans[k - 1]
+        acc = spans[-1]
         for i in range(1, k):
-            acc = acc.sum(product_span(a, spans[i], spans[k - i]))
+            for x in new[i]:
+                for y in new[k - i]:
+                    acc = acc.insert(a.multiply(x, y))
+        new.append(_new_rows(spans[-1], acc))
         spans.append(acc)
     return spans, spans[-1] != target
 
 
-class _EchelonState:
-    """Forward-reduced echelon rows over an arbitrary field; rows immutable."""
-
-    __slots__ = ("field", "dim", "piv", "zero")
-
-    def __init__(self, field: Field, dim: int):
-        self.field = field
-        self.dim = dim
-        self.piv = {}  # leading column -> normalized row
-        self.zero = field.zero()
-
-    def insert(self, v: Sequence) -> Optional[tuple]:
-        f = self.field
-        zero = self.zero
-        v = list(v)
-        for c in range(self.dim):
-            x = v[c]
-            if x == zero:
-                continue
-            row = self.piv.get(c)
-            if row is None:
-                inv = f.inv(x)
-                norm = tuple(
-                    f.mul(inv, y) if k >= c else zero for k, y in enumerate(v)
-                )
-                self.piv[c] = norm
-                return norm
-            for k in range(c, self.dim):
-                if row[k] != zero:
-                    v[k] = f.sub(v[k], f.mul(x, row[k]))
-        return None
-
-    def rank(self) -> int:
-        return len(self.piv)
-
-    def rows(self) -> list:
-        return [self.piv[c] for c in sorted(self.piv)]
-
-
 def _descending_spans(a: AlgebraTable, s: Sequence[Element], max_k: int):
-    st = _EchelonState(a.field, a.dim)
-    e = a.unit_element()
-    if e is not None:
-        st.insert(e)
-    lin0_rows = st.rows()
-    new = []
-    for v in s:
-        r = st.insert(v)
-        if r is not None:
-            new.append(r)
+    lin0 = _lin0(a)
     # product partners must span Lin(S) itself, not Lin(S) reduced modulo the
     # unit, so S gets its own reduction
-    s_state = _EchelonState(a.field, a.dim)
-    for v in s:
-        s_state.insert(v)
-    s_rows = s_state.rows()
-    spans = [
-        Subspace.span(a.field, a.dim, lin0_rows),
-        Subspace.span(a.field, a.dim, st.rows()),
-    ]
-    while new and len(spans) - 1 < max_k:
-        fresh = []
-        for r in new:
-            for srow in s_rows:
-                for prod in (a.multiply(r, srow), a.multiply(srow, r)):
-                    added = st.insert(prod)
-                    if added is not None:
-                        fresh.append(added)
-        if not fresh:
+    s_span = Subspace.span(a.field, a.dim, s)
+    spans = [lin0, lin0.sum(s_span)]
+    while len(spans) - 1 < max_k:
+        lin = spans[-1]
+        nxt = lin
+        for r in _new_rows(spans[-2], lin):
+            for srow in s_span.basis:
+                nxt = nxt.insert(a.multiply(r, srow)).insert(a.multiply(srow, r))
+        if nxt is lin:
             break
-        spans.append(Subspace.span(a.field, a.dim, st.rows()))
-        new = fresh
+        spans.append(nxt)
     return spans
 
 
@@ -228,10 +189,9 @@ def lin_spans(
         spans, truncated = _general_spans(a, s, max_k)
     dims = [sp.dim for sp in spans]
     d = _trim([dims[0]] + [dims[k] - dims[k - 1] for k in range(1, len(dims))])
-    length = max((k for k, x in enumerate(d) if x != 0), default=0)
     return LengthReport(
         d=d,
-        length=length,
+        length=len(d) - 1,
         generating=sum(d) == a.dim,
         spans=tuple(spans),
         mode=mode,
@@ -253,22 +213,16 @@ def count_subspaces(field: Field, ambient: int, dims: Iterable[int]) -> int:
     return sum(gaussian_binomial(ambient, k, q) for k in dims)
 
 
-def enumerate_subspaces(field: Field, ambient: int, k: int) -> Iterator[Subspace]:
-    """All k-dimensional subspaces, each exactly once, in a fixed order.
+# --- subspace sources ----------------------------------------------------------
 
-    Order: pivot-column combinations lexicographically, then free entries in
-    row-major position order running through the field's enumeration order.
-    Rows come out directly in reduced echelon form.
+
+def _echelon_patterns(ambient: int, k: int) -> Iterator[tuple]:
+    """(pivots, free cells) of every k-row reduced echelon pattern.
+
+    Pivot sets come in lexicographic order. The free cells of a pattern are
+    the (row, column) positions right of the row's pivot and outside every
+    pivot column, in row-major order.
     """
-    if not field.is_finite():
-        raise InfiniteField("subspace enumeration needs a finite field")
-    if k == 0:
-        yield Subspace.zero(field, ambient)
-        return
-    if k > ambient:
-        return
-    elems = list(field.enumerate())
-    zero, one = field.zero(), field.one()
     for pivots in itertools.combinations(range(ambient), k):
         pivset = set(pivots)
         cells = [
@@ -277,32 +231,85 @@ def enumerate_subspaces(field: Field, ambient: int, k: int) -> Iterator[Subspace
             for c in range(pivots[r] + 1, ambient)
             if c not in pivset
         ]
-        base = [[zero] * ambient for _ in range(k)]
-        for r, p in enumerate(pivots):
-            base[r][p] = one
+        yield pivots, cells
+
+
+def _echelon_form(field: Field, ambient: int, pivots: tuple, cells: list, values) -> Subspace:
+    rows = [[field.zero()] * ambient for _ in pivots]
+    for r, p in enumerate(pivots):
+        rows[r][p] = field.one()
+    for (r, c), x in zip(cells, values):
+        rows[r][c] = x
+    return Subspace(field, ambient, tuple(map(tuple, rows)), pivots)
+
+
+def enumerate_subspaces(field: Field, ambient: int, k: int) -> Iterator[Subspace]:
+    """All k-dimensional subspaces, each exactly once, in a fixed order.
+
+    Order: pivot-column combinations lexicographically, then the free cells
+    running through the field's enumeration order, the last cell fastest.
+    Rows come out directly in reduced echelon form.
+    """
+    if not field.is_finite():
+        raise InfiniteField("subspace enumeration needs a finite field")
+    elems = list(field.enumerate())
+    for pivots, cells in _echelon_patterns(ambient, k):
         for fill in itertools.product(elems, repeat=len(cells)):
-            rows = [list(row) for row in base]
-            for (r, c), val in zip(cells, fill):
-                rows[r][c] = val
-            yield Subspace(field, ambient, tuple(tuple(r) for r in rows), tuple(pivots))
+            yield _echelon_form(field, ambient, pivots, cells, fill)
 
 
-def _validate_census(a: AlgebraTable, census: Counter) -> list:
-    """Difference-sequence laws for each distinct generating d observed."""
-    kinds = [
-        k for k in ("flexible", "alternative") if f"descending-{k}" in a.certificates
-    ]
-    unital = a.is_unital()
-    problems = []
-    for d, count in sorted(census.items()):
-        length = max((k for k, x in enumerate(d) if x != 0), default=0)
-        errs = validate_report(d, length, True, a.dim, unital, kinds=kinds)
-        for e in errs:
-            problems.append(f"d={d} (x{count}): {e}")
-    return problems
+def _random_subspace(field: Field, ambient: int, rng: random.Random) -> Subspace:
+    """Uniform dimension, then a uniform reduced echelon form of that dimension.
+
+    Finite fields: pivot sets weighted by how many echelon forms they carry,
+    free entries uniform. Rationals: uniform pivot set, small integer entries.
+    """
+    k = rng.randint(1, ambient)
+    patterns = list(_echelon_patterns(ambient, k))
+    if field.is_finite():
+        q = field.cardinality()
+        pivots, cells = rng.choices(patterns, weights=[q ** len(c) for _, c in patterns])[0]
+        elems = list(field.enumerate())
+        values = [elems[rng.randrange(q)] for _ in cells]
+    else:
+        pivots, cells = patterns[rng.randrange(len(patterns))]
+        values = [Fraction(rng.randint(-3, 3)) for _ in cells]
+    return _echelon_form(field, ambient, pivots, cells, values)
 
 
-# --- fast lane for the two-element field -------------------------------------
+def _gf2_subspaces(dim: int) -> Iterator[tuple]:
+    """Every nonzero subspace of GF(2)^dim as bitmask rows (bit i is
+    coordinate i), in the order of enumerate_subspaces."""
+    for k in range(1, dim + 1):
+        for pivots, cells in _echelon_patterns(dim, k):
+            # each row's fills, its last cell fastest; the product then runs
+            # the last row fastest, which is the last cell of the whole form
+            fills = []
+            for r, p in enumerate(pivots):
+                cols = [c for row, c in cells if row == r]
+                fills.append([
+                    sum((b << c for b, c in zip(bits, cols)), 1 << p)
+                    for bits in itertools.product((0, 1), repeat=len(cols))
+                ])
+            yield from itertools.product(*fills)
+
+
+# --- evaluator lanes -------------------------------------------------------------
+#
+# A lane is a pair (evaluate, as_subspace). evaluate(item) gives (d, truncated),
+# d the trimmed difference sequence of a generating item and None otherwise;
+# as_subspace(item) turns the witness item into a Subspace.
+
+
+def _span_lane(a: AlgebraTable):
+    """Subspace items through lin_spans, under the strongest justified mode."""
+    mode = "descending" if has_descending_certificate(a) else "general"
+
+    def evaluate(sub: Subspace):
+        rep = lin_spans(a, sub.basis, mode=mode)
+        return (rep.d if rep.generating else None), rep.truncated
+
+    return evaluate, lambda sub: sub
 
 
 def _gf2_product_tables(a: AlgebraTable):
@@ -334,112 +341,84 @@ def _gf2_product_tables(a: AlgebraTable):
         r = rows[low.bit_length() - 1]
         prod.append([src[y] ^ r[y] for y in range(size)])
     tprod = [[prod[x][y] for x in range(size)] for y in range(size)]
-    return prod, tprod
+    return prod, tprod, mask
 
 
-def _gf2_search(a: AlgebraTable, collect: bool):
-    """Exhaustive search over all nonzero subspaces, elements as bitmasks.
+def _gf2_lane(a: AlgebraTable):
+    """Bitmask-row items over the two-element field, with product lookups.
 
     Valid only under a descending certificate: the per-subspace iteration is
     the descending recursion with first-plateau stop.
     """
     f = a.field
     dim = a.dim
-    prod, tprod = _gf2_product_tables(a)
-    unit_mask = 0
+    prod, tprod, mask = _gf2_product_tables(a)
     e = a.unit_element()
-    one = f.one()
-    if e is not None:
-        for i, x in enumerate(e):
-            if x == one:
-                unit_mask |= 1 << i
+    unit_mask = mask(e) if e is not None else 0
     d0 = 1 if unit_mask else 0
 
-    best_len = -1
-    best_rows: tuple = ()
-    census: Counter = Counter()
-    enumerated = 0
-    generating_count = 0
+    def evaluate(s_rows: tuple):
+        # forward echelon keyed by most-significant bit
+        red = [0] * dim
+        if unit_mask:
+            red[unit_mask.bit_length() - 1] = unit_mask
+        rank = d0
+        new = []
+        for v in s_rows:
+            while v:
+                p = v.bit_length() - 1
+                w = red[p]
+                if w == 0:
+                    red[p] = v
+                    new.append(v)
+                    rank += 1
+                    break
+                v ^= w
+        d = [d0, rank - d0]
+        while new and rank < dim:
+            fresh = []
+            for r in s_rows:
+                pr = prod[r]
+                tr = tprod[r]
+                for x in new:
+                    for v in (pr[x], tr[x]):
+                        while v:
+                            p = v.bit_length() - 1
+                            w = red[p]
+                            if w == 0:
+                                red[p] = v
+                                fresh.append(v)
+                                rank += 1
+                                break
+                            v ^= w
+            if not fresh:
+                break
+            d.append(len(fresh))
+            new = fresh
+        return (_trim(d) if rank == dim else None), False
 
-    for k in range(1, dim + 1):
-        for pivots in itertools.combinations(range(dim), k):
-            pivset = set(pivots)
-            cells = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, dim)
-                if c not in pivset
-            ]
-            ncells = len(cells)
-            base_rows = [1 << p for p in pivots]
-            for fill in range(1 << ncells):
-                s_rows = list(base_rows)
-                if fill:
-                    for idx in range(ncells):
-                        if fill >> idx & 1:
-                            r, c = cells[idx]
-                            s_rows[r] |= 1 << c
-                enumerated += 1
+    def as_subspace(s_rows: tuple) -> Subspace:
+        one, zero = f.one(), f.zero()
+        return Subspace.span(
+            f, dim, [tuple(one if m >> i & 1 else zero for i in range(dim)) for m in s_rows]
+        )
 
-                # forward echelon keyed by most-significant bit
-                red = [0] * dim
-                if unit_mask:
-                    v = unit_mask
-                    while v:
-                        p = v.bit_length() - 1
-                        w = red[p]
-                        if w == 0:
-                            red[p] = v
-                            break
-                        v ^= w
-                rank = d0
-                new = []
-                for v in s_rows:
-                    while v:
-                        p = v.bit_length() - 1
-                        w = red[p]
-                        if w == 0:
-                            red[p] = v
-                            new.append(v)
-                            rank += 1
-                            break
-                        v ^= w
-                d = [d0, rank - d0]
-                while new and rank < dim:
-                    fresh = []
-                    for r in s_rows:
-                        pr = prod[r]
-                        tr = tprod[r]
-                        for x in new:
-                            for v in (pr[x], tr[x]):
-                                while v:
-                                    p = v.bit_length() - 1
-                                    w = red[p]
-                                    if w == 0:
-                                        red[p] = v
-                                        fresh.append(v)
-                                        rank += 1
-                                        break
-                                    v ^= w
-                    if not fresh:
-                        break
-                    d.append(len(fresh))
-                    new = fresh
-                if rank == dim:
-                    generating_count += 1
-                    dt = _trim(d)
-                    if collect:
-                        census[dt] += 1
-                    length = max((i for i, x in enumerate(dt) if x != 0), default=0)
-                    if length > best_len:
-                        best_len = length
-                        best_rows = tuple(s_rows)
-    return (best_len, best_rows), enumerated, generating_count, census
+    return evaluate, as_subspace
 
 
-def _mask_to_vec(f: Field, dim: int, m: int) -> tuple:
-    one, zero = f.one(), f.zero()
-    return tuple(one if m >> i & 1 else zero for i in range(dim))
+# --- the search loop ---------------------------------------------------------------
+
+
+def _validate_census(a: AlgebraTable, census: Counter) -> list:
+    """Difference-sequence laws for each distinct generating d observed."""
+    kinds = descending_kinds(a)
+    unital = a.is_unital()
+    problems = []
+    for d, count in sorted(census.items()):
+        errs = validate_report(d, len(d) - 1, True, a.dim, unital, kinds=kinds)
+        for e in errs:
+            problems.append(f"d={d} (x{count}): {e}")
+    return problems
 
 
 def length_of_algebra(
@@ -448,7 +427,6 @@ def length_of_algebra(
     seed: int = 0,
     budget: int = 2000,
     cap: Optional[int] = None,
-    collect: bool = True,
 ) -> SearchResult:
     """Maximize l(S) over subspaces; exhaustive mode gives the exact value.
 
@@ -456,152 +434,65 @@ def length_of_algebra(
     depends only on its span) and needs a finite field plus an enumeration
     count within the cost cap. Random mode samples subspaces and yields a
     lower bound marked exact=False.
+
+    Every search is one loop: a source yields subspaces in a fixed order, a
+    lane evaluates each, and the loop accumulates the census of generating
+    difference sequences and the witness, the first subspace of maximal
+    length in source order. A general-mode chain cut at its level cap is
+    neither generating nor silently dropped: it is counted in
+    stats["truncated"] and the result is not exact.
     """
     if cap is None:
         cap = cost_cap()
+    f = a.field
     if mode == "exhaustive":
-        if not a.field.is_finite():
+        if not f.is_finite():
             raise InfiniteField("exhaustive search needs a finite field")
-        total = count_subspaces(a.field, a.dim, range(1, a.dim + 1))
+        total = count_subspaces(f, a.dim, range(1, a.dim + 1))
         if total > cap:
             raise CostCapExceeded(
                 f"enumeration of {total} subspaces exceeds the cost cap {cap}",
                 estimate=total,
             )
-        if a.field.cardinality() == 2 and has_descending_certificate(a):
-            (best_len, witness_rows), enumerated, gen_count, census = _gf2_search(
-                a, collect
+        if f.cardinality() == 2 and has_descending_certificate(a):
+            source = _gf2_subspaces(a.dim)
+            evaluate, as_subspace = _gf2_lane(a)
+        else:
+            source = (
+                sub for k in range(1, a.dim + 1) for sub in enumerate_subspaces(f, a.dim, k)
             )
-            witness = (
-                Subspace.span(
-                    a.field,
-                    a.dim,
-                    [_mask_to_vec(a.field, a.dim, m) for m in witness_rows],
-                )
-                if best_len >= 0
-                else None
-            )
-            stats = {"generating": gen_count}
-            if collect:
-                stats["d_census"] = dict(census)
-                stats["violations"] = _validate_census(a, census)
-            return SearchResult(
-                best_length=max(best_len, 0),
-                witness=witness,
-                enumerated=enumerated,
-                mode="exhaustive",
-                exact=True,
-                stats=stats,
-            )
-        census: Counter = Counter()
-        enumerated = 0
-        gen_count = 0
-        best_len = -1
-        witness = None
-        use_desc = has_descending_certificate(a)
-        for k in range(1, a.dim + 1):
-            for sub in enumerate_subspaces(a.field, a.dim, k):
-                enumerated += 1
-                rep = lin_spans(
-                    a, sub.rows, mode="descending" if use_desc else "general"
-                )
-                if not rep.generating:
-                    continue
-                gen_count += 1
-                if collect:
-                    census[rep.d] += 1
-                if rep.length > best_len:
-                    best_len = rep.length
-                    witness = sub
-        stats = {"generating": gen_count}
-        if collect:
-            stats["d_census"] = dict(census)
-            stats["violations"] = _validate_census(a, census)
-        return SearchResult(
-            best_length=max(best_len, 0),
-            witness=witness,
-            enumerated=enumerated,
-            mode="exhaustive",
-            exact=True,
-            stats=stats,
-        )
-
-    if mode != "random":
+            evaluate, as_subspace = _span_lane(a)
+    elif mode == "random":
+        rng = random.Random(seed)
+        source = (_random_subspace(f, a.dim, rng) for _ in range(budget))
+        evaluate, as_subspace = _span_lane(a)
+    else:
         raise ModeUnjustified(f"unknown search mode {mode!r}")
-    rng = random.Random(seed)
-    use_desc = has_descending_certificate(a)
-    best_len = -1
-    witness = None
-    census = Counter()
-    gen_count = 0
-    for _ in range(budget):
-        sub = _random_subspace(a.field, a.dim, rng)
-        rep = lin_spans(a, sub.rows, mode="descending" if use_desc else "general")
-        if not rep.generating:
+
+    census: Counter = Counter()
+    enumerated = truncated = 0
+    best_len, best = -1, None
+    for item in source:
+        enumerated += 1
+        d, cut = evaluate(item)
+        truncated += cut
+        if d is None:
             continue
-        gen_count += 1
-        if collect:
-            census[rep.d] += 1
-        if rep.length > best_len:
-            best_len = rep.length
-            witness = sub
-    stats = {"generating": gen_count}
-    if collect:
-        stats["d_census"] = dict(census)
-        stats["violations"] = _validate_census(a, census)
+        census[d] += 1
+        if len(d) - 1 > best_len:
+            best_len, best = len(d) - 1, item
+    stats = {
+        "generating": sum(census.values()),
+        "d_census": dict(census),
+        "violations": _validate_census(a, census),
+    }
+    if truncated:
+        stats["truncated"] = truncated
     return SearchResult(
         best_length=max(best_len, 0),
-        witness=witness,
-        enumerated=budget,
-        mode=f"random(seed={seed},budget={budget})",
-        exact=False,
+        witness=None if best is None else as_subspace(best),
+        enumerated=enumerated,
+        mode=mode if mode == "exhaustive" else f"random(seed={seed},budget={budget})",
+        exact=mode == "exhaustive" and not truncated,
         stats=stats,
     )
-
-
-def _random_subspace(field: Field, ambient: int, rng: random.Random) -> Subspace:
-    """Uniform dimension, then a uniform reduced echelon form of that dimension.
-
-    Finite fields: pivot sets weighted by how many echelon forms they carry,
-    free entries uniform. Rationals: uniform pivot set, small integer entries.
-    """
-    k = rng.randint(1, ambient)
-    combos = list(itertools.combinations(range(ambient), k))
-    zero, one = field.zero(), field.one()
-
-    def cellcount(pivots):
-        pivset = set(pivots)
-        return sum(
-            1
-            for r in range(k)
-            for c in range(pivots[r] + 1, ambient)
-            if c not in pivset
-        )
-
-    if field.is_finite():
-        q = field.cardinality()
-        weights = [q ** cellcount(p) for p in combos]
-        pivots = rng.choices(combos, weights=weights)[0]
-        elems = list(field.enumerate())
-
-        def pick():
-            return elems[rng.randrange(q)]
-
-    else:
-        from fractions import Fraction
-
-        pivots = combos[rng.randrange(len(combos))]
-
-        def pick():
-            return Fraction(rng.randint(-3, 3))
-
-    pivset = set(pivots)
-    rows = []
-    for r in range(k):
-        row = [zero] * ambient
-        row[pivots[r]] = one
-        for c in range(pivots[r] + 1, ambient):
-            if c not in pivset:
-                row[c] = pick()
-        rows.append(tuple(row))
-    return Subspace(field, ambient, tuple(rows), tuple(pivots))

@@ -1,43 +1,41 @@
 """Exact linear algebra over the fields in this package.
 
-Vectors are tuples of scalars. A Subspace is stored as the reduced row
-echelon form of any spanning set, which is canonical: two subspaces are equal
-exactly when their stored rows are equal, so equality and hashing are O(1)
-after construction.
+Vectors are tuples of scalars. A Subspace stores forward-reduced echelon rows:
+inserting a vector adds one row and never rewrites the others, so a subspace
+is immutable and a larger one shares the rows of the smaller. The reduced row
+echelon form, which is canonical, is built only when equality, hashing or a
+sort key needs it, and then cached.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 from .fields import Field, Scalar
 
-Vector = tuple
-
-
-def _leading_index(field: Field, v: Sequence[Scalar]) -> int:
-    zero = field.zero()
-    for i, x in enumerate(v):
-        if x != zero:
-            return i
-    return -1
-
 
 class Subspace:
-    """A subspace of F^n in reduced row echelon form.
+    """A subspace of F^n held as forward-reduced echelon rows.
 
-    rows are pivot-normalized (pivot entry 1, pivot column zero elsewhere) and
-    sorted by strictly increasing pivot index. The zero subspace has no rows.
+    ``basis`` has one row per dimension, sorted by strictly increasing pivot
+    index (``pivots``); each row is 1 at its pivot and 0 left of it. Pivot
+    columns are not cleared from the other rows. ``insert``, ``reduce``,
+    ``contains``, ``sum`` and ``dim`` work on this store. ``rows`` is the
+    canonical reduced row echelon form (pivot columns zero outside their own
+    row), built on first use and cached; ``key``, equality and hashing read
+    it. The zero subspace has no rows.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_rref")
 
-    def __init__(self, field: Field, ambient: int, rows: tuple = (), pivots: tuple = ()):
+    def __init__(self, field: Field, ambient: int, basis: tuple = (), pivots: tuple = ()):
         self.field = field
         self.ambient = ambient
-        self.rows = rows
+        self.basis = basis
         self.pivots = pivots
+        self._rref = None
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
@@ -52,19 +50,20 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.basis)
 
-    def reduce(self, v: Vector) -> Vector:
-        """v minus its projection onto this subspace along the pivot columns."""
+    def reduce(self, v: tuple) -> tuple:
+        """The unique vector of v + self that is zero in every pivot column."""
         if len(v) != self.ambient:
             raise DimensionMismatch(f"vector length {len(v)} in ambient {self.ambient}")
         f = self.field
         zero = f.zero()
         v = list(v)
-        for row, p in zip(self.rows, self.pivots):
+        for row, p in zip(self.basis, self.pivots):
             c = v[p]
             if c != zero:
-                for i, r in enumerate(row):
+                for i in range(p, self.ambient):
+                    r = row[i]
                     if r != zero:
                         v[i] = f.sub(v[i], f.mul(c, r))
         return tuple(v)
@@ -74,41 +73,44 @@ class Subspace:
         return all(x == zero for x in self.reduce(tuple(v)))
 
     def insert(self, v: Sequence[Scalar]) -> "Subspace":
-        """The span of this subspace and v (canonical form maintained)."""
+        """The span of this subspace and v; self when v already lies in it."""
         f = self.field
         zero = f.zero()
         res = self.reduce(tuple(v))
-        lead = _leading_index(f, res)
+        lead = next((i for i, x in enumerate(res) if x != zero), -1)
         if lead < 0:
             return self
         c = f.inv(res[lead])
-        new_row = tuple(f.mul(c, x) for x in res)
-        rows = []
-        pivots = []
-        inserted = False
-        for row, p in zip(self.rows, self.pivots):
-            if not inserted and lead < p:
-                rows.append(new_row)
-                pivots.append(lead)
-                inserted = True
-            # clear the new pivot column from the existing row
-            coef = row[lead]
-            if coef != zero:
-                row = tuple(f.sub(x, f.mul(coef, y)) for x, y in zip(row, new_row))
-            rows.append(row)
-            pivots.append(p)
-        if not inserted:
-            rows.append(new_row)
-            pivots.append(lead)
-        return Subspace(self.field, self.ambient, tuple(rows), tuple(pivots))
+        row = tuple(f.mul(c, x) for x in res)
+        at = bisect(self.pivots, lead)
+        return Subspace(
+            f,
+            self.ambient,
+            self.basis[:at] + (row,) + self.basis[at:],
+            self.pivots[:at] + (lead,) + self.pivots[at:],
+        )
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise DimensionMismatch("ambient dimensions differ")
         s = self
-        for row in other.rows:
+        for row in other.basis:
             s = s.insert(row)
         return s
+
+    @property
+    def rows(self) -> tuple:
+        """Reduced row echelon form: canonical, so equal subspaces share it.
+
+        Row i is the stored row reduced by the stored rows below it, which
+        clears their pivot columns and keeps its own pivot and leading zeros.
+        """
+        if self._rref is None:
+            f, n, b, p = self.field, self.ambient, self.basis, self.pivots
+            self._rref = tuple(
+                Subspace(f, n, b[i + 1 :], p[i + 1 :]).reduce(row) for i, row in enumerate(b)
+            )
+        return self._rref
 
     def key(self):
         """Deterministic total-order key (used for witness tie-breaking)."""
@@ -119,6 +121,7 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
+            and self.dim == other.dim
             and self.rows == other.rows
         )
 

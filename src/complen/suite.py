@@ -24,6 +24,7 @@ from .checkers import (
     check_composition,
     check_descending,
     check_polarized_identity,
+    descending_kinds,
     find_idempotents,
     length_upper_bound,
     recover_norm,
@@ -99,12 +100,6 @@ def _etale_twist(field_text: str, mu_int: int, ttype: str) -> AlgebraTable:
     return standard_twist(make_quadratic_etale(f, f.from_int(mu_int)), ttype)
 
 
-def _certified_kinds(a: AlgebraTable) -> list:
-    return [
-        k for k in ("flexible", "alternative") if f"descending-{k}" in a.certificates
-    ]
-
-
 # --- case bodies -------------------------------------------------------------
 
 
@@ -129,7 +124,7 @@ def _run_witness_bound(
     a = build()
     s = [a.basis_element(i) for i in idxs]
     rep = lin_spans(a, s, mode="descending")
-    kinds = _certified_kinds(a)
+    kinds = descending_kinds(a)
     ub = min(length_upper_bound(a.dim, rep.d[0], k) for k in kinds)
     laws = validate_report(
         rep.d, rep.length, rep.generating, a.dim, a.is_unital(),
@@ -161,7 +156,7 @@ def _run_iso_witness(field_text: str, alpha: int, beta: int, seed: int) -> str:
     rep = lin_spans(A, [a, b], mode="general")
     laws = validate_report(
         rep.d, rep.length, rep.generating, A.dim, A.is_unital(),
-        kinds=_certified_kinds(A), rank=2,
+        kinds=descending_kinds(A), rank=2,
     )
     return f"d={_dstr(rep.d)};l={rep.length};products={products};laws={len(laws)}"
 
@@ -198,7 +193,7 @@ def _run_idem_witness(seed: int) -> str:
     )
     laws = validate_report(
         rep.d, rep.length, rep.generating, A.dim, A.is_unital(),
-        kinds=_certified_kinds(A), rank=2,
+        kinds=descending_kinds(A), rank=2,
     )
     return (
         f"d={_dstr(rep.d)};l={rep.length};products={products};"

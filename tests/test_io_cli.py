@@ -232,6 +232,23 @@ def test_cli_length_algebra_cost_cap(tmp_path, capsys):
     assert doc["estimate"] > 10**7
 
 
+def test_cli_missing_algebra_file_is_json_error(tmp_path, capsys):
+    code, out, err = _run(capsys, "length-algebra", "--algebra", str(tmp_path / "absent.json"))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+def test_cli_bad_cost_cap_is_json_error(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "k.json")
+    _run(capsys, "construct", "--family", "hurwitz", "--field", "F2",
+         "--params", "1", "--out", path)
+    monkeypatch.setenv("COMPLEN_COST_CAP", "abc")
+    code, out, err = _run(capsys, "length-algebra", "--algebra", path)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and "COMPLEN_COST_CAP" in doc["message"]
+
+
 def test_cli_bad_set_is_parse_error(tmp_path, capsys):
     path = str(tmp_path / "k.json")
     _run(capsys, "construct", "--family", "hurwitz", "--field", "F2",

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from complen import length
 from complen.algebra import subalgebra_closure
 from complen.constructors import (
     make_hurwitz_tower,
@@ -177,23 +178,55 @@ def test_random_search_deterministic_per_seed():
 
 
 def test_gf2_fast_lane_matches_generic_lane():
-    a = make_hurwitz_tower(F2, F2.one(), (F2.one(),))
-    fast = length_of_algebra(a, mode="exhaustive")
-    # the generic lane is what non-GF(2) fields use; force it by re-running
-    # the same census through per-subspace reports
-    census = {}
-    best = 0
     from complen.length import enumerate_subspaces
 
-    n = 0
-    for k in range(1, a.dim + 1):
-        for sub in enumerate_subspaces(F2, a.dim, k):
-            rep = lin_spans(a, list(sub.rows), mode="general")
-            n += 1
-            if rep.generating:
-                census[rep.d] = census.get(rep.d, 0) + 1
-                best = max(best, rep.length)
-    assert n == fast.enumerated == 66
-    assert best == fast.best_length == 2
-    assert census == fast.stats["d_census"]
-    assert fast.stats["generating"] == sum(census.values())
+    q = make_hurwitz_tower(F2, F2.one(), (F2.one(),))
+    for a in (q, standard_twist(q, "II"), standard_twist(q, "IV")):
+        fast = length_of_algebra(a, mode="exhaustive")
+        # the generic lane is what non-GF(2) fields use; force it by re-running
+        # the same census through per-subspace reports
+        census = {}
+        best = 0
+        witness = None
+        n = 0
+        for k in range(1, a.dim + 1):
+            for sub in enumerate_subspaces(F2, a.dim, k):
+                rep = lin_spans(a, list(sub.rows), mode="general")
+                n += 1
+                if rep.generating:
+                    census[rep.d] = census.get(rep.d, 0) + 1
+                    if rep.length > best:
+                        best, witness = rep.length, sub
+        assert n == fast.enumerated == 66
+        assert best == fast.best_length == 2
+        assert census == fast.stats["d_census"]
+        assert fast.stats["generating"] == sum(census.values())
+        # both lanes take the first subspace of maximal length in enumeration order
+        assert fast.witness.rows == witness.rows
+
+
+def test_gf2_source_runs_in_enumeration_order():
+    from complen.length import _gf2_subspaces, enumerate_subspaces
+
+    for n in range(1, 6):
+        masks = [
+            tuple(tuple(F2.from_int(m >> i & 1) for i in range(n)) for m in rows)
+            for rows in _gf2_subspaces(n)
+        ]
+        rows = [s.rows for k in range(1, n + 1) for s in enumerate_subspaces(F2, n, k)]
+        assert masks == rows
+
+
+def test_truncated_general_chains_make_the_search_inexact(monkeypatch):
+    a = make_hurwitz_tower(F2, F2.one(), (F2.one(),))
+    a.certificates.clear()  # general mode for every subspace
+    full = length_of_algebra(a, mode="exhaustive")
+    assert full.exact and full.best_length == 2
+    assert full.stats["generating"] == 29 and "truncated" not in full.stats
+    # a cap of one level cuts every chain that needs a second one
+    monkeypatch.setattr(length, "GENERAL_MAX_K_FACTOR", 0.25)
+    cut = length_of_algebra(a, mode="exhaustive")
+    assert cut.best_length == 1 and cut.stats["generating"] == 9
+    assert cut.stats["truncated"] > 0
+    assert not cut.exact
+    assert cut.as_dict()["stats"]["truncated"] == cut.stats["truncated"]
