@@ -13,6 +13,22 @@ characteristic. Evaluating the identity on all field points instead would be
 unsound in characteristic 2 (x^2 = x on GF(2)). Failed diagonals yield the
 direct counterexample a = e_i; failed off-diagonals (once diagonals pass)
 yield a = e_i + e_k.
+
+The composition law n(xy) = n(x)n(y) has degree 2 in x and degree 2 in y,
+so it is polarized in both variables at once. With q the split form
+(q(x,x) = n(x)),
+
+    G(x1,x2,y1,y2) = q(x1*y1, x2*y2) - q(x1,x2) q(y1,y2)
+
+is multilinear and G(x,x,y,y) = n(xy) - n(x)n(y). For i <= k and j <= l the
+sum of G(e_a,e_b,e_c,e_d) over the distinct orderings (a,b) of (i,k) and
+(c,d) of (j,l) is the coefficient of x_i x_k y_j y_l in that polynomial, so
+the (dim(dim+1)/2)^2 sums vanish exactly when the identity holds as a
+polynomial identity, in every characteristic. A nonzero coefficient yields a
+pointwise counterexample among x in {e_i, e_k, e_i+e_k} and y in
+{e_j, e_l, e_j+e_l}: restricted to those two planes the difference is a
+nonzero form of degree (2,2), and a nonzero binary quadratic form vanishes
+on at most two of these three projective points, even over GF(2).
 """
 
 from __future__ import annotations
@@ -28,6 +44,7 @@ from .errors import (
     CostCapExceeded,
     DegenerateForm,
     InfiniteField,
+    InvariantViolation,
     MirrorLawFailed,
     MissingQuadraticForm,
     MissingUnit,
@@ -634,48 +651,107 @@ def _elements_in_order(a: AlgebraTable) -> list[Element]:
     return [tuple(t) for t in itertools.product(elems, repeat=a.dim)]
 
 
-def _composition_scan_prime(a: AlgebraTable):
-    """Exhaustive n(xy) = n(x)n(y) over a prime field, vectorized.
+def _composition_polarized(a: AlgebraTable):
+    """First nonzero coefficient of n(xy) - n(x)n(y), or None.
 
-    int64 arithmetic reduced mod p is exact; intermediate sums stay far below
-    the int64 range at the dimensions involved (<= 8).
+    Returns (i, k, j, l, coefficient) for the first failing index tuple in
+    lexicographic order. The coefficient is
+    sum q(e_a e_c, e_b e_d) - n_ik n_jl over the orderings (a,b) of (i,k)
+    and (c,d) of (j,l), with n_ik the coefficient of x_i x_k in n(x). Each q
+    value is read from the table entries and the split form's basis values
+    once; no element is multiplied.
     """
-    import numpy as np
-
-    p = a.field.characteristic()
-    dim = a.dim
-    n_elems = p**dim
-    idx = np.arange(n_elems, dtype=np.int64)
-    elems = np.zeros((n_elems, dim), dtype=np.int64)
-    for pos in range(dim):
-        elems[:, pos] = (idx // (p ** (dim - 1 - pos))) % p
-    table = np.array(
-        [[[int(c) for c in a.table[i][j]] for j in range(dim)] for i in range(dim)],
-        dtype=np.int64,
-    )
+    f = a.field
+    zero = f.zero()
+    add, mul = f.add, f.mul
     quad = a.quad
-    diag = np.array([int(d) for d in quad.diag], dtype=np.int64)
+    dim = a.dim
+    # split form as sparse rows: q(u, v) = sum_r sum_s u_r split[r][s] v_s
+    split = [{} for _ in range(dim)]
+    for i, d in enumerate(quad.diag):
+        if d != zero:
+            split[i][i] = d
+    for (i, j), c in quad.polar.items():
+        split[i][j] = c
+    # nonzero coordinates of e_a e_c, and of e_a e_c pushed through the form
+    coords = [[[(s, v) for s, v in enumerate(a.table[r][c]) if v != zero]
+               for c in range(dim)] for r in range(dim)]
+    pushed = []
+    for r in range(dim):
+        row = []
+        for c in range(dim):
+            w: dict = {}
+            for t, u in coords[r][c]:
+                for s, m in split[t].items():
+                    w[s] = add(w[s], mul(u, m)) if s in w else mul(u, m)
+            row.append({s: v for s, v in w.items() if v != zero})
+        pushed.append(row)
+    orders = {
+        (i, k): ((i, k),) if i == k else ((i, k), (k, i))
+        for i in range(dim) for k in range(i, dim)
+    }
+    for (i, k), xo in orders.items():
+        n_ik = split[i].get(k)
+        for (j, l), yo in orders.items():
+            coeff = zero
+            for x1, x2 in xo:
+                for y1, y2 in yo:
+                    w = pushed[x1][y1]
+                    for s, v in coords[x2][y2]:
+                        ws = w.get(s)
+                        if ws is not None:
+                            coeff = add(coeff, mul(ws, v))
+            n_jl = split[j].get(l)
+            if n_ik is not None and n_jl is not None:
+                coeff = f.sub(coeff, mul(n_ik, n_jl))
+            if coeff != zero:
+                return i, k, j, l, coeff
+    return None
 
-    def norms(mat):
-        acc = (mat * mat) @ diag
-        for (i, j), c in quad.polar.items():
-            acc = acc + int(c) * mat[:, i] * mat[:, j]
-        return acc % p
 
-    all_norms = norms(elems)
-    for x_idx in range(n_elems):
-        x = elems[x_idx]
-        m = np.tensordot(x, table, axes=(0, 0)) % p  # (dim, dim): m[j,k]
-        prods = (elems @ m) % p
-        lhs = norms(prods)
-        rhs = (all_norms[x_idx] * all_norms) % p
-        bad = np.nonzero(lhs != rhs)[0]
-        if bad.size:
-            y_idx = int(bad[0])
-            return (
-                tuple(a.field.from_int(int(v)) for v in x),
-                tuple(a.field.from_int(int(v)) for v in elems[y_idx]),
-            )
+def _composition_value(a: AlgebraTable, x: Element, y: Element):
+    f = a.field
+    return f.sub(a.quad_eval(a.multiply(x, y)), f.mul(a.quad_eval(x), a.quad_eval(y)))
+
+
+def _plane_points(a: AlgebraTable, i: int, k: int) -> list[Element]:
+    """e_i, e_k and e_i + e_k: three distinct projective points of a plane."""
+    if i == k:
+        return [a.basis_element(i)]
+    return [a.basis_element(i), a.basis_element(k), a.add(a.basis_element(i), a.basis_element(k))]
+
+
+def _polarized_counterexample(a: AlgebraTable, i, k, j, l, coeff) -> dict:
+    zero = a.field.zero()
+    for x in _plane_points(a, i, k):
+        for y in _plane_points(a, j, l):
+            value = _composition_value(a, x, y)
+            if value != zero:
+                return {
+                    "args": (x, y),
+                    "value": value,
+                    "indices": (i, k, j, l),
+                    "coefficient": coeff,
+                }
+    raise InvariantViolation(
+        f"coefficient ({i},{k},{j},{l}) is nonzero but no plane point fails"
+    )
+
+
+def _composition_scan_pairs(a: AlgebraTable):
+    """Exhaustive n(xy) = n(x)n(y) by the pair loop: the first failing (x, y).
+
+    The only exhaustive route over extension fields, and the reference that
+    the tests hold primescan.composition_scan to.
+    """
+    elems = _elements_in_order(a)
+    norms = {x: a.quad_eval(x) for x in elems}
+    f = a.field
+    for x in elems:
+        nx = norms[x]
+        for y in elems:
+            if a.quad_eval(a.multiply(x, y)) != f.mul(nx, norms[y]):
+                return x, y
     return None
 
 
@@ -685,12 +761,29 @@ def check_composition(
     seed: int = 0,
     samples: int = DEFAULT_SAMPLES,
 ) -> Verdict:
-    """Check n(x*y) = n(x)*n(y), exhaustively when the element count permits.
+    """Check n(x*y) = n(x)*n(y).
 
-    The identity has degree 4, so a sampled pass is evidence rather than a
-    certificate; the certificate string says which one was obtained.
+    "polarized" proves the polynomial identity from the basis (module
+    docstring) over any field, at (dim(dim+1)/2)^2 coefficient sums.
+    "exhaustive" evaluates every pair of elements and "auto" does so when the
+    element count permits; otherwise "auto" and "sampled" evaluate random
+    pairs, which is evidence rather than a certificate. The certificate
+    string says which one was obtained. "polarized" certifies the law as a
+    polynomial identity; since the law has degree 2 in each variable, its
+    nine-point counterexample argument makes that equivalent to the
+    pointwise law even over GF(2), so "polarized" and "exhaustive" agree.
     """
     _require_quad(a)
+    if strategy == "polarized":
+        bad = _composition_polarized(a)
+        if bad is None:
+            return Verdict("composition", True, "polarized-basis")
+        return Verdict(
+            "composition",
+            False,
+            "polarized-basis",
+            counterexample=_polarized_counterexample(a, *bad),
+        )
     card = a.field.cardinality()
     n_elems = card**a.dim if card is not None else None
     is_prime_field = card is not None and a.field.characteristic() == card
@@ -707,20 +800,11 @@ def check_composition(
 
     if strategy != "sampled" and can_exhaust:
         if is_prime_field and n_elems > 64:
-            bad = _composition_scan_prime(a)
+            from .primescan import composition_scan
+
+            bad = composition_scan(a)
         else:
-            bad = None
-            elems = _elements_in_order(a)
-            norms = {x: a.quad_eval(x) for x in elems}
-            f = a.field
-            for x in elems:
-                nx = norms[x]
-                for y in elems:
-                    if a.quad_eval(a.multiply(x, y)) != f.mul(nx, norms[y]):
-                        bad = (x, y)
-                        break
-                if bad:
-                    break
+            bad = _composition_scan_pairs(a)
         if bad is None:
             return Verdict("composition", True, "exhaustive")
         x, y = bad
@@ -728,13 +812,7 @@ def check_composition(
             "composition",
             False,
             "exhaustive",
-            counterexample={
-                "args": (x, y),
-                "value": a.field.sub(
-                    a.quad_eval(a.multiply(x, y)),
-                    a.field.mul(a.quad_eval(x), a.quad_eval(y)),
-                ),
-            },
+            counterexample={"args": (x, y), "value": _composition_value(a, x, y)},
         )
 
     rng = random.Random(seed)
@@ -1035,39 +1113,6 @@ def acquire_descending_certificates(a: AlgebraTable, cap: int = 10**7) -> set:
 # --- element searches -------------------------------------------------------
 
 
-def _element_scan_prime(a: AlgebraTable, what: str):
-    """Vectorized scan for idempotents or isotropic vectors over prime fields."""
-    import numpy as np
-
-    p = a.field.characteristic()
-    dim = a.dim
-    n_elems = p**dim
-    table = np.array(
-        [[[int(c) for c in a.table[i][j]] for j in range(dim)] for i in range(dim)],
-        dtype=np.int64,
-    )
-    found = []
-    chunk = 65536
-    for start in range(0, n_elems, chunk):
-        idx = np.arange(start, min(start + chunk, n_elems), dtype=np.int64)
-        elems = np.zeros((idx.size, dim), dtype=np.int64)
-        for pos in range(dim):
-            elems[:, pos] = (idx // (p ** (dim - 1 - pos))) % p
-        if what == "idempotent":
-            prods = np.einsum("bi,bj,ijk->bk", elems, elems, table) % p
-            hits = np.all(prods == elems, axis=1) & np.any(elems != 0, axis=1)
-        else:
-            quad = a.quad
-            diag = np.array([int(d) for d in quad.diag], dtype=np.int64)
-            acc = (elems * elems) @ diag
-            for (i, j), c in quad.polar.items():
-                acc = acc + int(c) * elems[:, i] * elems[:, j]
-            hits = (acc % p == 0) & np.any(elems != 0, axis=1)
-        for row in elems[hits]:
-            found.append(tuple(a.field.from_int(int(v)) for v in row))
-    return found
-
-
 def find_idempotents(
     a: AlgebraTable,
     cap: int = ELEMENT_SCAN_CAP,
@@ -1082,7 +1127,9 @@ def find_idempotents(
     n_elems = card**a.dim if card is not None else None
     if n_elems is not None and n_elems <= cap:
         if card == a.field.characteristic():
-            return _element_scan_prime(a, "idempotent"), True
+            from .primescan import element_scan
+
+            return element_scan(a, "idempotent"), True
         out = []
         for x in _elements_in_order(a):
             if not a.is_zero(x) and a.multiply(x, x) == x:
@@ -1106,7 +1153,9 @@ def find_isotropic(
     n_elems = card**a.dim if card is not None else None
     if n_elems is not None and n_elems <= cap:
         if card == a.field.characteristic():
-            return _element_scan_prime(a, "isotropic"), True
+            from .primescan import element_scan
+
+            return element_scan(a, "isotropic"), True
         z = a.field.zero()
         out = []
         for x in _elements_in_order(a):

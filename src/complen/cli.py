@@ -37,7 +37,7 @@ from .constructors import (
     make_two_dim_form,
     standard_twist,
 )
-from .errors import ComplenError, CostCapExceeded, ParseError, UnknownFamily
+from .errors import ComplenError, CostCapExceeded, ParseError, UnknownFamily, UnknownIdentity
 from .fields import Field, field_make
 from .iofmt import load_algebra, save_algebra
 from .length import length_of_algebra, lin_spans
@@ -136,7 +136,7 @@ def _verdict_json(a: AlgebraTable, v: Verdict, seed: Optional[int] = None) -> di
         for k, val in v.counterexample.items():
             if k == "args":
                 ce[k] = [_fmt_maybe_element(a, x) for x in val]
-            elif k == "value":
+            elif k in ("value", "coefficient"):
                 ce[k] = _fmt_maybe_element(a, val)
             else:
                 ce[k] = val
@@ -224,6 +224,10 @@ def _cmd_check(args) -> int:
     what = args.what
     recovered = False
     doc: dict
+    if args.strategy == "polarized" and what != "composition":
+        raise UnknownIdentity(
+            f"--strategy polarized applies only to --what composition, not {what!r}"
+        )
     if what == "composition":
         recovered = _ensure_quad(a)
         v = check_composition(a, strategy=args.strategy, seed=args.seed)
@@ -327,7 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("check", help="run one certification on an algebra file")
     k.add_argument("--algebra", required=True)
     k.add_argument("--what", required=True, choices=CHECK_WHAT)
-    k.add_argument("--strategy", default="auto", choices=("auto", "exhaustive", "sampled"))
+    k.add_argument(
+        "--strategy", default="auto", choices=("auto", "exhaustive", "sampled", "polarized"),
+        help="polarized (composition only): prove n(xy) = n(x)n(y) from the basis",
+    )
     k.add_argument("--seed", type=int, default=0)
     k.set_defaults(fn=_cmd_check)
 

@@ -7,9 +7,10 @@ algebra with the twisted product, and the two-dimensional anisotropic family.
 
 Every constructor runs exact checks before returning and raises
 SelfCheckFailed on any violation, so a transcription or convention error
-cannot produce a usable object. Constructors also cache the descending
-certificates their closed-form identities justify; the length engine's early
-stopping relies on those.
+cannot produce a usable object. The unital tower proves n(xy) = n(x)n(y) by
+the polarized basis check, over the rationals as over finite fields.
+Constructors also cache the descending certificates their closed-form
+identities justify; the length engine's early stopping relies on those.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def make_base_algebra(field: Field) -> AlgebraTable:
     one = field.one()
     quad = QuadraticForm(field, 1, [one], {})
     a = AlgebraTable(field, 1, ("e0",), [[(one,)]], unit=(one,), quad=quad, name="F")
-    _must_hold(check_composition(a), a.name)
+    _must_hold(check_composition(a, strategy="polarized"), a.name)
     _certify_hurwitz(a)
     return a
 
@@ -89,7 +90,7 @@ def make_quadratic_etale(field: Field, mu: Scalar) -> AlgebraTable:
         f, 2, ("e0", "e1"), table, unit=(one, zero), quad=quad,
         name=f"K({f.format(mu)})",
     )
-    _must_hold(check_composition(a), a.name)
+    _must_hold(check_composition(a, strategy="polarized"), a.name)
     _certify_hurwitz(a)
     return a
 
@@ -129,9 +130,9 @@ def cayley_dickson_double(a: AlgebraTable, alpha: Scalar) -> AlgebraTable:
 
     t = alpha is the doubling parameter; the new basis is ordered so that
     e_{i+dim} = e_i * l with l = (0, e). Norm n(a,b) = n(a) - alpha*n(b).
-    Composition is re-verified up to dimension 8; the dimension-16 double is
-    built without that check because it genuinely stops being a composition
-    algebra there.
+    Composition is proved by polarization up to dimension 8; the
+    dimension-16 double is built without that check because it genuinely
+    stops being a composition algebra there.
     """
     f = a.field
     if alpha == f.zero():
@@ -174,7 +175,7 @@ def cayley_dickson_double(a: AlgebraTable, alpha: Scalar) -> AlgebraTable:
     _verify_unit(out)
     _verify_involution(out)
     if dim2 <= 8:
-        _must_hold(check_composition(out), out.name)
+        _must_hold(check_composition(out, strategy="polarized"), out.name)
         _certify_hurwitz(out)
     return out
 

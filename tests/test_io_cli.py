@@ -1,16 +1,23 @@
 """Algebra files and the command-line interface."""
 
 import json
+import os
+import string
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from complen.algebra import AlgebraTable
 from complen.cli import main, parse_vector_set
 from complen.constructors import (
     make_hurwitz_tower,
     make_okubo_isotropic,
     make_two_dim_form,
 )
-from complen.errors import InvariantViolation, ParseError
+from complen.errors import ComplenError, InvariantViolation, ParseError
 from complen.fields import field_make
 from complen.iofmt import (
     algebra_from_dict,
@@ -276,3 +283,126 @@ def test_cli_verify_paper_json(capsys):
     assert doc["failures"] == 0
     assert len(doc["cases"]) == 1
     assert doc["cases"][0]["status"] == "PASS"
+
+
+# --- polarized composition from the CLI ------------------------------------------
+
+
+def test_cli_check_composition_polarized(tmp_path, capsys):
+    path = str(tmp_path / "quat.json")
+    _run(capsys, "construct", "--family", "hurwitz", "--field", "Q",
+         "--params", "from-field,1,-1", "--out", path)
+    code, out, _ = _run(capsys, "check", "--algebra", path, "--what", "composition",
+                        "--strategy", "polarized")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["holds"] is True and doc["certificate"] == "polarized-basis"
+
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["quad"]["diag"][1] = "2"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, out, _ = _run(capsys, "check", "--algebra", path, "--what", "composition",
+                        "--strategy", "polarized")
+    assert code == 0
+    ce = json.loads(out)["counterexample"]
+    assert len(ce["args"]) == 2 and ce["value"] != "0" and ce["coefficient"] != "0"
+    assert len(ce["indices"]) == 4
+
+
+@pytest.mark.parametrize("what", ("flexible", "idempotents", "descending-flexible"))
+def test_cli_polarized_strategy_needs_composition(tmp_path, capsys, what):
+    path = str(tmp_path / "k.json")
+    _run(capsys, "construct", "--family", "hurwitz", "--field", "F2",
+         "--params", "1", "--out", path)
+    code, out, err = _run(capsys, "check", "--algebra", path, "--what", what,
+                          "--strategy", "polarized")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "UnknownIdentity" and "composition" in doc["message"]
+
+
+def test_python_dash_m_complen_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "complen", "verify-paper", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--filter" in proc.stdout
+
+
+# --- fuzzing the parsers ---------------------------------------------------------
+
+FUZZ = settings(max_examples=120, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+# explicit alphabets: hypothesis builds a slow unicode table for free text
+_TEXT_ALPHABET = string.printable + "\x00\u00e9\u2028\U0001f600"
+_JSONISH = '{}[]":,0123456789 -./eFQ^abdefgilmnpqrstu'
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False)
+    | st.text(alphabet="01-2/,F^:Qxe[]", max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(alphabet=_JSONISH, max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _valid_doc() -> dict:
+    f = field_make("F3")
+    return algebra_to_dict(make_hurwitz_tower(f, f.one()))
+
+
+def _mutate(doc, path, value):
+    """Replace the node at path (a list of child picks) by value."""
+    if not path or not isinstance(doc, (dict, list)) or not doc:
+        return value
+    keys = sorted(doc) if isinstance(doc, dict) else list(range(len(doc)))
+    key = keys[path[0] % len(keys)]
+    doc[key] = _mutate(doc[key], path[1:], value)
+    return doc
+
+
+def _parses_or_complen_error(text: str) -> None:
+    try:
+        out = parse_algebra(text)
+    except ComplenError:
+        return
+    assert isinstance(out, AlgebraTable)
+
+
+@FUZZ
+@given(st.text(alphabet=_TEXT_ALPHABET, max_size=120) | st.text(alphabet=_JSONISH, max_size=120))
+def test_fuzz_parse_algebra_text(text):
+    _parses_or_complen_error(text)
+
+
+@FUZZ
+@given(_json_values)
+def test_fuzz_parse_algebra_json_document(doc):
+    _parses_or_complen_error(json.dumps(doc))
+
+
+@FUZZ
+@given(st.lists(st.integers(0, 50), max_size=5), _json_values)
+def test_fuzz_parse_algebra_mutated_file(path, value):
+    _parses_or_complen_error(json.dumps(_mutate(_valid_doc(), path, value)))
+
+
+@FUZZ
+@given(
+    st.sampled_from(("Q", "F5", "F2^2:1,1,1")),
+    st.integers(1, 3),
+    st.text(alphabet="0123456789,;[]/- .ex", max_size=40),
+)
+def test_fuzz_parse_vector_set(spec, dim, text):
+    f = field_make(spec)
+    try:
+        vectors = parse_vector_set(f, dim, text)
+    except ComplenError:
+        return
+    assert all(len(v) == dim for v in vectors)
