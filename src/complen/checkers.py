@@ -12,7 +12,9 @@ check is sound and complete for genuine polynomial identities in every
 characteristic. Evaluating the identity on all field points instead would be
 unsound in characteristic 2 (x^2 = x on GF(2)). Failed diagonals yield the
 direct counterexample a = e_i; failed off-diagonals (once diagonals pass)
-yield a = e_i + e_k.
+yield a = e_i + e_k. G is the identity's only transcription: its value at a
+is G(a, a, ...), exact because the split form q below has q(x, x) = n(x),
+and counterexample values and the pointwise oracle both read it there.
 
 The composition law n(xy) = n(x)n(y) has degree 2 in x and degree 2 in y,
 so it is polarized in both variables at once. With q the split form
@@ -77,11 +79,6 @@ class Verdict:
     details: dict = dc_field(default_factory=dict)
 
 
-def _vec_is_zero(a: AlgebraTable, v) -> bool:
-    z = a.field.zero()
-    return all(x == z for x in v)
-
-
 def random_element(a: AlgebraTable, rng: random.Random) -> Element:
     return tuple(random_scalar(a.field, rng) for _ in range(a.dim))
 
@@ -107,18 +104,26 @@ def _norm_split(quad: QuadraticForm) -> Callable:
 
 @dataclass
 class _Form:
-    """One polarized form: G multilinear, direct(args) the identity itself.
+    """One polarized form G, the only transcription of its identity.
 
-    arity counts the trailing multilinear variables besides the split pair;
+    kind "quad": G(a1, a2, *extras) is linear in each slot and G(x, x, *extras)
+    is the identity's left-minus-right value; arity counts the extras.
+    kind "multi": G is multilinear in its arity arguments and is the value.
     scalar marks forms whose value is a scalar rather than an element.
     """
 
     name: str
-    kind: str  # "quad" (split a1,a2 + arity extras), "multi" (pure multilinear)
+    kind: str  # "quad" or "multi"
     g: Callable
-    direct: Callable
     arity: int = 0
     scalar: bool = False
+
+
+def _form_value(form: _Form, args: Sequence):
+    """The identity's value at args: G on the diagonal for a quad form."""
+    if form.kind == "quad":
+        return form.g(args[0], args[0], *args[1:])
+    return form.g(*args)
 
 
 def _twist_context(a: AlgebraTable):
@@ -148,33 +153,24 @@ def _require_quad(a: AlgebraTable) -> QuadraticForm:
 def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
     f = a.field
     mul = a.multiply
-    add, sub, scale, neg = a.add, a.sub, a.scale, a.neg
+    add, sub, scale = a.add, a.sub, a.scale
 
     if identity == "flexible":
         def g(a1, a2, b):
             return sub(mul(mul(a1, b), a2), mul(a1, mul(b, a2)))
 
-        def direct(x, b):
-            return sub(mul(mul(x, b), x), mul(x, mul(b, x)))
-
-        return [_Form("flexible", "quad", g, direct, arity=1)]
+        return [_Form("flexible", "quad", g, arity=1)]
 
     if identity == "alternative":
         def g1(a1, a2, b):
             return sub(mul(mul(a1, a2), b), mul(a1, mul(a2, b)))
 
-        def d1(x, b):
-            return sub(mul(mul(x, x), b), mul(x, mul(x, b)))
-
         def g2(a1, a2, b):
             return sub(mul(mul(b, a1), a2), mul(b, mul(a1, a2)))
 
-        def d2(x, b):
-            return sub(mul(mul(b, x), x), mul(b, mul(x, x)))
-
         return [
-            _Form("left-alternative", "quad", g1, d1, arity=1),
-            _Form("right-alternative", "quad", g2, d2, arity=1),
+            _Form("left-alternative", "quad", g1, arity=1),
+            _Form("right-alternative", "quad", g2, arity=1),
         ]
 
     if identity == "quadratic":
@@ -184,17 +180,11 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
             raise MissingUnit("quadratic identity needs the unit")
         q = _norm_split(quad)
 
-        def t(x):
-            return quad.polar_eval(x, e)
-
         def g(a1, a2):
-            v = sub(mul(a1, a2), scale(t(a1), a2))
+            v = sub(mul(a1, a2), scale(quad.polar_eval(a1, e), a2))
             return add(v, scale(q(a1, a2), e))
 
-        def direct(x):
-            return add(sub(mul(x, x), scale(t(x), x)), scale(quad.eval(x), e))
-
-        return [_Form("quadratic", "quad", g, direct)]
+        return [_Form("quadratic", "quad", g)]
 
     if identity == "regular-involution":
         quad = _require_quad(a)
@@ -209,18 +199,12 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
         def g1(a1, a2):
             return sub(mul(a1, conj(a2)), scale(q(a1, a2), e))
 
-        def d1(x):
-            return sub(mul(x, conj(x)), scale(quad.eval(x), e))
-
         def g2(a1, a2):
             return sub(mul(conj(a1), a2), scale(q(a1, a2), e))
 
-        def d2(x):
-            return sub(mul(conj(x), x), scale(quad.eval(x), e))
-
         return [
-            _Form("x-conj(x)", "quad", g1, d1),
-            _Form("conj(x)-x", "quad", g2, d2),
+            _Form("x-conj(x)", "quad", g1),
+            _Form("conj(x)-x", "quad", g2),
         ]
 
     if identity == "symmetric":
@@ -230,18 +214,12 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
         def g1(a1, a2, y):
             return sub(mul(mul(a1, y), a2), scale(q(a1, a2), y))
 
-        def d1(x, y):
-            return sub(mul(mul(x, y), x), scale(quad.eval(x), y))
-
         def g2(a1, a2, y):
             return sub(mul(a1, mul(y, a2)), scale(q(a1, a2), y))
 
-        def d2(x, y):
-            return sub(mul(x, mul(y, x)), scale(quad.eval(x), y))
-
         return [
-            _Form("(x*y)*x", "quad", g1, d1, arity=1),
-            _Form("x*(y*x)", "quad", g2, d2, arity=1),
+            _Form("(x*y)*x", "quad", g1, arity=1),
+            _Form("x*(y*x)", "quad", g2, arity=1),
         ]
 
     if identity == "form-associativity":
@@ -250,7 +228,7 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
         def g(x, y, z):
             return f.sub(quad.polar_eval(mul(x, y), z), quad.polar_eval(x, mul(y, z)))
 
-        return [_Form("form-associativity", "multi", g, g, arity=3, scalar=True)]
+        return [_Form("form-associativity", "multi", g, arity=3, scalar=True)]
 
     if identity == "two-product":
         quad = _require_quad(a)
@@ -281,7 +259,7 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
                 return sub(lhs, rhs)
         else:
             raise UnknownIdentity(f"unknown standard type {ttype!r}")
-        return [_Form(f"two-product-{ttype}", "multi", g, g, arity=2)]
+        return [_Form(f"two-product-{ttype}", "multi", g, arity=2)]
 
     if identity == "para-unit":
         quad = _require_quad(a)
@@ -299,14 +277,19 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
             return sub(mul(x, e), conj(x))
 
         return [
-            _Form("para-unit-left", "multi", g, g, arity=1),
-            _Form("para-unit-right", "multi", g2, g2, arity=1),
+            _Form("para-unit-left", "multi", g, arity=1),
+            _Form("para-unit-right", "multi", g2, arity=1),
         ]
 
     if identity == "standard-products":
         return _standard_product_forms(a)
 
     raise UnknownIdentity(f"no identity named {identity!r}")
+
+
+def _mirror(word: str) -> str:
+    """The word read in the opposite algebra: "a*(b*a)" -> "(a*b)*a"."""
+    return word[::-1].translate(str.maketrans("()", ")("))
 
 
 def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
@@ -316,6 +299,13 @@ def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
     and the parent Hurwitz algebra's trace/norm/polar data. Each form is
     quadratic in a and linear in b. The coefficient at a*a depends only on b
     in every form, which is what makes the descending certificates available.
+
+    Type III is not written out: twist III of A is the opposite of twist II
+    of A^op, a Hurwitz algebra with the same norm, unit and conjugation. So
+    the III forms are the II forms evaluated with the reversed product, named
+    by the mirrored words. Mirroring swaps the two split slots, so the
+    mirrored G is another polarization of the same identity: its diagonal and
+    symmetrized sums, the only values the checks read, are unchanged.
     """
     f = a.field
     quad = _require_quad(a)
@@ -332,10 +322,39 @@ def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
     def conj(x):
         return sub(scale(t(x), e), x)
 
-    forms: list[_Form] = []
+    def emit(named):
+        return [_Form(f"{ttype}:{name}", "quad", g, arity=1) for name, g in named]
 
-    def emit(name, g, direct):
-        forms.append(_Form(name, "quad", g, direct, arity=1))
+    def type_ii(m):
+        # (a*b)*a = t(a) b*a + n(a) b - t(b) a*a
+        def g1(a1, a2, b):
+            lhs = m(m(a1, b), a2)
+            rhs = add(scale(t(a1), m(b, a2)), scale(q(a1, a2), b))
+            rhs = sub(rhs, scale(t(b), m(a1, a2)))
+            return sub(lhs, rhs)
+
+        # a*(b*a) = t(a) b*a - n(a,b) a + n(a) b
+        def g2(a1, a2, b):
+            lhs = m(a1, m(b, a2))
+            rhs = sub(scale(t(a1), m(b, a2)), scale(pol(a1, b), a2))
+            rhs = add(rhs, scale(q(a1, a2), b))
+            return sub(lhs, rhs)
+
+        # (b*a)*a = n(a,b) a - t(a) b*a - n(a) b + t(b) a*a
+        def g3(a1, a2, b):
+            lhs = m(m(b, a1), a2)
+            rhs = sub(scale(pol(a1, b), a2), scale(t(a1), m(b, a2)))
+            rhs = sub(rhs, scale(q(a1, a2), b))
+            rhs = add(rhs, scale(t(b), m(a1, a2)))
+            return sub(lhs, rhs)
+
+        # a*(a*b) = t(a) a*b - n(a) b
+        def g4(a1, a2, b):
+            lhs = m(a1, m(a2, b))
+            rhs = sub(scale(t(a1), m(a2, b)), scale(q(a1, a2), b))
+            return sub(lhs, rhs)
+
+        return [("(a*b)*a", g1), ("a*(b*a)", g2), ("(b*a)*a", g3), ("a*(a*b)", g4)]
 
     if ttype == "I":
         # (ab)a = (n(a, conj(b)) - t(a)t(b)) a + t(b) aa + n(a) b
@@ -345,22 +364,9 @@ def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
             rhs = add(scale(c, a2), add(scale(t(b), mul(a1, a2)), scale(q(a1, a2), b)))
             return sub(lhs, rhs)
 
-        def d1(x, b):
-            lhs = mul(mul(x, b), x)
-            c = f.sub(pol(x, conj(b)), f.mul(t(x), t(b)))
-            rhs = add(scale(c, x), add(scale(t(b), mul(x, x)), scale(quad.eval(x), b)))
-            return sub(lhs, rhs)
-
-        emit("I:(ab)a", g1, d1)
-
         # a(ba) = (ab)a
         def g2(a1, a2, b):
             return sub(mul(a1, mul(b, a2)), mul(mul(a1, b), a2))
-
-        def d2(x, b):
-            return sub(mul(x, mul(b, x)), mul(mul(x, b), x))
-
-        emit("I:a(ba)", g2, d2)
 
         # (ba)a = t(a) ba - n(a) b
         def g3(a1, a2, b):
@@ -368,162 +374,29 @@ def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
             rhs = sub(scale(t(a1), mul(b, a2)), scale(q(a1, a2), b))
             return sub(lhs, rhs)
 
-        def d3(x, b):
-            return sub(mul(mul(b, x), x), sub(scale(t(x), mul(b, x)), scale(quad.eval(x), b)))
-
-        emit("I:(ba)a", g3, d3)
-
         # a(ab) = t(a) ab - n(a) b
         def g4(a1, a2, b):
             lhs = mul(a1, mul(a2, b))
             rhs = sub(scale(t(a1), mul(a2, b)), scale(q(a1, a2), b))
             return sub(lhs, rhs)
 
-        def d4(x, b):
-            return sub(mul(x, mul(x, b)), sub(scale(t(x), mul(x, b)), scale(quad.eval(x), b)))
-
-        emit("I:a(ab)", g4, d4)
-        return forms
+        return emit([("(ab)a", g1), ("a(ba)", g2), ("(ba)a", g3), ("a(ab)", g4)])
 
     if ttype == "II":
-        # (a*b)*a = t(a) b*a + n(a) b - t(b) a*a
-        def g1(a1, a2, b):
-            lhs = mul(mul(a1, b), a2)
-            rhs = add(scale(t(a1), mul(b, a2)), scale(q(a1, a2), b))
-            rhs = sub(rhs, scale(t(b), mul(a1, a2)))
-            return sub(lhs, rhs)
-
-        def d1(x, b):
-            lhs = mul(mul(x, b), x)
-            rhs = add(scale(t(x), mul(b, x)), scale(quad.eval(x), b))
-            rhs = sub(rhs, scale(t(b), mul(x, x)))
-            return sub(lhs, rhs)
-
-        emit("II:(a*b)*a", g1, d1)
-
-        # a*(b*a) = t(a) b*a - n(a,b) a + n(a) b
-        def g2(a1, a2, b):
-            lhs = mul(a1, mul(b, a2))
-            rhs = sub(scale(t(a1), mul(b, a2)), scale(pol(a1, b), a2))
-            rhs = add(rhs, scale(q(a1, a2), b))
-            return sub(lhs, rhs)
-
-        def d2(x, b):
-            lhs = mul(x, mul(b, x))
-            rhs = sub(scale(t(x), mul(b, x)), scale(pol(x, b), x))
-            rhs = add(rhs, scale(quad.eval(x), b))
-            return sub(lhs, rhs)
-
-        emit("II:a*(b*a)", g2, d2)
-
-        # (b*a)*a = n(a,b) a - t(a) b*a - n(a) b + t(b) a*a
-        def g3(a1, a2, b):
-            lhs = mul(mul(b, a1), a2)
-            rhs = sub(scale(pol(a1, b), a2), scale(t(a1), mul(b, a2)))
-            rhs = sub(rhs, scale(q(a1, a2), b))
-            rhs = add(rhs, scale(t(b), mul(a1, a2)))
-            return sub(lhs, rhs)
-
-        def d3(x, b):
-            lhs = mul(mul(b, x), x)
-            rhs = sub(scale(pol(x, b), x), scale(t(x), mul(b, x)))
-            rhs = sub(rhs, scale(quad.eval(x), b))
-            rhs = add(rhs, scale(t(b), mul(x, x)))
-            return sub(lhs, rhs)
-
-        emit("II:(b*a)*a", g3, d3)
-
-        # a*(a*b) = t(a) a*b - n(a) b
-        def g4(a1, a2, b):
-            lhs = mul(a1, mul(a2, b))
-            rhs = sub(scale(t(a1), mul(a2, b)), scale(q(a1, a2), b))
-            return sub(lhs, rhs)
-
-        def d4(x, b):
-            return sub(mul(x, mul(x, b)), sub(scale(t(x), mul(x, b)), scale(quad.eval(x), b)))
-
-        emit("II:a*(a*b)", g4, d4)
-        return forms
+        return emit(type_ii(mul))
 
     if ttype == "III":
-        # mirror images of the type II forms under the conjugation
-        # anti-isomorphism
-        # (a*b)*a = t(a) a*b - n(a,b) a + n(a) b
-        def g1(a1, a2, b):
-            lhs = mul(mul(a1, b), a2)
-            rhs = sub(scale(t(a1), mul(a2, b)), scale(pol(a1, b), a2))
-            rhs = add(rhs, scale(q(a1, a2), b))
-            return sub(lhs, rhs)
-
-        def d1(x, b):
-            lhs = mul(mul(x, b), x)
-            rhs = sub(scale(t(x), mul(x, b)), scale(pol(x, b), x))
-            rhs = add(rhs, scale(quad.eval(x), b))
-            return sub(lhs, rhs)
-
-        emit("III:(a*b)*a", g1, d1)
-
-        # a*(b*a) = t(a) a*b + n(a) b - t(b) a*a
-        def g2(a1, a2, b):
-            lhs = mul(a1, mul(b, a2))
-            rhs = add(scale(t(a1), mul(a2, b)), scale(q(a1, a2), b))
-            rhs = sub(rhs, scale(t(b), mul(a1, a2)))
-            return sub(lhs, rhs)
-
-        def d2(x, b):
-            lhs = mul(x, mul(b, x))
-            rhs = add(scale(t(x), mul(x, b)), scale(quad.eval(x), b))
-            rhs = sub(rhs, scale(t(b), mul(x, x)))
-            return sub(lhs, rhs)
-
-        emit("III:a*(b*a)", g2, d2)
-
-        # a*(a*b) = n(a,b) a - t(a) a*b - n(a) b + t(b) a*a
-        def g3(a1, a2, b):
-            lhs = mul(a1, mul(a2, b))
-            rhs = sub(scale(pol(a1, b), a2), scale(t(a1), mul(a2, b)))
-            rhs = sub(rhs, scale(q(a1, a2), b))
-            rhs = add(rhs, scale(t(b), mul(a1, a2)))
-            return sub(lhs, rhs)
-
-        def d3(x, b):
-            lhs = mul(x, mul(x, b))
-            rhs = sub(scale(pol(x, b), x), scale(t(x), mul(x, b)))
-            rhs = sub(rhs, scale(quad.eval(x), b))
-            rhs = add(rhs, scale(t(b), mul(x, x)))
-            return sub(lhs, rhs)
-
-        emit("III:a*(a*b)", g3, d3)
-
-        # (b*a)*a = t(a) b*a - n(a) b
-        def g4(a1, a2, b):
-            lhs = mul(mul(b, a1), a2)
-            rhs = sub(scale(t(a1), mul(b, a2)), scale(q(a1, a2), b))
-            return sub(lhs, rhs)
-
-        def d4(x, b):
-            return sub(mul(mul(b, x), x), sub(scale(t(x), mul(b, x)), scale(quad.eval(x), b)))
-
-        emit("III:(b*a)*a", g4, d4)
-        return forms
+        mirrored = [(_mirror(name), g) for name, g in type_ii(lambda x, y: mul(y, x))]
+        # the III order: (a*b)*a, a*(b*a), a*(a*b), (b*a)*a
+        return emit([mirrored[i] for i in (1, 0, 2, 3)])
 
     if ttype == "IV":
         # (a*b)*a = n(a) b = a*(b*a)   (the para-Hurwitz product is symmetric)
         def g1(a1, a2, b):
             return sub(mul(mul(a1, b), a2), scale(q(a1, a2), b))
 
-        def d1(x, b):
-            return sub(mul(mul(x, b), x), scale(quad.eval(x), b))
-
-        emit("IV:(a*b)*a", g1, d1)
-
         def g2(a1, a2, b):
             return sub(mul(a1, mul(b, a2)), scale(q(a1, a2), b))
-
-        def d2(x, b):
-            return sub(mul(x, mul(b, x)), scale(quad.eval(x), b))
-
-        emit("IV:a*(b*a)", g2, d2)
 
         # (b*a)*a = t(a) a*b + (t(a)^2 - n(a)) b + (n(a,b) - t(a)t(b)) a - t(b) a*a
         def g3(a1, a2, b):
@@ -536,18 +409,6 @@ def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
             rhs = sub(rhs, scale(t(b), mul(a1, a2)))
             return sub(lhs, rhs)
 
-        def d3(x, b):
-            lhs = mul(mul(b, x), x)
-            rhs = scale(t(x), mul(x, b))
-            c_b = f.sub(f.mul(t(x), t(x)), quad.eval(x))
-            rhs = add(rhs, scale(c_b, b))
-            c_a = f.sub(pol(x, b), f.mul(t(x), t(b)))
-            rhs = add(rhs, scale(c_a, x))
-            rhs = sub(rhs, scale(t(b), mul(x, x)))
-            return sub(lhs, rhs)
-
-        emit("IV:(b*a)*a", g3, d3)
-
         # a*(a*b) = t(a) b*a + (t(a)^2 - n(a)) b + (n(a,b) - t(a)t(b)) a - t(b) a*a
         def g4(a1, a2, b):
             lhs = mul(a1, mul(a2, b))
@@ -559,26 +420,38 @@ def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
             rhs = sub(rhs, scale(t(b), mul(a1, a2)))
             return sub(lhs, rhs)
 
-        def d4(x, b):
-            lhs = mul(x, mul(x, b))
-            rhs = scale(t(x), mul(b, x))
-            c_b = f.sub(f.mul(t(x), t(x)), quad.eval(x))
-            rhs = add(rhs, scale(c_b, b))
-            c_a = f.sub(pol(x, b), f.mul(t(x), t(b)))
-            rhs = add(rhs, scale(c_a, x))
-            rhs = sub(rhs, scale(t(b), mul(x, x)))
-            return sub(lhs, rhs)
-
-        emit("IV:a*(a*b)", g4, d4)
-        return forms
+        return emit([("(a*b)*a", g1), ("a*(b*a)", g2), ("(b*a)*a", g3), ("a*(a*b)", g4)])
 
     raise UnknownIdentity(f"unknown standard type {ttype!r}")
 
 
 def _scalar_or_vec_zero(a: AlgebraTable, v, scalar: bool) -> bool:
-    if scalar:
-        return v == a.field.zero()
-    return _vec_is_zero(a, v)
+    return v == a.field.zero() if scalar else a.is_zero(v)
+
+
+def _first_basis_failure(a: AlgebraTable, form: _Form, basis: list) -> Optional[tuple]:
+    """Arguments of the first failing basis check of one form, or None.
+
+    A failed diagonal yields (e_i, *extras); a failed symmetrized
+    off-diagonal, once the diagonals of those extras pass, (e_i + e_k, *extras).
+    """
+    if form.kind == "multi":
+        for args in itertools.product(basis, repeat=form.arity):
+            if not _scalar_or_vec_zero(a, form.g(*args), form.scalar):
+                return args
+        return None
+    plus = a.field.add if form.scalar else a.add
+    for extras in itertools.product(basis, repeat=form.arity):
+        for b in basis:
+            if not _scalar_or_vec_zero(a, form.g(b, b, *extras), form.scalar):
+                return (b,) + extras
+        for i in range(a.dim):
+            for k in range(i + 1, a.dim):
+                bi, bk = basis[i], basis[k]
+                tot = plus(form.g(bi, bk, *extras), form.g(bk, bi, *extras))
+                if not _scalar_or_vec_zero(a, tot, form.scalar):
+                    return (a.add(bi, bk),) + extras
+    return None
 
 
 def check_polarized_identity(a: AlgebraTable, identity: str) -> Verdict:
@@ -588,58 +461,20 @@ def check_polarized_identity(a: AlgebraTable, identity: str) -> Verdict:
     variable get the polarized diagonal plus symmetrized off-diagonal checks
     described in the module docstring.
     """
-    forms = _identity_forms(a, identity)
     basis = [a.basis_element(i) for i in range(a.dim)]
-    add = a.add
-    for form in forms:
-        if form.kind == "multi":
-            for args in itertools.product(basis, repeat=form.arity):
-                v = form.g(*args)
-                if not _scalar_or_vec_zero(a, v, form.scalar):
-                    return Verdict(
-                        identity,
-                        False,
-                        "polarized-basis",
-                        counterexample={
-                            "form": form.name,
-                            "args": args,
-                            "value": form.direct(*args),
-                        },
-                    )
-        else:
-            for extras in itertools.product(basis, repeat=form.arity):
-                for i in range(a.dim):
-                    v = form.g(basis[i], basis[i], *extras)
-                    if not _scalar_or_vec_zero(a, v, form.scalar):
-                        return Verdict(
-                            identity,
-                            False,
-                            "polarized-basis",
-                            counterexample={
-                                "form": form.name,
-                                "args": (basis[i],) + extras,
-                                "value": form.direct(basis[i], *extras),
-                            },
-                        )
-                for i in range(a.dim):
-                    for k in range(i + 1, a.dim):
-                        v1 = form.g(basis[i], basis[k], *extras)
-                        v2 = form.g(basis[k], basis[i], *extras)
-                        tot = (
-                            a.field.add(v1, v2) if form.scalar else add(v1, v2)
-                        )
-                        if not _scalar_or_vec_zero(a, tot, form.scalar):
-                            witness = add(basis[i], basis[k])
-                            return Verdict(
-                                identity,
-                                False,
-                                "polarized-basis",
-                                counterexample={
-                                    "form": form.name,
-                                    "args": (witness,) + extras,
-                                    "value": form.direct(witness, *extras),
-                                },
-                            )
+    for form in _identity_forms(a, identity):
+        args = _first_basis_failure(a, form, basis)
+        if args is not None:
+            return Verdict(
+                identity,
+                False,
+                "polarized-basis",
+                counterexample={
+                    "form": form.name,
+                    "args": args,
+                    "value": _form_value(form, args),
+                },
+            )
     return Verdict(identity, True, "polarized-basis")
 
 
@@ -1035,9 +870,12 @@ def check_identity_direct(
 ) -> Verdict:
     """Pointwise evaluation of a catalog identity on element tuples.
 
-    This is the independent oracle for the polarized certificates (exhaustive
-    over small finite fields) and the refutation-only sampled fallback. It
-    proves nothing over infinite fields.
+    The oracle for the polarized certificates (exhaustive over small finite
+    fields) and the refutation-only sampled fallback; it proves nothing over
+    infinite fields. It shares each identity's one transcription, the form G,
+    and evaluates it on the diagonal (_form_value); what stays independent of
+    check_polarized_identity is the algorithm: every element tuple against
+    the basis coefficient argument.
     """
     forms = _identity_forms(a, identity)
     arities = [f.arity + (1 if f.kind == "quad" else 0) for f in forms]
@@ -1051,32 +889,31 @@ def check_identity_direct(
                 f"direct evaluation needs {worst} tuples", estimate=worst
             )
         elems = _elements_in_order(a)
-        for form, nargs in zip(forms, arities):
-            for args in itertools.product(elems, repeat=nargs):
-                v = form.direct(*args)
-                if not _scalar_or_vec_zero(a, v, form.scalar):
-                    return Verdict(
-                        identity,
-                        False,
-                        "exhaustive",
-                        counterexample={"form": form.name, "args": args, "value": v},
-                    )
-        return Verdict(identity, True, "exhaustive")
-    if strategy != "sampled":
+        tag = "exhaustive"
+        trials = (
+            (form, args)
+            for form, nargs in zip(forms, arities)
+            for args in itertools.product(elems, repeat=nargs)
+        )
+    elif strategy == "sampled":
+        rng = random.Random(seed)
+        tag = f"sampled(seed={seed},n={samples})"
+        trials = (
+            (form, tuple(random_element(a, rng) for _ in range(nargs)))
+            for _ in range(samples)
+            for form, nargs in zip(forms, arities)
+        )
+    else:
         raise UnknownIdentity(f"unknown strategy {strategy!r}")
-    rng = random.Random(seed)
-    tag = f"sampled(seed={seed},n={samples})"
-    for _ in range(samples):
-        for form, nargs in zip(forms, arities):
-            args = tuple(random_element(a, rng) for _ in range(nargs))
-            v = form.direct(*args)
-            if not _scalar_or_vec_zero(a, v, form.scalar):
-                return Verdict(
-                    identity,
-                    False,
-                    tag,
-                    counterexample={"form": form.name, "args": args, "value": v},
-                )
+    for form, args in trials:
+        v = _form_value(form, args)
+        if not _scalar_or_vec_zero(a, v, form.scalar):
+            return Verdict(
+                identity,
+                False,
+                tag,
+                counterexample={"form": form.name, "args": args, "value": v},
+            )
     return Verdict(identity, True, tag)
 
 

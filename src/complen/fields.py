@@ -25,18 +25,32 @@ from .errors import (
 Scalar = Union[Fraction, int, tuple]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # smallest strong pseudoprime to all of them
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the prime bases 2..41, exact below _MR_LIMIT."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise FieldSpecError(f"primality is decided only below {_MR_LIMIT}, not for {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -485,9 +499,13 @@ def random_scalar(field: Field, rng) -> Scalar:
     card = field.cardinality()
     if card is None:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-    if not hasattr(field, "_elements"):
-        field._elements = list(field.enumerate())
-    return field._elements[rng.randrange(card)]
+    index = rng.randrange(card)
+    if isinstance(field, PrimeField):
+        return index
+    # the index-th element of field.enumerate(): base-p digits of the index,
+    # first coefficient most significant
+    p, k = field.p, field.k
+    return tuple(index // p ** (k - 1 - i) % p for i in range(k))
 
 
 def _int_divisors(n: int) -> list[int]:

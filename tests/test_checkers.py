@@ -1,11 +1,17 @@
 """Identity certification, descending checks, floors, and report validation."""
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complen.algebra import AlgebraTable, QuadraticForm
 from complen.checkers import (
+    _form_value,
+    _identity_forms,
+    _norm_split,
     acquire_descending_certificates,
     alternative_floor,
     certify_bounds,
@@ -40,6 +46,7 @@ F2 = field_make("F2")
 F3 = field_make("F3")
 F5 = field_make("F5")
 Q = field_make("Q")
+GF4 = field_make("F2^2:1,1,1")
 
 HURWITZ_NAMES = ("quadratic", "regular-involution", "alternative", "flexible", "two-product")
 
@@ -65,6 +72,143 @@ def test_polarized_agrees_on_failure():
     assert not p.holds and not d.holds
     assert p.counterexample is not None
     assert {"form", "args", "value"} <= set(p.counterexample)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_split_form_on_the_diagonal_is_the_norm(data):
+    # the fact that lets a quad form's value be read off its G on the diagonal
+    f = data.draw(st.sampled_from((F2, F3, GF4, Q)), label="field")
+    if f is Q:
+        scalars = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    else:
+        scalars = st.sampled_from(list(f.enumerate()))
+    dim = data.draw(st.integers(1, 4), label="dim")
+    diag = data.draw(st.lists(scalars, min_size=dim, max_size=dim), label="diag")
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    polar = dict(zip(pairs, data.draw(st.lists(scalars, min_size=len(pairs), max_size=len(pairs)))))
+    quad = QuadraticForm(f, dim, diag, polar)
+    x = tuple(data.draw(st.lists(scalars, min_size=dim, max_size=dim), label="x"))
+    assert _norm_split(quad)(x, x) == quad.eval(x)
+
+
+def _twist_cases():
+    for field, parent in (
+        (F2, lambda: make_hurwitz_tower(F2, F2.one(), (F2.one(),))),
+        (F3, lambda: make_hurwitz_tower(F3, None, (F3.one(),))),
+    ):
+        for t in ("I", "II", "III", "IV"):
+            names = ("standard-products", "two-product") + (("para-unit",) if t == "IV" else ())
+            for name in names:
+                yield pytest.param(parent, t, name, id=f"{field.spec.format()}-{t}-{name}")
+
+
+@pytest.mark.parametrize("parent, t, name", _twist_cases())
+def test_polarized_agrees_with_exhaustive_on_twists(parent, t, name):
+    a = standard_twist(parent(), t)
+    p = check_polarized_identity(a, name)
+    d = check_identity_direct(a, name, strategy="exhaustive")
+    assert p.holds and d.holds
+    assert (p.certificate, d.certificate) == ("polarized-basis", "exhaustive")
+
+
+def _retagged(a: AlgebraTable, t: str) -> AlgebraTable:
+    """The same table and norm, labelled as twist type t."""
+    out = AlgebraTable(a.field, a.dim, a.labels, a.table, quad=a.quad, name=a.name)
+    out.twist_type, out.parent_unit = t, a.parent_unit
+    return out
+
+
+def _with_diag_raised(a: AlgebraTable, i: int) -> AlgebraTable:
+    diag = list(a.quad.diag)
+    diag[i] = a.field.add(diag[i], a.field.one())
+    quad = QuadraticForm(a.field, a.dim, diag, a.quad.polar)
+    return AlgebraTable(a.field, a.dim, a.labels, a.table, unit=a.unit, quad=quad, name=a.name)
+
+
+def _reevaluated(a: AlgebraTable, identity: str, cx: dict):
+    form = next(f for f in _identity_forms(a, identity) if f.name == cx["form"])
+    return _form_value(form, cx["args"])
+
+
+@pytest.mark.parametrize("field", (F2, F3, Q), ids=("F2", "F3", "Q"))
+def test_type_ii_table_labelled_iii_fails_both_routes(field):
+    mu, params = (field.one(), (field.one(),)) if field is F2 else (None, (field.one(),) * 2)
+    a = _retagged(standard_twist(make_hurwitz_tower(field, mu, params), "II"), "III")
+    strategy = "sampled" if field is Q else "exhaustive"
+    for v in (
+        check_polarized_identity(a, "standard-products"),
+        check_identity_direct(a, "standard-products", strategy=strategy),
+    ):
+        assert not v.holds
+        cx = v.counterexample
+        assert cx["form"].startswith("III:")
+        assert not a.is_zero(cx["value"])
+        assert cx["value"] == _reevaluated(a, "standard-products", cx)
+
+
+def _pinned_case(name):
+    if name == "okubo-idempotent-F2":
+        return make_okubo_idempotent(F2, F2.one(), F2.one())
+    if name == "octonions-F3":
+        return make_hurwitz_tower(F3, None, (F3.one(),) * 3)
+    if name == "quaternions-Q-n(e1)+1":
+        return _with_diag_raised(make_hurwitz_tower(Q, None, (Q.one(), Q.one())), 1)
+    if name == "quaternions-F2-n(e1)+1":
+        return _with_diag_raised(make_hurwitz_tower(F2, F2.one(), (F2.one(),)), 1)
+    field = {"F3": F3, "Q": Q}[name.rsplit("-", 1)[1]]
+    parent = make_hurwitz_tower(field, None, (field.one(), field.one()))
+    return _retagged(standard_twist(parent, "II"), "III")
+
+
+# Verdicts of the hand-written closures that the forms' diagonals replaced;
+# each must come out byte-identical (repr) from the derived values.
+PINNED = [
+    ("okubo-idempotent-F2", "alternative", "polarized",
+     ("alternative", False, "polarized-basis", "left-alternative",
+      ((0, 1, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0)), (0, 1, 0, 0, 0, 0, 0, 0))),
+    ("okubo-idempotent-F2", "alternative", "exhaustive",
+     ("alternative", False, "exhaustive", "left-alternative",
+      ((0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 1, 0)), (0, 0, 0, 0, 0, 0, 0, 1))),
+    ("octonions-F3", "symmetric", "polarized",
+     ("symmetric", False, "polarized-basis", "(x*y)*x",
+      ((0, 1, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0)), (2, 0, 0, 0, 0, 0, 0, 0))),
+    ("quaternions-Q-n(e1)+1", "form-associativity", "polarized",
+     ("form-associativity", False, "polarized-basis", "form-associativity",
+      ((Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
+       (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
+       (Fraction(0), Fraction(1), Fraction(0), Fraction(0))), Fraction(-2))),
+    ("quaternions-F2-n(e1)+1", "form-associativity", "exhaustive",
+     ("form-associativity", False, "exhaustive", "form-associativity",
+      ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)), 1)),
+    ("II-labelled-III-F3", "standard-products", "polarized",
+     ("standard-products", False, "polarized-basis", "III:(a*b)*a",
+      ((0, 1, 0, 0), (1, 0, 0, 0)), (2, 0, 0, 0))),
+    ("II-labelled-III-F3", "standard-products", "exhaustive",
+     ("standard-products", False, "exhaustive", "III:(a*b)*a",
+      ((0, 0, 0, 1), (0, 0, 0, 1)), (0, 0, 0, 2))),
+    ("II-labelled-III-Q", "standard-products", "sampled",
+     ("standard-products", False, "sampled(seed=5,n=20)", "III:(a*b)*a",
+      ((Fraction(-1, 3), Fraction(7), Fraction(5, 2), Fraction(-4)),
+       (Fraction(-2), Fraction(3), Fraction(3), Fraction(9, 2))),
+      (Fraction(-126), Fraction(-1780, 3), Fraction(-1691, 6), Fraction(336)))),
+]
+
+
+@pytest.mark.parametrize(
+    "case, identity, route, expected", PINNED, ids=[f"{c}-{i}-{r}" for c, i, r, _ in PINNED]
+)
+def test_pinned_counterexamples(case, identity, route, expected):
+    a = _pinned_case(case)
+    if route == "polarized":
+        v = check_polarized_identity(a, identity)
+    elif route == "sampled":
+        v = check_identity_direct(a, identity, strategy="sampled", seed=5, samples=20)
+    else:
+        v = check_identity_direct(a, identity, strategy="exhaustive")
+    cx = v.counterexample
+    got = (v.identity, v.holds, v.certificate, cx["form"], cx["args"], cx["value"])
+    assert repr(got) == repr(expected)
 
 
 def test_symmetric_law_certified_both_ways():

@@ -1,5 +1,8 @@
 """Field arithmetic, parsing, and the small polynomial solvers."""
 
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,8 +12,10 @@ from hypothesis import strategies as st
 from complen.errors import FieldSpecError, NotPrime, ReducibleModulus
 from complen.fields import (
     FieldSpec,
+    _is_prime,
     field_make,
     is_irreducible_cubic,
+    random_scalar,
     solve_quadratic,
 )
 
@@ -40,6 +45,32 @@ def test_fieldspec_rejects_garbage():
 def test_non_prime_rejected():
     with pytest.raises(NotPrime):
         field_make("F6")
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n) != trial(n)] == []
+
+
+def test_large_prime_field_builds_quickly():
+    start = time.perf_counter()
+    f = field_make("F1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert f.characteristic() == 1000000000000000003
+
+
+@pytest.mark.parametrize("n", (561, 3215031751))
+def test_pseudoprimes_rejected(n):
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to 2, 3, 5, 7
+    with pytest.raises(NotPrime):
+        field_make(f"F{n}")
+
+
+def test_primality_beyond_the_deterministic_bound_is_an_error():
+    with pytest.raises(FieldSpecError):
+        field_make("F3317044064679887385961981")
 
 
 def test_reducible_modulus_rejected():
@@ -107,6 +138,17 @@ def test_extension_parse_format():
 def test_enumeration_order_is_stable():
     assert [F3.format(x) for x in F3.enumerate()] == ["0", "1", "2"]
     assert [F4.format(x) for x in F4.enumerate()] == ["0,0", "0,1", "1,0", "1,1"]
+
+
+@pytest.mark.parametrize("spec", ("F5", "F2^2:1,1,1", "F3^2:1,0,1", "F2^3:1,1,0,1"))
+def test_random_scalar_is_the_enumerated_element_at_a_random_index(spec):
+    f = field_make(spec)
+    attrs = dict(vars(f))
+    elems = list(f.enumerate())
+    rng, twin = random.Random(7), random.Random(7)
+    for _ in range(500):
+        assert random_scalar(f, rng) == elems[twin.randrange(len(elems))]
+    assert vars(f) == attrs
 
 
 def test_solve_quadratic_gf7_pseudo_octonion_parameter():
