@@ -950,33 +950,39 @@ def acquire_descending_certificates(a: AlgebraTable, cap: int = 10**7) -> set:
 # --- element searches -------------------------------------------------------
 
 
+def _element_search(
+    a: AlgebraTable,
+    kind: str,
+    keep: Callable[[Element], bool],
+    cap: int,
+    candidates: Optional[Sequence[Element]],
+) -> tuple[list[Element], bool]:
+    """(nonzero elements x with keep(x), exhaustive?) under the element-count cap.
+
+    Prime fields scan every element through primescan.element_scan(a, kind);
+    other finite fields within the cap loop over the elements in order. Beyond
+    the cap, or over infinite fields, only supplied candidates are verified
+    and the second component is False.
+    """
+    card = a.field.cardinality()
+    if card is not None and card**a.dim <= cap:
+        if card == a.field.characteristic():
+            from .primescan import element_scan
+
+            return element_scan(a, kind), True
+        pool, exhaustive = _elements_in_order(a), True
+    else:
+        pool, exhaustive = candidates or (), False
+    return [x for x in pool if not a.is_zero(x) and keep(x)], exhaustive
+
+
 def find_idempotents(
     a: AlgebraTable,
     cap: int = ELEMENT_SCAN_CAP,
     candidates: Optional[Sequence[Element]] = None,
 ) -> tuple[list[Element], bool]:
-    """(nonzero idempotents, exhaustive?) under the element-count cap.
-
-    Beyond the cap, or over infinite fields, only supplied candidates are
-    verified and the second component is False.
-    """
-    card = a.field.cardinality()
-    n_elems = card**a.dim if card is not None else None
-    if n_elems is not None and n_elems <= cap:
-        if card == a.field.characteristic():
-            from .primescan import element_scan
-
-            return element_scan(a, "idempotent"), True
-        out = []
-        for x in _elements_in_order(a):
-            if not a.is_zero(x) and a.multiply(x, x) == x:
-                out.append(x)
-        return out, True
-    out = []
-    for x in candidates or ():
-        if not a.is_zero(x) and a.multiply(x, x) == x:
-            out.append(x)
-    return out, False
+    """(nonzero idempotents, exhaustive?) under the element-count cap."""
+    return _element_search(a, "idempotent", lambda x: a.multiply(x, x) == x, cap, candidates)
 
 
 def find_isotropic(
@@ -986,25 +992,8 @@ def find_isotropic(
 ) -> tuple[list[Element], bool]:
     """(nonzero isotropic vectors, exhaustive?) under the element-count cap."""
     _require_quad(a)
-    card = a.field.cardinality()
-    n_elems = card**a.dim if card is not None else None
-    if n_elems is not None and n_elems <= cap:
-        if card == a.field.characteristic():
-            from .primescan import element_scan
-
-            return element_scan(a, "isotropic"), True
-        z = a.field.zero()
-        out = []
-        for x in _elements_in_order(a):
-            if not a.is_zero(x) and a.quad_eval(x) == z:
-                out.append(x)
-        return out, True
     z = a.field.zero()
-    out = []
-    for x in candidates or ():
-        if not a.is_zero(x) and a.quad_eval(x) == z:
-            out.append(x)
-    return out, False
+    return _element_search(a, "isotropic", lambda x: a.quad_eval(x) == z, cap, candidates)
 
 
 # --- theorem bounds ---------------------------------------------------------

@@ -248,23 +248,14 @@ def _cmd_check(args) -> int:
             acquire_descending_certificates(a)
         v = check_descending(a, kind, strategy=args.strategy, seed=args.seed)
         doc = _verdict_json(a, v, args.seed)
-    elif what == "idempotents":
-        found, exhaustive = find_idempotents(a)
+    elif what in ("idempotents", "isotropic"):
+        if what == "isotropic":
+            recovered = _ensure_quad(a)
+            found, exhaustive = find_isotropic(a)
+        else:
+            found, exhaustive = find_idempotents(a)
         doc = {
-            "what": "idempotents",
-            "count": len(found),
-            "exhaustive": exhaustive,
-            "elements": [
-                _fmt_maybe_element(a, x) for x in found[:MAX_LISTED_ELEMENTS]
-            ],
-            "listed_all": len(found) <= MAX_LISTED_ELEMENTS,
-            "seed": args.seed,
-        }
-    elif what == "isotropic":
-        recovered = _ensure_quad(a)
-        found, exhaustive = find_isotropic(a)
-        doc = {
-            "what": "isotropic",
+            "what": what,
             "count": len(found),
             "exhaustive": exhaustive,
             "elements": [

@@ -1,27 +1,27 @@
 """Nested spans of words, difference sequences, and length search.
 
 Two evaluation modes exist for a reason. The general mode follows the
-defining recursion Lin_k = Lin_{k-1} + sum of product spans and stops only
-when the span equals the subalgebra generated by S (a plateau is NOT a
-stopping criterion for arbitrary algebras). The descending mode uses the
-one-sided recursion Lin_{m+1} = Lin_m + Lin_m*S + S*Lin_m and stops at the
-first plateau; both steps are only valid on algebras carrying a descending
+defining recursion Lin_k = Lin_{k-1} + sum of product spans; a plateau is
+NOT a stopping criterion for arbitrary algebras, whose lengths can grow
+exponentially in the dimension. The descending mode uses the one-sided
+recursion Lin_{m+1} = Lin_m + Lin_m*S + S*Lin_m and stops at the first
+plateau; both steps are only valid on algebras carrying a descending
 certificate, so the mode refuses to run without one unless overridden.
 
 Both modes are incremental. Each level is a Subspace snapshot, and inserting
 into a Subspace never rewrites a stored row, so the rows a level adds (those
-whose pivots the level below lacks) span it modulo that level. Products of
-rows added at earlier levels were already taken then: the general mode
-builds Lin_k from products of rows added at levels i and k-i, and the
+whose pivots the level below lacks) span it modulo that level. The
 descending mode multiplies only the rows added at the last level against a
-basis of span(S), in both orders.
+basis of span(S), in both orders. The general mode builds Lin_k from
+products of rows added at levels i and k-i, so it stops when the span is
+the whole algebra or when k > 2L, L the last level that added rows: past 2L
+one factor of every pair is empty, and the chain is stable from there.
 
 The length search is one loop of three parts. A source yields subspaces in
 a fixed order: every nonzero subspace (as Subspace objects, or over GF(2) as
 bitmask rows) or seeded random ones. A lane evaluates each: lin_spans, or
 the bitmask recursion with product lookup tables. The loop itself is the one
-accumulator of the census, the witness and the count of truncated chains,
-and builds the SearchResult.
+accumulator of the census and the witness, and builds the SearchResult.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import AlgebraTable, Element, subalgebra_closure
+from .algebra import AlgebraTable, Element
 from .checkers import descending_kinds, validate_report
 from .errors import CostCapExceeded, InfiniteField, ModeUnjustified, ParseError
 from .fields import Field
 from .linalg import Subspace, gaussian_binomial
 
 DEFAULT_COST_CAP = 10**7
-GENERAL_MAX_K_FACTOR = 2
 
 
 def cost_cap() -> int:
@@ -59,7 +58,6 @@ class LengthReport:
     generating: bool
     spans: tuple
     mode: str
-    truncated: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -67,7 +65,6 @@ class LengthReport:
             "length": self.length,
             "generating": self.generating,
             "mode": self.mode,
-            "truncated": self.truncated,
             "dims": [s.dim for s in self.spans],
         }
 
@@ -124,48 +121,50 @@ def _new_rows(old: Subspace, new: Subspace) -> list:
     return [r for r, p in zip(new.basis, new.pivots) if p not in have]
 
 
-def _general_spans(a: AlgebraTable, s: Sequence[Element], max_k: int):
+def _general_spans(a: AlgebraTable, s: Sequence[Element]):
     lin0 = _lin0(a)
-    target = subalgebra_closure(a, s).sum(lin0)
     spans = [lin0, lin0.sum(Subspace.span(a.field, a.dim, s))]
-    # new[i] spans Lin_i modulo Lin_{i-1}; the unit row of Lin_0 only ever
-    # yields shorter words, so Lin_k = Lin_{k-1} + sum over i+j=k of new[i]*new[j]
-    new = [[], _new_rows(*spans)]
-    while spans[-1] != target and len(spans) - 1 < max_k:
+    # new[i] spans Lin_i modulo Lin_{i-1}, kept for level 1 and the levels that
+    # added rows; the unit row of Lin_0 only ever yields shorter words, so
+    # Lin_k = Lin_{k-1} + sum over i+j=k of new[i]*new[j]
+    new = {1: _new_rows(*spans)}
+    last = 1 if new[1] else 0
+    while spans[-1].dim < a.dim and len(spans) <= 2 * last:
         k = len(spans)
         acc = spans[-1]
-        for i in range(1, k):
-            for x in new[i]:
-                for y in new[k - i]:
-                    acc = acc.insert(a.multiply(x, y))
-        new.append(_new_rows(spans[-1], acc))
+        for i, xs in new.items():
+            ys = new.get(k - i)
+            if ys:
+                for x in xs:
+                    for y in ys:
+                        acc = acc.insert(a.multiply(x, y))
+        if acc is not spans[-1]:
+            new[k], last = _new_rows(spans[-1], acc), k
         spans.append(acc)
-    return spans, spans[-1] != target
+    return spans[: max(last, 1) + 1]
 
 
-def _descending_spans(a: AlgebraTable, s: Sequence[Element], max_k: int):
+def _descending_spans(a: AlgebraTable, s: Sequence[Element]):
     lin0 = _lin0(a)
     # product partners must span Lin(S) itself, not Lin(S) reduced modulo the
     # unit, so S gets its own reduction
     s_span = Subspace.span(a.field, a.dim, s)
     spans = [lin0, lin0.sum(s_span)]
-    while len(spans) - 1 < max_k:
+    while True:
         lin = spans[-1]
         nxt = lin
         for r in _new_rows(spans[-2], lin):
             for srow in s_span.basis:
                 nxt = nxt.insert(a.multiply(r, srow)).insert(a.multiply(srow, r))
         if nxt is lin:
-            break
+            return spans
         spans.append(nxt)
-    return spans
 
 
 def lin_spans(
     a: AlgebraTable,
     s: Sequence[Element],
     mode: str = "general",
-    max_k: Optional[int] = None,
     assume_descending: bool = False,
 ) -> LengthReport:
     """Nested spans and difference sequence of a set of elements.
@@ -175,18 +174,15 @@ def lin_spans(
     """
     if mode not in ("general", "descending"):
         raise ModeUnjustified(f"unknown mode {mode!r}")
-    if max_k is None:
-        max_k = GENERAL_MAX_K_FACTOR * a.dim
-    truncated = False
     if mode == "descending":
         if not (assume_descending or has_descending_certificate(a)):
             raise ModeUnjustified(
                 "descending mode needs a descending certificate on the algebra; "
                 "run check_descending first or pass assume_descending"
             )
-        spans = _descending_spans(a, s, max_k)
+        spans = _descending_spans(a, s)
     else:
-        spans, truncated = _general_spans(a, s, max_k)
+        spans = _general_spans(a, s)
     dims = [sp.dim for sp in spans]
     d = _trim([dims[0]] + [dims[k] - dims[k - 1] for k in range(1, len(dims))])
     return LengthReport(
@@ -195,7 +191,6 @@ def lin_spans(
         generating=sum(d) == a.dim,
         spans=tuple(spans),
         mode=mode,
-        truncated=truncated,
     )
 
 
@@ -296,9 +291,9 @@ def _gf2_subspaces(dim: int) -> Iterator[tuple]:
 
 # --- evaluator lanes -------------------------------------------------------------
 #
-# A lane is a pair (evaluate, as_subspace). evaluate(item) gives (d, truncated),
-# d the trimmed difference sequence of a generating item and None otherwise;
-# as_subspace(item) turns the witness item into a Subspace.
+# A lane is a pair (evaluate, as_subspace). evaluate(item) gives the trimmed
+# difference sequence of a generating item and None otherwise; as_subspace(item)
+# turns the witness item into a Subspace.
 
 
 def _span_lane(a: AlgebraTable):
@@ -307,7 +302,7 @@ def _span_lane(a: AlgebraTable):
 
     def evaluate(sub: Subspace):
         rep = lin_spans(a, sub.basis, mode=mode)
-        return (rep.d if rep.generating else None), rep.truncated
+        return rep.d if rep.generating else None
 
     return evaluate, lambda sub: sub
 
@@ -395,7 +390,7 @@ def _gf2_lane(a: AlgebraTable):
                 break
             d.append(len(fresh))
             new = fresh
-        return (_trim(d) if rank == dim else None), False
+        return _trim(d) if rank == dim else None
 
     def as_subspace(s_rows: tuple) -> Subspace:
         one, zero = f.one(), f.zero()
@@ -438,9 +433,7 @@ def length_of_algebra(
     Every search is one loop: a source yields subspaces in a fixed order, a
     lane evaluates each, and the loop accumulates the census of generating
     difference sequences and the witness, the first subspace of maximal
-    length in source order. A general-mode chain cut at its level cap is
-    neither generating nor silently dropped: it is counted in
-    stats["truncated"] and the result is not exact.
+    length in source order.
     """
     if cap is None:
         cap = cost_cap()
@@ -470,12 +463,11 @@ def length_of_algebra(
         raise ModeUnjustified(f"unknown search mode {mode!r}")
 
     census: Counter = Counter()
-    enumerated = truncated = 0
+    enumerated = 0
     best_len, best = -1, None
     for item in source:
         enumerated += 1
-        d, cut = evaluate(item)
-        truncated += cut
+        d = evaluate(item)
         if d is None:
             continue
         census[d] += 1
@@ -486,13 +478,11 @@ def length_of_algebra(
         "d_census": dict(census),
         "violations": _validate_census(a, census),
     }
-    if truncated:
-        stats["truncated"] = truncated
     return SearchResult(
         best_length=max(best_len, 0),
         witness=None if best is None else as_subspace(best),
         enumerated=enumerated,
         mode=mode if mode == "exhaustive" else f"random(seed={seed},budget={budget})",
-        exact=mode == "exhaustive" and not truncated,
+        exact=mode == "exhaustive",
         stats=stats,
     )

@@ -136,39 +136,18 @@ def solve_linear(field: Field, rows: list, rhs: list):
     """One solution x of the system rows * x = rhs, or None.
 
     rows is a list of coefficient tuples (one equation each). Free variables
-    are set to zero in the returned solution.
+    are set to zero in the returned solution. The reduced echelon form of the
+    augmented rows (row | rhs) has a pivot in the last column exactly when
+    the system is inconsistent; otherwise each pivot variable is its row's
+    last entry.
     """
-    f = field
-    zero = f.zero()
     n = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, len(aug)):
-            if aug[i][col] != zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = f.inv(aug[r][col])
-        aug[r] = [f.mul(inv, x) for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != zero:
-                c = aug[i][col]
-                aug[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][n] != zero:
-            return None
-    x = [zero] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
+    aug = Subspace.span(field, n + 1, (tuple(r) + (b,) for r, b in zip(rows, rhs)))
+    if aug.pivots and aug.pivots[-1] == n:
+        return None
+    x = [field.zero()] * n
+    for row, p in zip(aug.rows, aug.pivots):
+        x[p] = row[n]
     return tuple(x)
 
 

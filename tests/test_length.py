@@ -1,15 +1,18 @@
 """Span chains, difference sequences, and the length search."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from complen import length
-from complen.algebra import subalgebra_closure
+from complen.algebra import AlgebraTable, subalgebra_closure
 from complen.constructors import (
     make_hurwitz_tower,
     make_okubo_idempotent,
     make_okubo_isotropic,
+    make_pseudo_octonion,
     make_quadratic_etale,
     standard_twist,
 )
@@ -24,6 +27,7 @@ from complen.linalg import Subspace
 
 F2 = field_make("F2")
 F3 = field_make("F3")
+F7 = field_make("F7")
 Q = field_make("Q")
 
 
@@ -54,22 +58,24 @@ def _word_span_dims(a, s, steps):
 
 
 @pytest.mark.parametrize(
-    "make,set_idx",
+    "make,set_idx,generating",
     (
-        (lambda: make_hurwitz_tower(F3, None, (F3.one(), F3.one())), (1, 2)),
-        (lambda: make_okubo_isotropic(F2, F2.one(), F2.one()), (2, 0)),
-        (lambda: make_quadratic_etale(F3, F3.one()), (1,)),
+        (lambda: make_hurwitz_tower(F3, None, (F3.one(), F3.one())), (1, 2), True),
+        (lambda: make_okubo_isotropic(F2, F2.one(), F2.one()), (2, 0), True),
+        (lambda: make_quadratic_etale(F3, F3.one()), (1,), True),
+        (lambda: make_hurwitz_tower(F3, None, (F3.one(), F3.one())), (1,), False),
     ),
-    ids=("quaternion-F3", "okubo-isotropic-F2", "etale-F3"),
+    ids=("quaternion-F3", "okubo-isotropic-F2", "etale-F3", "quaternion-F3-nongenerating"),
 )
-def test_general_mode_matches_word_definition(make, set_idx):
+def test_general_mode_matches_word_definition(make, set_idx, generating):
     a = make()
     s = [a.basis_element(i) for i in set_idx]
     rep = lin_spans(a, s, mode="general")
-    steps = len(rep.spans) - 1
-    oracle = _word_span_dims(a, s, steps)
-    assert [sp.dim for sp in rep.spans] == oracle
-    assert rep.spans[-1].dim == subalgebra_closure(a, s).sum(rep.spans[0]).dim
+    # one level past the chain's end: the words there add nothing
+    oracle = _word_span_dims(a, s, len(rep.spans))
+    assert [sp.dim for sp in rep.spans] + [rep.spans[-1].dim] == oracle
+    assert rep.spans[-1] == subalgebra_closure(a, s).sum(rep.spans[0])
+    assert rep.generating == generating
 
 
 def test_okubo_idempotent_general_matches_word_definition():
@@ -124,7 +130,6 @@ def test_report_dict_shape():
         "length": 1,
         "generating": True,
         "mode": "general",
-        "truncated": False,
         "dims": [1, 2],
     }
 
@@ -217,16 +222,71 @@ def test_gf2_source_runs_in_enumeration_order():
         assert masks == rows
 
 
-def test_truncated_general_chains_make_the_search_inexact(monkeypatch):
+def test_uncertified_census_runs_every_general_chain_to_its_end():
     a = make_hurwitz_tower(F2, F2.one(), (F2.one(),))
     a.certificates.clear()  # general mode for every subspace
     full = length_of_algebra(a, mode="exhaustive")
     assert full.exact and full.best_length == 2
-    assert full.stats["generating"] == 29 and "truncated" not in full.stats
-    # a cap of one level cuts every chain that needs a second one
-    monkeypatch.setattr(length, "GENERAL_MAX_K_FACTOR", 0.25)
-    cut = length_of_algebra(a, mode="exhaustive")
-    assert cut.best_length == 1 and cut.stats["generating"] == 9
-    assert cut.stats["truncated"] > 0
-    assert not cut.exact
-    assert cut.as_dict()["stats"]["truncated"] == cut.stats["truncated"]
+    assert full.stats["generating"] == 29
+
+
+def _squares_table(n):
+    """e_{i+1} = e_i * e_i over F2, every other product zero: the chain from
+    e_1 doubles its level at every new dimension, so l = 2^(n-1)."""
+    e = [tuple(F2.one() if k == i else F2.zero() for k in range(n)) for i in range(n)]
+    zero = (F2.zero(),) * n
+    table = [[e[i + 1] if i == j < n - 1 else zero for j in range(n)] for i in range(n)]
+    return AlgebraTable(F2, n, [f"e{i + 1}" for i in range(n)], table, name="squares"), e
+
+
+def test_squares_table_outruns_twice_the_dimension():
+    a, e = _squares_table(5)
+    rep = lin_spans(a, [e[0]], "general")
+    assert rep.d == (0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1)
+    assert rep.length == 16 and rep.generating
+    rep = lin_spans(a, [e[1]], "general")
+    assert rep.d == (0, 1, 1, 0, 1, 0, 0, 0, 1)
+    assert not rep.generating
+    assert len(rep.spans) == 9  # no plateau spans past the last level that grew
+    res = length_of_algebra(a, mode="exhaustive")
+    assert res.exact and res.best_length == 16
+    assert res.enumerated == 373 and res.stats["generating"] == 307
+    assert res.witness == Subspace.span(F2, 5, [e[0]])
+
+
+def _tower(f, twist):
+    a = make_hurwitz_tower(f, f.one() if f.characteristic() == 2 else None, (f.one(), f.one()))
+    return a if twist == "I" else standard_twist(a, twist)
+
+
+CERTIFIED = {
+    **{
+        f"tower-{t}-{f.spec.format()}": (lambda f=f, t=t: _tower(f, t))
+        for f in (F2, F3, Q)
+        for t in ("I", "II", "III", "IV")
+    },
+    "okubo-isotropic-F2": lambda: make_okubo_isotropic(F2, F2.one(), F2.one()),
+    "okubo-idempotent-F2": lambda: make_okubo_idempotent(F2, F2.one(), F2.one()),
+    "okubo-isotropic-Q": lambda: make_okubo_isotropic(Q, Q.one(), Q.one()),
+    "okubo-idempotent-Q": lambda: make_okubo_idempotent(Q, Q.one(), Q.one()),
+    "pseudo-octonion-F7": lambda: make_pseudo_octonion(F7),
+}
+
+
+@functools.cache
+def _certified(name):
+    return CERTIFIED[name]()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CERTIFIED)), st.data())
+def test_general_matches_descending_on_certified_families(name, data):
+    a = _certified(name)
+    f = a.field
+    coords = st.integers(-2, 2).map(f.from_int)
+    vec = st.tuples(*[coords] * a.dim)
+    s = data.draw(st.lists(vec, min_size=1, max_size=3))
+    g = lin_spans(a, s, "general")
+    d = lin_spans(a, s, "descending")
+    assert (g.d, g.length, g.generating) == (d.d, d.length, d.generating)
+    assert g.spans[-1] == subalgebra_closure(a, s).sum(g.spans[0])
