@@ -1,8 +1,9 @@
 """Exact field arithmetic: Q, GF(p), and GF(p^k) for k <= 4.
 
-Scalars are plain hashable Python values: Fraction for the rationals, int
-residues in [0, p) for prime fields, and tuples of k residues (constant
-coefficient first) for extension fields. Every operation is exact.
+Scalars are plain hashable Python values: for the rationals an int when the
+value is integral and a Fraction otherwise, int residues in [0, p) for prime
+fields, and tuples of k residues (constant coefficient first) for extension
+fields. Every operation is exact.
 """
 
 from __future__ import annotations
@@ -174,32 +175,40 @@ class Field:
         return f"Field({self.spec.format()})"
 
 
+def _rational(x):
+    """x as a rational scalar: its numerator when integral, else the Fraction."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 class RationalField(Field):
+    """Q. An integral value is an int, so integer tables never touch Fraction;
+    hash(Fraction(n)) == hash(n) and Fraction(n) == n, so mixed input works."""
+
     def __init__(self):
         self.spec = FieldSpec("rational")
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
-        return -a
+        return _rational(-a)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _rational(1 / Fraction(a))
 
     def characteristic(self):
         return 0
@@ -211,12 +220,12 @@ class RationalField(Field):
         raise InfiniteField("cannot enumerate the rationals")
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def parse(self, text):
         text = text.strip()
         try:
-            return Fraction(text)
+            return _rational(Fraction(text))
         except (ValueError, ZeroDivisionError):
             raise FieldSpecError(f"bad rational scalar {text!r}") from None
 
@@ -485,20 +494,17 @@ def solve_quadratic(field: Field, a: Scalar, b: Scalar, c: Scalar) -> set:
                 roots.add(x)
         return roots
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    disc = b * b - 4 * a * c
-    r = _rational_sqrt(disc)
+    r = _rational_sqrt(b * b - 4 * a * c)
     if r is None:
         return set()
-    if r == 0:
-        return {-b / (2 * a)}
-    return {(-b + r) / (2 * a), (-b - r) / (2 * a)}
+    return {_rational((-b + r) / (2 * a)), _rational((-b - r) / (2 * a))}
 
 
 def random_scalar(field: Field, rng) -> Scalar:
     """A seeded random scalar; bounded small integers over the rationals."""
     card = field.cardinality()
     if card is None:
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return _rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
     index = rng.randrange(card)
     if isinstance(field, PrimeField):
         return index
@@ -508,24 +514,26 @@ def random_scalar(field: Field, rng) -> Scalar:
     return tuple(index // p ** (k - 1 - i) % p for i in range(k))
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            out.append(n // f)
-        f += 1
-    return sorted(set(out))
+def _monotone_int_root(g, lo: int, hi: int, sign: int) -> bool:
+    """Whether g has an integer root in [lo, hi], where sign*g is nondecreasing."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sign * g(mid) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo == hi and g(lo) == 0
 
 
 def is_irreducible_cubic(field: Field, c1: Scalar, c0: Scalar) -> bool:
     """Whether X^3 + c1*X + c0 has no root in the field.
 
-    For a cubic, rootlessness is exactly irreducibility. Over the rationals the
-    candidate roots p/q come from the rational root test after clearing
-    denominators.
+    For a cubic, rootlessness is exactly irreducibility. Over the rationals
+    X = Y/L, L the common denominator of c1 and c0, gives the monic integer
+    cubic g(Y) = Y^3 + P*Y + R, whose rational roots are integers of absolute
+    value at most 1 + max(|P|, |R|). g is monotone on the integers left of,
+    between, and right of its critical points +-sqrt(-P/3), so bisection on
+    each piece finds them without factoring anything.
     """
     if field.is_finite():
         for x in field.enumerate():
@@ -535,15 +543,16 @@ def is_irreducible_cubic(field: Field, c1: Scalar, c0: Scalar) -> bool:
                 return False
         return True
     c1, c0 = Fraction(c1), Fraction(c0)
-    if c0 == 0:
-        return False
-    lcm = (c1.denominator * c0.denominator) // math.gcd(c1.denominator, c0.denominator)
-    # lcm*X^3 + (lcm*c1)*X + lcm*c0 has integer coefficients
-    lead = lcm
-    const = int(c0 * lcm)
-    for pn in _int_divisors(const):
-        for qn in _int_divisors(lead):
-            for cand in (Fraction(pn, qn), Fraction(-pn, qn)):
-                if cand**3 + c1 * cand + c0 == 0:
-                    return False
-    return True
+    lcd = math.lcm(c1.denominator, c0.denominator)
+    P, R = int(c1 * lcd**2), int(c0 * lcd**3)
+
+    def g(y):
+        return y * y * y + P * y + R
+
+    bound = 1 + max(abs(P), abs(R))
+    if P >= 0:
+        pieces = [(-bound, bound, 1)]
+    else:
+        a = math.isqrt(-P // 3)  # floor of the critical point sqrt(-P/3)
+        pieces = [(-bound, -a - 1, 1), (-a, a, -1), (a + 1, bound, 1)]
+    return not any(_monotone_int_root(g, lo, hi, sign) for lo, hi, sign in pieces)

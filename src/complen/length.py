@@ -31,7 +31,6 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import AlgebraTable, Element
@@ -268,7 +267,7 @@ def _random_subspace(field: Field, ambient: int, rng: random.Random) -> Subspace
         values = [elems[rng.randrange(q)] for _ in cells]
     else:
         pivots, cells = patterns[rng.randrange(len(patterns))]
-        values = [Fraction(rng.randint(-3, 3)) for _ in cells]
+        values = [field.from_int(rng.randint(-3, 3)) for _ in cells]
     return _echelon_form(field, ambient, pivots, cells, values)
 
 

@@ -1,6 +1,7 @@
 """Field arithmetic, parsing, and the small polynomial solvers."""
 
 import math
+import numbers
 import random
 import time
 from fractions import Fraction
@@ -112,7 +113,7 @@ def test_characteristic_and_cardinality():
 def test_rational_ops_are_exact_fractions(a, b):
     assert Q.add(a, b) == a + b
     assert Q.mul(a, b) == a * b
-    assert isinstance(Q.add(a, b), Fraction)
+    assert isinstance(Q.add(a, b), numbers.Rational)
 
 
 def test_rational_parse_format_roundtrip():
@@ -195,3 +196,83 @@ def test_prime_field_matches_int_mod_p(a, b):
     x, y = F7.from_int(a), F7.from_int(b)
     assert F7.add(x, y) == F7.from_int(a + b)
     assert F7.mul(x, y) == F7.from_int(a * b)
+
+
+# --- integral rationals -------------------------------------------------------
+
+
+def _canonical(x):
+    return type(x) is int if Fraction(x).denominator == 1 else type(x) is Fraction
+
+
+@given(st.fractions(), st.fractions(), st.booleans())
+@settings(max_examples=200)
+def test_rational_ops_are_int_exactly_when_integral(a, b, as_parsed):
+    # operands as callers pass them (possibly Fraction(n)) or as Q codes them
+    x, y = (Q.parse(str(a)), Q.parse(str(b))) if as_parsed else (a, b)
+    results = [
+        (Q.add(x, y), a + b),
+        (Q.sub(x, y), a - b),
+        (Q.mul(x, y), a * b),
+        (Q.neg(x), -a),
+        (Q.parse(str(a)), a),
+        (Q.from_int(a.numerator), Fraction(a.numerator)),
+        (Q.zero(), Fraction(0)),
+        (Q.one(), Fraction(1)),
+    ]
+    if b:
+        results += [(Q.inv(y), 1 / b), (Q.div(x, y), a / b)]
+    for got, want in results:
+        assert got == want and _canonical(got)
+        assert hash(got) == hash(want) and Q.format(got) == Q.format(want)
+
+
+def test_random_rational_draws_the_same_seeded_values():
+    rng, twin = random.Random(11), random.Random(11)
+    for _ in range(500):
+        x = random_scalar(Q, rng)
+        assert x == Fraction(twin.randint(-9, 9), twin.randint(1, 4)) and _canonical(x)
+
+
+def test_rational_solvers_return_canonical_scalars():
+    roots = solve_quadratic(Q, Fraction(4), Fraction(-4), Fraction(1)) | solve_quadratic(
+        Q, Q.from_int(2), Q.from_int(-7), Q.from_int(3)
+    )
+    assert roots == {Fraction(1, 2), 3} and all(_canonical(r) for r in roots)
+
+
+def _has_rational_root_by_divisors(c1, c0):
+    # the rational root test on lcd*X^3 + lcd*c1*X + lcd*c0, by trial division
+    c1, c0 = Fraction(c1), Fraction(c0)
+    if c0 == 0:
+        return True
+    lcd = math.lcm(c1.denominator, c0.denominator)
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    return any(
+        cand**3 + c1 * cand + c0 == 0
+        for pn in divisors(int(c0 * lcd))
+        for qn in divisors(lcd)
+        for cand in (Fraction(pn, qn), Fraction(-pn, qn))
+    )
+
+
+def test_rational_cubic_root_test_matches_divisor_method():
+    values = sorted({Fraction(n, d) for n in range(-9, 10) for d in (1, 2, 3, 4)})
+    reducible = 0
+    for c1 in values:
+        for c0 in values:
+            expected = not _has_rational_root_by_divisors(c1, c0)
+            assert is_irreducible_cubic(Q, c1, c0) == expected, (c1, c0)
+            reducible += not expected
+    assert reducible > 100  # the grid holds many cubics with a rational root
+
+
+def test_rational_cubic_root_test_finds_huge_roots():
+    t = time.perf_counter()
+    r = 10**15 + 3  # X^3 - 3X - (r^3 - 3r) has the root r
+    assert not is_irreducible_cubic(Q, -3, -(r**3 - 3 * r))
+    assert not is_irreducible_cubic(Q, Fraction(-3, 4), Fraction(-(r**3 - 3 * r), 8))  # root r/2
+    assert time.perf_counter() - t < 1.0

@@ -5,12 +5,14 @@ import os
 import string
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from complen.algebra import AlgebraTable
+from complen.algebra import AlgebraTable, QuadraticForm
 from complen.cli import main, parse_vector_set
 from complen.constructors import (
     make_hurwitz_tower,
@@ -51,6 +53,23 @@ def test_roundtrip_is_byte_identical(tmp_path):
         assert b.quad == a.quad
         assert b.unit_element() == a.unit_element()
         assert b.labels == a.labels
+
+
+def test_dump_does_not_depend_on_the_rational_encoding():
+    def fractions(v):
+        return tuple(Fraction(x) for x in v)
+
+    a = make_hurwitz_tower(Q, None, (Q.one(), Q.from_int(-2), Q.parse("3/4")))
+    q = a.quad
+    b = AlgebraTable(
+        Q, a.dim, a.labels, [[fractions(e) for e in row] for row in a.table],
+        unit=fractions(a.unit_element()),
+        quad=QuadraticForm(Q, a.dim, fractions(q.diag), {k: Fraction(v) for k, v in q.polar.items()}),
+        name=a.name,
+    )
+    assert any(type(x) is int for row in a.table for e in row for x in e)
+    assert all(type(x) is Fraction for row in b.table for e in row for x in e)
+    assert dump_algebra(b) == dump_algebra(a)
 
 
 def test_loaded_algebra_multiplies_identically():
@@ -237,6 +256,14 @@ def test_cli_length_algebra_cost_cap(tmp_path, capsys):
     doc = json.loads(err)
     assert doc["error"] == "CostCapExceeded"
     assert doc["estimate"] > 10**7
+
+
+def test_cli_two_dim_form_with_a_huge_rational_parameter(tmp_path, capsys):
+    t = time.perf_counter()
+    code, out, _ = _run(capsys, "construct", "--family", "two-dim-form", "--field", "Q",
+                        "--params", "1000000000000000000000007", "--out", str(tmp_path / "a.json"))
+    assert time.perf_counter() - t < 1.0
+    assert code == 0 and json.loads(out)["name"] == "two-dim-form(1000000000000000000000007)"
 
 
 def test_cli_missing_algebra_file_is_json_error(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Row-reduced subspaces, linear solving, and subspace counting."""
 
 import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complen.fields import field_make
 from complen.length import count_subspaces, enumerate_subspaces
@@ -136,3 +140,17 @@ def test_solve_linear_inconsistent():
 def test_solve_linear_underdetermined_sets_free_vars_zero():
     sol = solve_linear(Q, [_v(Q, 1, 1, 0)], (Q.from_int(4),))
     assert sol == _v(Q, 4, 0, 0)
+
+
+@given(st.lists(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                         min_size=4, max_size=4), min_size=1, max_size=4))
+@settings(max_examples=100)
+def test_subspace_keys_do_not_depend_on_the_rational_encoding(vectors):
+    as_fractions = [tuple(Fraction(x) for x in v) for v in vectors]
+    as_ints = [tuple(Q.parse(str(x)) for x in v) for v in vectors]
+    s, t = Subspace.span(Q, 4, as_fractions), Subspace.span(Q, 4, as_ints)
+    assert s == t and hash(s) == hash(t) and s.key() == t.key() and s.rows == t.rows
+    assert {s} == {t} and {s: 1}[t] == 1
+    for row in s.rows:
+        for x in row:
+            assert (type(x) is int) == (Fraction(x).denominator == 1)
