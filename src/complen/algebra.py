@@ -26,27 +26,26 @@ class QuadraticForm:
     def __init__(self, field: Field, dim: int, diag: Sequence[Scalar], polar: dict):
         if len(diag) != dim:
             raise DimensionMismatch("diag length != dim")
-        zero = field.zero()
         for (i, j) in polar:
             if not (0 <= i < j < dim):
                 raise DimensionMismatch(f"polar index ({i},{j}) out of range")
         self.field = field
         self.dim = dim
         self.diag = tuple(diag)
-        self.polar = {k: v for k, v in polar.items() if v != zero}
+        self.polar = {k: v for k, v in polar.items() if v}
 
     def eval(self, x: Element) -> Scalar:
         f = self.field
         zero = f.zero()
         acc = zero
         for i, xi in enumerate(x):
-            if xi != zero:
+            if xi:
                 d = self.diag[i]
-                if d != zero:
+                if d:
                     acc = f.add(acc, f.mul(d, f.mul(xi, xi)))
         for (i, j), c in self.polar.items():
             xi, xj = x[i], x[j]
-            if xi != zero and xj != zero:
+            if xi and xj:
                 acc = f.add(acc, f.mul(c, f.mul(xi, xj)))
         return acc
 
@@ -56,13 +55,13 @@ class QuadraticForm:
         zero = f.zero()
         two = f.add(f.one(), f.one())
         acc = zero
-        if two != zero:
+        if two:
             for i, d in enumerate(self.diag):
-                if d != zero and x[i] != zero and y[i] != zero:
+                if d and x[i] and y[i]:
                     acc = f.add(acc, f.mul(two, f.mul(d, f.mul(x[i], y[i]))))
         for (i, j), c in self.polar.items():
             t = f.add(f.mul(x[i], y[j]), f.mul(x[j], y[i]))
-            if t != zero:
+            if t:
                 acc = f.add(acc, f.mul(c, t))
         return acc
 
@@ -174,8 +173,7 @@ class AlgebraTable:
         return tuple(f.mul(c, a) for a in x)
 
     def is_zero(self, x: Element) -> bool:
-        z = self.field.zero()
-        return all(a == z for a in x)
+        return not any(x)
 
     def multiply(self, x: Element, y: Element) -> Element:
         if len(x) != self.dim or len(y) != self.dim:
@@ -184,15 +182,15 @@ class AlgebraTable:
         zero = f.zero()
         acc = [zero] * self.dim
         for i, xi in enumerate(x):
-            if xi == zero:
+            if not xi:
                 continue
             row = self.table[i]
             for j, yj in enumerate(y):
-                if yj == zero:
+                if not yj:
                     continue
                 s = f.mul(xi, yj)
                 for k, ck in enumerate(row[j]):
-                    if ck != zero:
+                    if ck:
                         acc[k] = f.add(acc[k], f.mul(s, ck))
         return tuple(acc)
 

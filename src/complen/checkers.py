@@ -53,11 +53,10 @@ from .errors import (
     NotScalarOperator,
     UnknownIdentity,
 )
-from .fields import random_scalar
+from .fields import ELEMENT_SCAN_CAP, random_scalar
 from .linalg import Subspace
 
 DEFAULT_SAMPLES = 200
-ELEMENT_SCAN_CAP = 10**6
 GENERIC_PAIR_CAP = 256  # elements; exhaustive pair checks cost |F|^(2 dim)
 PRIME_PAIR_CAP = 8192  # elements; vectorized scanner for prime fields
 
@@ -92,10 +91,10 @@ def _norm_split(quad: QuadraticForm) -> Callable:
     def q(x, y):
         acc = zero
         for i, d in enumerate(quad.diag):
-            if d != zero and x[i] != zero and y[i] != zero:
+            if d and x[i] and y[i]:
                 acc = f.add(acc, f.mul(d, f.mul(x[i], y[i])))
         for (i, j), c in quad.polar.items():
-            if x[i] != zero and y[j] != zero:
+            if x[i] and y[j]:
                 acc = f.add(acc, f.mul(c, f.mul(x[i], y[j])))
         return acc
 
@@ -426,7 +425,7 @@ def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
 
 
 def _scalar_or_vec_zero(a: AlgebraTable, v, scalar: bool) -> bool:
-    return v == a.field.zero() if scalar else a.is_zero(v)
+    return not v if scalar else a.is_zero(v)
 
 
 def _first_basis_failure(a: AlgebraTable, form: _Form, basis: list) -> Optional[tuple]:
@@ -482,8 +481,7 @@ def check_polarized_identity(a: AlgebraTable, identity: str) -> Verdict:
 
 
 def _elements_in_order(a: AlgebraTable) -> list[Element]:
-    elems = list(a.field.enumerate())
-    return [tuple(t) for t in itertools.product(elems, repeat=a.dim)]
+    return list(itertools.product(a.field.enumerate(), repeat=a.dim))
 
 
 def _composition_polarized(a: AlgebraTable):
@@ -504,12 +502,12 @@ def _composition_polarized(a: AlgebraTable):
     # split form as sparse rows: q(u, v) = sum_r sum_s u_r split[r][s] v_s
     split = [{} for _ in range(dim)]
     for i, d in enumerate(quad.diag):
-        if d != zero:
+        if d:
             split[i][i] = d
     for (i, j), c in quad.polar.items():
         split[i][j] = c
     # nonzero coordinates of e_a e_c, and of e_a e_c pushed through the form
-    coords = [[[(s, v) for s, v in enumerate(a.table[r][c]) if v != zero]
+    coords = [[[(s, v) for s, v in enumerate(a.table[r][c]) if v]
                for c in range(dim)] for r in range(dim)]
     pushed = []
     for r in range(dim):
@@ -519,7 +517,7 @@ def _composition_polarized(a: AlgebraTable):
             for t, u in coords[r][c]:
                 for s, m in split[t].items():
                     w[s] = add(w[s], mul(u, m)) if s in w else mul(u, m)
-            row.append({s: v for s, v in w.items() if v != zero})
+            row.append({s: v for s, v in w.items() if v})
         pushed.append(row)
     orders = {
         (i, k): ((i, k),) if i == k else ((i, k), (k, i))
@@ -539,7 +537,7 @@ def _composition_polarized(a: AlgebraTable):
             n_jl = split[j].get(l)
             if n_ik is not None and n_jl is not None:
                 coeff = f.sub(coeff, mul(n_ik, n_jl))
-            if coeff != zero:
+            if coeff:
                 return i, k, j, l, coeff
     return None
 
@@ -557,11 +555,10 @@ def _plane_points(a: AlgebraTable, i: int, k: int) -> list[Element]:
 
 
 def _polarized_counterexample(a: AlgebraTable, i, k, j, l, coeff) -> dict:
-    zero = a.field.zero()
     for x in _plane_points(a, i, k):
         for y in _plane_points(a, j, l):
             value = _composition_value(a, x, y)
-            if value != zero:
+            if value:
                 return {
                     "args": (x, y),
                     "value": value,
@@ -679,7 +676,6 @@ def recover_norm(a: AlgebraTable) -> QuadraticForm:
     nondegenerate.
     """
     f = a.field
-    zero = f.zero()
     basis = [a.basis_element(i) for i in range(a.dim)]
 
     def operator_scalar(op, label):
@@ -693,7 +689,7 @@ def recover_norm(a: AlgebraTable) -> QuadraticForm:
                         lam = expect
                     elif expect != lam:
                         raise NotScalarOperator(f"{label}: diagonal not constant")
-                elif expect != zero:
+                elif expect:
                     raise NotScalarOperator(f"{label}: off-diagonal entry at ({k},{j})")
         return lam
 
@@ -715,7 +711,7 @@ def recover_norm(a: AlgebraTable) -> QuadraticForm:
                 )
 
             mu = operator_scalar(op, f"(b{i}*y)*b{j}+(b{j}*y)*b{i}")
-            if mu != zero:
+            if mu:
                 polar[(i, j)] = mu
     quad = QuadraticForm(f, a.dim, diag, polar)
 
@@ -992,8 +988,7 @@ def find_isotropic(
 ) -> tuple[list[Element], bool]:
     """(nonzero isotropic vectors, exhaustive?) under the element-count cap."""
     _require_quad(a)
-    z = a.field.zero()
-    return _element_search(a, "isotropic", lambda x: a.quad_eval(x) == z, cap, candidates)
+    return _element_search(a, "isotropic", lambda x: not a.quad_eval(x), cap, candidates)
 
 
 # --- theorem bounds ---------------------------------------------------------

@@ -115,16 +115,10 @@ def parse_vector_set(f: Field, dim: int, text: str) -> list[tuple]:
 
 
 def _fmt_maybe_element(a: AlgebraTable, v):
-    f = a.field
-    if isinstance(v, tuple) and len(v) == a.dim:
-        try:
-            return [f.format(c) for c in v]
-        except Exception:
-            pass
-    try:
-        return f.format(v)
-    except Exception:
-        return repr(v)
+    """An element (a tuple) as its coordinates' text forms, a scalar as its own."""
+    if isinstance(v, tuple):
+        return [a.field.format(c) for c in v]
+    return a.field.format(v)
 
 
 def _verdict_json(a: AlgebraTable, v: Verdict, seed: Optional[int] = None) -> dict:
@@ -141,8 +135,6 @@ def _verdict_json(a: AlgebraTable, v: Verdict, seed: Optional[int] = None) -> di
             else:
                 ce[k] = val
         out["counterexample"] = ce
-    if v.details:
-        out["details"] = {k: _fmt_maybe_element(a, x) for k, x in v.details.items()}
     return out
 
 

@@ -79,7 +79,7 @@ def make_quadratic_etale(field: Field, mu: Scalar) -> AlgebraTable:
     """
     f = field
     one, zero = f.one(), f.zero()
-    if f.add(f.mul(f.from_int(4), mu), one) == zero:
+    if not f.add(f.mul(f.from_int(4), mu), one):
         raise DegenerateParameter("4*mu + 1 = 0 makes the norm degenerate")
     table = [
         [(one, zero), (zero, one)],
@@ -135,7 +135,7 @@ def cayley_dickson_double(a: AlgebraTable, alpha: Scalar) -> AlgebraTable:
     stops being a composition algebra there.
     """
     f = a.field
-    if alpha == f.zero():
+    if not alpha:
         raise ParameterZero("doubling parameter must be nonzero")
     if a.quad is None:
         raise MissingQuadraticForm("doubling needs the norm of the base algebra")
@@ -349,7 +349,7 @@ def make_okubo_isotropic(field: Field, alpha: Scalar, beta: Scalar) -> AlgebraTa
     products via recover_norm, which fails loudly if the table were corrupt.
     """
     f = field
-    if alpha == f.zero() or beta == f.zero():
+    if not alpha or not beta:
         raise ParameterZero("alpha and beta must be nonzero")
     ia, ib = f.inv(alpha), f.inv(beta)
     coeff = {
@@ -373,7 +373,7 @@ def make_okubo_idempotent(field: Field, beta: Scalar, gamma: Scalar) -> AlgebraT
     f = field
     if f.characteristic() == 3:
         raise CharacteristicForbidden("the idempotent table requires characteristic != 3")
-    if beta == f.zero() or gamma == f.zero():
+    if not beta or not gamma:
         raise ParameterZero("beta and gamma must be nonzero")
     coeff = {
         "1": f.one(), "b": beta, "g": gamma, "bg": f.mul(beta, gamma),
@@ -424,7 +424,7 @@ _SL3_LABELS = ("E12", "E21", "E13", "E31", "E23", "E32", "H1", "H2")
 
 def _sl3_coords(f: Field, mat) -> Element:
     # trace-zero matrices only; the middle diagonal entry is determined
-    if _mat_trace(f, mat) != f.zero():
+    if _mat_trace(f, mat):
         raise SelfCheckFailed("product left the trace-zero space")
     return (
         mat[0][1], mat[1][0], mat[0][2], mat[2][0],
@@ -477,7 +477,7 @@ def make_pseudo_octonion(field: Field, mu: Optional[Scalar] = None) -> AlgebraTa
     for i in range(8):
         for j in range(i + 1, 8):
             c = f.mul(third, _mat_trace(f, _mat_mul(f, basis[i], basis[j])))
-            if c != zero:
+            if c:
                 polar[(i, j)] = c
     quad = QuadraticForm(f, 8, diag, polar)
     out = AlgebraTable(

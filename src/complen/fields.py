@@ -1,20 +1,22 @@
-"""Exact field arithmetic: Q, GF(p), and GF(p^k) for k <= 4.
+"""Exact field arithmetic: Q, GF(p), and GF(p^k) for k = 2..4.
 
-Scalars are plain hashable Python values: for the rationals an int when the
-value is integral and a Fraction otherwise, int residues in [0, p) for prime
-fields, and tuples of k residues (constant coefficient first) for extension
-fields. Every operation is exact.
+Every scalar is a plain hashable Python number, and zero is the falsy one in
+every field. Over the rationals a scalar is an int when its value is
+integral and a Fraction otherwise. Over a finite field of q elements it is
+its index 0..q-1 in enumeration order: the residue itself in GF(p), and in
+GF(p^k) the base-p number whose digits are the coefficients, constant
+coefficient first (ExtensionField). Every operation is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from .errors import (
+    CostCapExceeded,
     DegenerateLeadingCoefficient,
     FieldSpecError,
     InfiniteField,
@@ -23,7 +25,10 @@ from .errors import (
     UnsupportedDegree,
 )
 
-Scalar = Union[Fraction, int, tuple]
+Scalar = Union[Fraction, int]
+
+EXTENSION_MAX = 2**16  # elements of an extension field; its log tables hold one entry each
+ELEMENT_SCAN_CAP = 10**6  # elements any scan over a finite field or an algebra may visit
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -114,7 +119,7 @@ class Field:
     spec: FieldSpec
 
     def zero(self) -> Scalar:
-        raise NotImplementedError
+        return 0
 
     def one(self) -> Scalar:
         raise NotImplementedError
@@ -145,8 +150,11 @@ class Field:
         raise NotImplementedError
 
     def enumerate(self) -> Iterator[Scalar]:
-        """All elements in a fixed lexicographic order (finite fields only)."""
-        raise NotImplementedError
+        """All elements in index order, 0..q-1 (finite fields only)."""
+        q = self.cardinality()
+        if q is None:
+            raise InfiniteField("cannot enumerate the rationals")
+        return iter(range(q))
 
     def from_int(self, n: int) -> Scalar:
         """The image of the integer n under the canonical ring map Z -> F."""
@@ -160,7 +168,7 @@ class Field:
 
     def sort_key(self, a: Scalar):
         """Total order on scalars used for deterministic tie-breaking."""
-        raise NotImplementedError
+        return a
 
     def is_finite(self) -> bool:
         return self.cardinality() is not None
@@ -186,9 +194,6 @@ class RationalField(Field):
 
     def __init__(self):
         self.spec = FieldSpec("rational")
-
-    def zero(self):
-        return 0
 
     def one(self):
         return 1
@@ -216,9 +221,6 @@ class RationalField(Field):
     def cardinality(self):
         return None
 
-    def enumerate(self):
-        raise InfiniteField("cannot enumerate the rationals")
-
     def from_int(self, n):
         return int(n)
 
@@ -244,11 +246,8 @@ class PrimeField(Field):
         self.p = p
         self.spec = FieldSpec("prime", p=p)
 
-    def zero(self):
-        return 0
-
     def one(self):
-        return 1 % self.p
+        return 1
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -273,9 +272,6 @@ class PrimeField(Field):
     def cardinality(self):
         return self.p
 
-    def enumerate(self):
-        return iter(range(self.p))
-
     def from_int(self, n):
         return n % self.p
 
@@ -289,55 +285,11 @@ class PrimeField(Field):
     def format(self, a):
         return str(a % self.p)
 
-    def sort_key(self, a):
-        return a
-
-
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Division with remainder in GF(p)[x]; b must be nonzero."""
-    a = a[:]
-    binv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _poly_trim(a):
-        shift = len(a) - len(b)
-        coef = (a[-1] * binv) % p
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            a[i + shift] = (a[i + shift] - coef * bc) % p
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_mulmod(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    k = len(modulus) - 1
-    prod = [0] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    for d in range(len(prod) - 1, k - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            shift = d - k
-            for i in range(k):
-                prod[i + shift] = (prod[i + shift] - c * modulus[i]) % p
-    return tuple(prod[:k])
 
 
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Exhaustive root/factor test for monic polynomials of degree <= 4 over GF(p)."""
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return True
+    """Whether a monic polynomial of degree 2..4 over GF(p) is irreducible:
+    it has no root and, at degree 4, no factor (X^2 + bX + c)(X^2 + dX + e)."""
     co = [c % p for c in coeffs]
     for r in range(p):
         acc = 0
@@ -345,23 +297,75 @@ def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
             acc = (acc * r + c) % p
         if acc == 0:
             return False
-    if deg <= 3:
+    if len(co) < 5:
         return True
-    # degree 4, rootless: rule out monic quadratic factors
+    a0, a1, a2, a3 = co[:4]
     for b in range(p):
+        d = (a3 - b) % p
         for c in range(p):
-            _, rem = _poly_divmod(list(co), [c, b, 1], p)
-            if not rem:
+            e = (a2 - c - b * d) % p
+            if (b * e + c * d - a1) % p == 0 and (c * e - a0) % p == 0:
                 return False
     return True
 
 
+def _digits(n: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of n, most significant first."""
+    return [n // p ** (k - 1 - i) % p for i in range(k)]
+
+
+def _log_tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[list, list, list]:
+    """(exp, log, zech) of GF(p)[X]/(modulus) on index-coded scalars.
+
+    exp[i] = g^i for the first g in index order whose powers reach every
+    nonzero element; the walk multiplies a coefficient vector by the matrix
+    whose column j is g*X^j. log inverts exp (log[0] is None), and
+    zech[n] = log(1 + g^n). exp and zech are stored twice over, so a sum or
+    difference of two logs indexes them without reduction.
+    """
+    q, one = p**k, p ** (k - 1)
+
+    def times_x(c):
+        return [-c[-1] * modulus[0] % p] + [(c[i - 1] - c[-1] * modulus[i]) % p for i in range(1, k)]
+
+    for g in range(1, q):
+        cols = [_digits(g, p, k)]
+        while len(cols) < k:
+            cols.append(times_x(cols[-1]))
+        exp, c = [one], _digits(one, p, k)
+        while True:
+            c = [sum(cj * col[i] for cj, col in zip(c, cols)) % p for i in range(k)]
+            n = 0
+            for ci in c:
+                n = n * p + ci
+            if n == one:
+                break
+            exp.append(n)
+        if len(exp) == q - 1:
+            break
+    log = [None] * q
+    for i, n in enumerate(exp):
+        log[n] = i
+    zech = [log[(n // one + 1) % p * one + n % one] for n in exp]
+    return exp * 2, log, zech * 2
+
+
 class ExtensionField(Field):
+    """GF(p^k) = GF(p)[X]/(modulus), 2 <= k <= 4, at most EXTENSION_MAX elements.
+
+    A scalar is the int sum of c_i p^(k-1-i) over its coefficients c_0..c_{k-1}
+    (constant first and most significant), its index in enumeration order.
+    With g^i = exp[i], products add logs, and g^i + g^j = g^(i + zech[j - i]);
+    -1 = g^h with h = (q-1)/2, or 0 in characteristic 2.
+    """
+
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if k < 2 or k > 4:
             raise UnsupportedDegree(f"extension degree must be 2..4, got {k}")
+        if p**k > EXTENSION_MAX:
+            raise FieldSpecError(f"GF({p}^{k}) has more than {EXTENSION_MAX} elements")
         if len(modulus) != k + 1:
             raise ReducibleModulus(f"modulus needs {k + 1} coefficients, got {len(modulus)}")
         mod = tuple(c % p for c in modulus)
@@ -373,53 +377,45 @@ class ExtensionField(Field):
         self.k = k
         self.modulus = mod
         self.spec = FieldSpec("prime-power", p=p, k=k, modulus=mod)
-
-    def zero(self):
-        return (0,) * self.k
+        self._one = p ** (k - 1)
+        self._h = 0 if p == 2 else (p**k - 1) // 2
+        self._exp, self._log, self._zech = _log_tables(p, k, mod)
 
     def one(self):
-        return (1,) + (0,) * (self.k - 1)
+        return self._one
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        if not a:
+            return b
+        if not b:
+            return a
+        i = self._log[a]
+        z = self._zech[self._log[b] - i]
+        return 0 if z is None else self._exp[i + z]
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        if not b:
+            return a
+        j = self._log[b] + self._h  # log of -b
+        if not a:
+            return self._exp[j]
+        i = self._log[a]
+        z = self._zech[j - i]
+        return 0 if z is None else self._exp[i + z]
 
     def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+        return self._exp[self._log[a] + self._h] if a else 0
 
     def mul(self, a, b):
-        return _poly_mulmod(a, b, self.modulus, self.p)
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
 
     def inv(self, a):
-        if not any(a):
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in GF(p)[x]
-        p = self.p
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _poly_divmod(r0, r1, p)
-            # s = s0 - q*s1
-            s = s0[:]
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        idx = i + j
-                        while len(s) <= idx:
-                            s.append(0)
-                        s[idx] = (s[idx] - qi * sj) % p
-            _poly_trim(s)
-            r0, r1, s0, s1 = r1, r, s1, s
-        # r0 is the gcd, a nonzero constant since the modulus is irreducible
-        c = pow(r0[0], p - 2, p)
-        out = [(c * x) % p for x in s0]
-        out += [0] * (self.k - len(out))
-        return tuple(out[: self.k])
+        return self._exp[-self._log[a]]
 
     def characteristic(self):
         return self.p
@@ -427,36 +423,31 @@ class ExtensionField(Field):
     def cardinality(self):
         return self.p**self.k
 
-    def enumerate(self):
-        # lexicographic on the coefficient tuple, constant coefficient slowest
-        for digits in itertools.product(range(self.p), repeat=self.k):
-            yield tuple(digits)
-
     def from_int(self, n):
-        return (n % self.p,) + (0,) * (self.k - 1)
+        return n % self.p * self._one
 
     def parse(self, text):
         text = text.strip()
-        if "," in text:
-            parts = text.split(",")
-            if len(parts) != self.k:
-                raise FieldSpecError(
-                    f"scalar {text!r} needs {self.k} coefficients for GF({self.p}^{self.k})"
-                )
+        if "," not in text:
             try:
-                return tuple(int(c) % self.p for c in parts)
+                return self.from_int(int(text))
             except ValueError:
-                raise FieldSpecError(f"bad coefficient in scalar {text!r}") from None
+                raise FieldSpecError(f"bad scalar {text!r}") from None
+        parts = text.split(",")
+        if len(parts) != self.k:
+            raise FieldSpecError(
+                f"scalar {text!r} needs {self.k} coefficients for GF({self.p}^{self.k})"
+            )
+        n = 0
         try:
-            return self.from_int(int(text))
+            for c in parts:
+                n = n * self.p + int(c) % self.p
         except ValueError:
-            raise FieldSpecError(f"bad scalar {text!r}") from None
+            raise FieldSpecError(f"bad coefficient in scalar {text!r}") from None
+        return n
 
     def format(self, a):
-        return ",".join(str(c) for c in a)
-
-    def sort_key(self, a):
-        return a
+        return ",".join(map(str, _digits(a, self.p, self.k)))
 
 
 def field_make(spec: FieldSpec | str) -> Field:
@@ -482,17 +473,24 @@ def _rational_sqrt(a: Fraction) -> Fraction | None:
     return None
 
 
+def _scan(field: Field) -> range:
+    """Every element of a finite field, in index order, if there are at most
+    ELEMENT_SCAN_CAP; the root searches below are such scans."""
+    q = field.cardinality()
+    if q > ELEMENT_SCAN_CAP:
+        raise CostCapExceeded(
+            f"a scan over GF({q}) visits more than {ELEMENT_SCAN_CAP} elements", estimate=q
+        )
+    return range(q)
+
+
 def solve_quadratic(field: Field, a: Scalar, b: Scalar, c: Scalar) -> set:
     """All roots of a*X^2 + b*X + c in the field. a must be nonzero."""
-    if a == field.zero():
+    if not a:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
     if field.is_finite():
-        roots = set()
-        for x in field.enumerate():
-            v = field.add(field.mul(a, field.mul(x, x)), field.add(field.mul(b, x), c))
-            if v == field.zero():
-                roots.add(x)
-        return roots
+        f = field
+        return {x for x in _scan(f) if not f.add(f.mul(a, f.mul(x, x)), f.add(f.mul(b, x), c))}
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     r = _rational_sqrt(b * b - 4 * a * c)
     if r is None:
@@ -505,13 +503,7 @@ def random_scalar(field: Field, rng) -> Scalar:
     card = field.cardinality()
     if card is None:
         return _rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-    index = rng.randrange(card)
-    if isinstance(field, PrimeField):
-        return index
-    # the index-th element of field.enumerate(): base-p digits of the index,
-    # first coefficient most significant
-    p, k = field.p, field.k
-    return tuple(index // p ** (k - 1 - i) % p for i in range(k))
+    return rng.randrange(card)
 
 
 def _monotone_int_root(g, lo: int, hi: int, sign: int) -> bool:
@@ -536,12 +528,8 @@ def is_irreducible_cubic(field: Field, c1: Scalar, c0: Scalar) -> bool:
     each piece finds them without factoring anything.
     """
     if field.is_finite():
-        for x in field.enumerate():
-            x3 = field.mul(x, field.mul(x, x))
-            v = field.add(x3, field.add(field.mul(c1, x), c0))
-            if v == field.zero():
-                return False
-        return True
+        f = field
+        return all(f.add(f.mul(x, f.mul(x, x)), f.add(f.mul(c1, x), c0)) for x in _scan(f))
     c1, c0 = Fraction(c1), Fraction(c0)
     lcd = math.lcm(c1.denominator, c0.denominator)
     P, R = int(c1 * lcd**2), int(c0 * lcd**3)

@@ -57,27 +57,24 @@ class Subspace:
         if len(v) != self.ambient:
             raise DimensionMismatch(f"vector length {len(v)} in ambient {self.ambient}")
         f = self.field
-        zero = f.zero()
         v = list(v)
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
-            if c != zero:
+            if c:
                 for i in range(p, self.ambient):
                     r = row[i]
-                    if r != zero:
+                    if r:
                         v[i] = f.sub(v[i], f.mul(c, r))
         return tuple(v)
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        zero = self.field.zero()
-        return all(x == zero for x in self.reduce(tuple(v)))
+        return not any(self.reduce(tuple(v)))
 
     def insert(self, v: Sequence[Scalar]) -> "Subspace":
         """The span of this subspace and v; self when v already lies in it."""
         f = self.field
-        zero = f.zero()
         res = self.reduce(tuple(v))
-        lead = next((i for i, x in enumerate(res) if x != zero), -1)
+        lead = next((i for i, x in enumerate(res) if x), -1)
         if lead < 0:
             return self
         c = f.inv(res[lead])

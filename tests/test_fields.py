@@ -1,5 +1,7 @@
 """Field arithmetic, parsing, and the small polynomial solvers."""
 
+import functools
+import itertools
 import math
 import numbers
 import random
@@ -10,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complen.errors import FieldSpecError, NotPrime, ReducibleModulus
+from complen.errors import CostCapExceeded, FieldSpecError, NotPrime, ReducibleModulus
 from complen.fields import (
+    ELEMENT_SCAN_CAP,
+    EXTENSION_MAX,
     FieldSpec,
     _is_prime,
     field_make,
@@ -276,3 +280,217 @@ def test_rational_cubic_root_test_finds_huge_roots():
     assert not is_irreducible_cubic(Q, -3, -(r**3 - 3 * r))
     assert not is_irreducible_cubic(Q, Fraction(-3, 4), Fraction(-(r**3 - 3 * r), 8))  # root r/2
     assert time.perf_counter() - t < 1.0
+
+
+# --- index-coded extension fields against the tuple arithmetic -------------------
+#
+# The reference below is the tuple arithmetic that extension fields used before
+# their scalars became ints: coefficient tuples, constant coefficient first, a
+# schoolbook product reduced by the monic modulus, and the inverse by extended
+# Euclid in GF(p)[x].
+
+
+def _poly_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_divmod(a, b, p):
+    a = a[:]
+    binv = pow(b[-1], p - 2, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and _poly_trim(a):
+        shift = len(a) - len(b)
+        coef = (a[-1] * binv) % p
+        q[shift] = coef
+        for i, bc in enumerate(b):
+            a[i + shift] = (a[i + shift] - coef * bc) % p
+        _poly_trim(a)
+    return _poly_trim(q), a
+
+
+def _poly_mulmod(a, b, modulus, p):
+    k = len(modulus) - 1
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for d in range(len(prod) - 1, k - 1, -1):
+        c, prod[d] = prod[d], 0
+        for i in range(k):
+            prod[i + d - k] = (prod[i + d - k] - c * modulus[i]) % p
+    return tuple(prod[:k])
+
+
+def _euclid_inverse(a, modulus, p):
+    k = len(modulus) - 1
+    r0, r1 = list(modulus), _poly_trim(list(a))
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _poly_divmod(r0, r1, p)
+        s = s0[:]
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                while len(s) <= i + j:
+                    s.append(0)
+                s[i + j] = (s[i + j] - qi * sj) % p
+        _poly_trim(s)
+        r0, r1, s0, s1 = r1, r, s1, s
+    c = pow(r0[0], p - 2, p)
+    out = [(c * x) % p for x in s0] + [0] * k
+    return tuple(out[:k])
+
+
+class _TupleField:
+    """GF(p^k) on coefficient tuples, constant coefficient first."""
+
+    def __init__(self, f):
+        self.p, self.k, self.modulus = f.p, f.k, f.modulus
+
+    def code(self, t):  # the tuple's index: constant coefficient most significant
+        n = 0
+        for c in t:
+            n = n * self.p + c
+        return n
+
+    def tup(self, n):
+        return tuple(n // self.p ** (self.k - 1 - i) % self.p for i in range(self.k))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def mul(self, a, b):
+        return _poly_mulmod(a, b, self.modulus, self.p)
+
+    def inv(self, a):
+        return _euclid_inverse(a, self.modulus, self.p)
+
+
+SMALL_EXTENSIONS = (
+    "F2^2:1,1,1", "F2^3:1,1,0,1", "F3^2:1,0,1", "F2^4:1,1,0,0,1", "F5^2:2,0,1", "F3^3:1,2,0,1",
+)
+LARGE_EXTENSIONS = ("F13^4:2,0,0,0,1", "F37^3:2,0,0,1", "F251^2:1,0,1")
+_built = functools.lru_cache(maxsize=None)(field_make)
+
+
+def _agrees_with_tuples(f, ref, a, b):
+    ta, tb = ref.tup(a), ref.tup(b)
+    assert f.add(a, b) == ref.code(ref.add(ta, tb)), (a, b)
+    assert f.sub(a, b) == ref.code(ref.sub(ta, tb)), (a, b)
+    assert f.mul(a, b) == ref.code(ref.mul(ta, tb)), (a, b)
+    assert f.neg(a) == ref.code(ref.neg(ta)), a
+    if b:
+        assert f.inv(b) == ref.code(ref.inv(tb)), b
+        assert f.div(a, b) == ref.code(ref.mul(ta, ref.inv(tb))), (a, b)
+
+
+@pytest.mark.parametrize("spec", SMALL_EXTENSIONS)
+def test_extension_ops_match_tuple_arithmetic_on_every_pair(spec):
+    f = field_make(spec)
+    ref = _TupleField(f)
+    assert [ref.tup(x) for x in f.enumerate()] == sorted(ref.tup(x) for x in range(f.cardinality()))
+    for a in f.enumerate():
+        for b in f.enumerate():
+            _agrees_with_tuples(f, ref, a, b)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(f.zero())
+
+
+@pytest.mark.parametrize("spec", LARGE_EXTENSIONS)
+def test_extension_ops_match_tuple_arithmetic_on_seeded_samples(spec):
+    f = _built(spec)
+    ref = _TupleField(f)
+    rng = random.Random(spec)
+    q = f.cardinality()
+    special = [0, f.one(), f.neg(f.one()), 1, q - 1]
+    pairs = [(a, b) for a in special for b in special]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)]
+    for a, b in pairs:
+        _agrees_with_tuples(f, ref, a, b)
+
+
+@pytest.mark.parametrize("spec", SMALL_EXTENSIONS + LARGE_EXTENSIONS)
+def test_extension_parse_format_and_from_int(spec):
+    f = _built(spec)
+    ref = _TupleField(f)
+    rng = random.Random(spec)
+    q = f.cardinality()
+    for x in {0, 1, q - 1} | {rng.randrange(q) for _ in range(200)}:
+        text = ",".join(map(str, ref.tup(x)))
+        assert f.format(x) == text and f.parse(text) == x
+    assert f.one() == ref.code((1,) + (0,) * (f.k - 1))
+    for n in (-7, -1, 0, 1, 2, f.p, f.p + 3, 10**9):
+        assert f.from_int(n) == ref.code((n % f.p,) + (0,) * (f.k - 1))
+        assert f.parse(str(n)) == f.from_int(n)
+    with pytest.raises(FieldSpecError):
+        f.parse("1," * f.k)
+    with pytest.raises(FieldSpecError):
+        f.parse("x" + ",0" * (f.k - 1))
+
+
+def test_irreducibility_matches_trial_division_by_monic_quadratics():
+    from complen.fields import _is_irreducible
+
+    def by_division(co, p):
+        if any(sum(c * r**i for i, c in enumerate(co)) % p == 0 for r in range(p)):
+            return False
+        return len(co) < 5 or all(
+            _poly_divmod(list(co), [c, b, 1], p)[1] for b in range(p) for c in range(p)
+        )
+
+    for p in (2, 3, 5):
+        for k in (2, 3, 4):
+            for low in itertools.product(range(p), repeat=k):
+                co = low + (1,)
+                assert _is_irreducible(co, p) == by_division(co, p), (p, co)
+
+
+@pytest.mark.parametrize("spec", ("F257^2:3,0,1", "F1009^4:11,0,0,0,1"))
+def test_extension_fields_above_the_size_limit_are_rejected(spec):
+    t = time.perf_counter()
+    with pytest.raises(FieldSpecError):
+        field_make(spec)
+    assert time.perf_counter() - t < 0.1
+
+
+def test_the_largest_allowed_extension_builds_quickly():
+    t = time.perf_counter()
+    f = field_make("F251^2:1,0,1")
+    assert time.perf_counter() - t < 2.0
+    assert f.cardinality() <= EXTENSION_MAX < 257**2
+
+
+@pytest.mark.parametrize("spec", ("Q", "F2", "F7", "F1000000007") + SMALL_EXTENSIONS[:3])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_zero_is_the_only_falsy_scalar(spec, data):
+    f = field_make(spec)
+    if f.is_finite():
+        x = data.draw(st.integers(0, f.cardinality() - 1))
+    else:
+        x = Q.parse(str(data.draw(st.fractions(max_denominator=20))))
+    for y in (x, f.neg(x), f.mul(x, x), f.add(x, f.one()), f.sub(x, x)):
+        assert bool(y) == (y != f.zero())
+        assert not isinstance(y, tuple)
+    assert not f.zero() and f.one()
+
+
+@pytest.mark.parametrize("solve", ("cubic", "quadratic"))
+def test_finite_root_searches_stop_at_the_element_cap(solve):
+    f = field_make("F1000000007")
+    assert f.cardinality() > ELEMENT_SCAN_CAP
+    t = time.perf_counter()
+    with pytest.raises(CostCapExceeded) as info:
+        if solve == "cubic":
+            is_irreducible_cubic(f, f.from_int(-3), f.from_int(-1))
+        else:
+            solve_quadratic(f, f.from_int(3), f.from_int(-3), f.one())
+    assert info.value.estimate == f.cardinality()
+    assert time.perf_counter() - t < 0.5

@@ -433,3 +433,51 @@ def test_fuzz_parse_vector_set(spec, dim, text):
     except ComplenError:
         return
     assert all(len(v) == dim for v in vectors)
+
+
+def test_cli_refuted_gf4_composition_is_pinned(tmp_path, capsys):
+    # captured when GF(p^k) scalars were coefficient tuples: elements print as
+    # lists of "c0,c1" and the scalar value as one string
+    gf4 = field_make("F2^2:1,1,1")
+    elems = list(gf4.enumerate())
+    a = make_hurwitz_tower(gf4, elems[2], (elems[3],))
+    diag = list(a.quad.diag)
+    diag[1] = gf4.add(diag[1], gf4.one())
+    path = str(tmp_path / "gf4.json")
+    save_algebra(
+        AlgebraTable(gf4, 4, a.labels, a.table, unit=a.unit,
+                     quad=QuadraticForm(gf4, 4, diag, a.quad.polar), name=a.name),
+        path,
+    )
+    code, out, _ = _run(capsys, "check", "--algebra", path, "--what", "composition",
+                        "--strategy", "exhaustive")
+    assert code == 0
+    assert json.loads(out) == {
+        "certificate": "exhaustive",
+        "counterexample": {
+            "args": [["0,0", "0,0", "0,0", "0,1"], ["0,0", "0,0", "0,1", "0,0"]],
+            "value": "1,1",
+        },
+        "holds": False,
+        "identity": "composition",
+        "seed": 0,
+    }
+
+
+@pytest.mark.parametrize("family,params", (("two-dim-form", "1"), ("pseudo-octonion", "auto")))
+def test_cli_root_search_over_a_huge_prime_field_is_capped(tmp_path, capsys, family, params):
+    t = time.perf_counter()
+    code, out, err = _run(capsys, "construct", "--family", family, "--field", "F1000000007",
+                          "--params", params, "--out", str(tmp_path / "a.json"))
+    assert time.perf_counter() - t < 2.0
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "CostCapExceeded" and doc["estimate"] == 1000000007
+
+
+@pytest.mark.parametrize("field", ("F257^2:3,0,1", "F1009^4:11,0,0,0,1"))
+def test_cli_extension_field_above_the_size_limit_is_json_error(tmp_path, capsys, field):
+    code, out, err = _run(capsys, "construct", "--family", "hurwitz", "--field", field,
+                          "--params", "from-field", "--out", str(tmp_path / "a.json"))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "FieldSpecError"

@@ -1,7 +1,9 @@
 """Span chains, difference sequences, and the length search."""
 
 import functools
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from complen.constructors import (
 )
 from complen.errors import CostCapExceeded, InfiniteField, ModeUnjustified
 from complen.fields import field_make
+from complen.iofmt import dump_algebra
 from complen.length import (
     length_of_algebra,
     length_of_set,
@@ -290,3 +293,20 @@ def test_general_matches_descending_on_certified_families(name, data):
     d = lin_spans(a, s, "descending")
     assert (g.d, g.length, g.generating) == (d.d, d.length, d.generating)
     assert g.spans[-1] == subalgebra_closure(a, s).sum(g.spans[0])
+
+
+def test_gf9_quaternion_census_and_file_are_pinned():
+    # captured when GF(p^k) scalars were coefficient tuples; the index coding
+    # must give the same census, witness, text forms and file bytes
+    gf9 = field_make("F3^2:1,0,1")
+    a = make_hurwitz_tower(gf9, None, (gf9.one(), gf9.one()))
+    dump = dump_algebra(a).encode()
+    assert hashlib.sha256(dump).hexdigest() == (
+        "3175111802a352785d8431b940a744ccacb84678fb10ef6951b3a3a6244247de"
+    )
+    assert json.dumps(length_of_algebra(a, mode="exhaustive").as_dict(), sort_keys=True) == (
+        '{"best_length": 2, "enumerated": 9103, "exact": true, "mode": "exhaustive", '
+        '"stats": {"d_census": {"1 2 1": 6642, "1 3": 730}, "generating": 7372, '
+        '"violations": []}, "witness": [["1,0", "0,0", "0,0", "0,1"], '
+        '["0,0", "1,0", "0,0", "0,0"]]}'
+    )
