@@ -57,8 +57,7 @@ from .fields import ELEMENT_SCAN_CAP, random_scalar
 from .linalg import Subspace
 
 DEFAULT_SAMPLES = 200
-GENERIC_PAIR_CAP = 256  # elements; exhaustive pair checks cost |F|^(2 dim)
-PRIME_PAIR_CAP = 8192  # elements; vectorized scanner for prime fields
+PAIR_CAP = 8192  # elements; an exhaustive composition scan visits their square in pairs
 
 
 @dataclass
@@ -570,21 +569,14 @@ def _polarized_counterexample(a: AlgebraTable, i, k, j, l, coeff) -> dict:
     )
 
 
-def _composition_scan_pairs(a: AlgebraTable):
-    """Exhaustive n(xy) = n(x)n(y) by the pair loop: the first failing (x, y).
-
-    The only exhaustive route over extension fields, and the reference that
-    the tests hold primescan.composition_scan to.
-    """
-    elems = _elements_in_order(a)
-    norms = {x: a.quad_eval(x) for x in elems}
-    f = a.field
-    for x in elems:
-        nx = norms[x]
-        for y in elems:
-            if a.quad_eval(a.multiply(x, y)) != f.mul(nx, norms[y]):
-                return x, y
-    return None
+def _element_count(a: AlgebraTable, strategy: str, what: str) -> Optional[int]:
+    """The number of elements of a, or None over Q, where "exhaustive" is an error."""
+    if strategy not in ("auto", "exhaustive", "sampled"):
+        raise UnknownIdentity(f"unknown strategy {strategy!r}")
+    card = a.field.cardinality()
+    if card is None and strategy == "exhaustive":
+        raise InfiniteField(f"exhaustive {what} check needs a finite field")
+    return None if card is None else card**a.dim
 
 
 def check_composition(
@@ -597,13 +589,15 @@ def check_composition(
 
     "polarized" proves the polynomial identity from the basis (module
     docstring) over any field, at (dim(dim+1)/2)^2 coefficient sums.
-    "exhaustive" evaluates every pair of elements and "auto" does so when the
-    element count permits; otherwise "auto" and "sampled" evaluate random
-    pairs, which is evidence rather than a certificate. The certificate
-    string says which one was obtained. "polarized" certifies the law as a
-    polynomial identity; since the law has degree 2 in each variable, its
-    nine-point counterexample argument makes that equivalent to the
-    pointwise law even over GF(2), so "polarized" and "exhaustive" agree.
+    "exhaustive" evaluates every pair of elements over a finite field of at
+    most PAIR_CAP elements, by primescan.composition_scan over the prime
+    field (restriction of scalars), and "auto" does so when the element count
+    permits; otherwise "auto" and "sampled" evaluate random pairs, which is
+    evidence rather than a certificate. The certificate string says which one
+    was obtained. "polarized" certifies the law as a polynomial identity;
+    since the law has degree 2 in each variable, its nine-point
+    counterexample argument makes that equivalent to the pointwise law even
+    over GF(2), so "polarized" and "exhaustive" agree.
     """
     _require_quad(a)
     if strategy == "polarized":
@@ -616,52 +610,27 @@ def check_composition(
             "polarized-basis",
             counterexample=_polarized_counterexample(a, *bad),
         )
-    card = a.field.cardinality()
-    n_elems = card**a.dim if card is not None else None
-    is_prime_field = card is not None and a.field.characteristic() == card
-
-    can_exhaust = n_elems is not None and (
-        n_elems <= GENERIC_PAIR_CAP or (is_prime_field and n_elems <= PRIME_PAIR_CAP)
-    )
+    n_elems = _element_count(a, strategy, "composition")
+    can_exhaust = n_elems is not None and n_elems <= PAIR_CAP
     if strategy == "exhaustive" and not can_exhaust:
         raise CostCapExceeded(
             f"exhaustive composition check needs {n_elems}^2 pairs", estimate=n_elems
         )
-    if strategy not in ("auto", "exhaustive", "sampled"):
-        raise UnknownIdentity(f"unknown strategy {strategy!r}")
-
     if strategy != "sampled" and can_exhaust:
-        if is_prime_field and n_elems > 64:
-            from .primescan import composition_scan
+        from .primescan import composition_scan
 
-            bad = composition_scan(a)
-        else:
-            bad = _composition_scan_pairs(a)
-        if bad is None:
-            return Verdict("composition", True, "exhaustive")
-        x, y = bad
-        return Verdict(
-            "composition",
-            False,
-            "exhaustive",
-            counterexample={"args": (x, y), "value": _composition_value(a, x, y)},
-        )
-
-    rng = random.Random(seed)
-    f = a.field
-    for _ in range(samples):
-        x = random_element(a, rng)
-        y = random_element(a, rng)
-        lhs = a.quad_eval(a.multiply(x, y))
-        rhs = f.mul(a.quad_eval(x), a.quad_eval(y))
-        if lhs != rhs:
-            return Verdict(
-                "composition",
-                False,
-                f"sampled(seed={seed},n={samples})",
-                counterexample={"args": (x, y), "value": f.sub(lhs, rhs)},
-            )
-    return Verdict("composition", True, f"sampled(seed={seed},n={samples})")
+        bad, tag = composition_scan(a), "exhaustive"
+    else:
+        rng = random.Random(seed)
+        tag = f"sampled(seed={seed},n={samples})"
+        pairs = ((random_element(a, rng), random_element(a, rng)) for _ in range(samples))
+        bad = next((xy for xy in pairs if _composition_value(a, *xy)), None)
+    if bad is None:
+        return Verdict("composition", True, tag)
+    return Verdict(
+        "composition", False, tag,
+        counterexample={"args": bad, "value": _composition_value(a, *bad)},
+    )
 
 
 # --- norm recovery --------------------------------------------------------
@@ -798,6 +767,7 @@ def check_descending(
     """
     if kind not in ("flexible", "alternative"):
         raise UnknownIdentity(f"descending kind must be flexible/alternative, not {kind!r}")
+    n_elems = _element_count(a, strategy, "descending")
     ident = f"descending-{kind}"
 
     for cand in candidates or ():
@@ -817,8 +787,6 @@ def check_descending(
                 a.certificates.add(ident)
                 return Verdict(ident, True, "symmetric-law")
 
-    card = a.field.cardinality()
-    n_elems = card**a.dim if card is not None else None
     pairs_ok = n_elems is not None and n_elems * n_elems <= cap
     triples_ok = n_elems is not None and n_elems**3 <= cap
     if strategy == "exhaustive" and not (pairs_ok and triples_ok):
@@ -955,21 +923,16 @@ def _element_search(
 ) -> tuple[list[Element], bool]:
     """(nonzero elements x with keep(x), exhaustive?) under the element-count cap.
 
-    Prime fields scan every element through primescan.element_scan(a, kind);
-    other finite fields within the cap loop over the elements in order. Beyond
-    the cap, or over infinite fields, only supplied candidates are verified
-    and the second component is False.
+    A finite field within the cap scans every element through
+    primescan.element_scan(a, kind). Beyond the cap, or over infinite fields,
+    only supplied candidates are verified and the second component is False.
     """
     card = a.field.cardinality()
     if card is not None and card**a.dim <= cap:
-        if card == a.field.characteristic():
-            from .primescan import element_scan
+        from .primescan import element_scan
 
-            return element_scan(a, kind), True
-        pool, exhaustive = _elements_in_order(a), True
-    else:
-        pool, exhaustive = candidates or (), False
-    return [x for x in pool if not a.is_zero(x) and keep(x)], exhaustive
+        return element_scan(a, kind), True
+    return [x for x in candidates or () if not a.is_zero(x) and keep(x)], False
 
 
 def find_idempotents(

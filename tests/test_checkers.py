@@ -255,6 +255,8 @@ def test_composition_sampled_over_rationals():
     a = make_hurwitz_tower(Q, None, (Q.one(), Q.one(), Q.one()))
     v = check_composition(a, strategy="auto", seed=3)
     assert v.holds and v.certificate.startswith("sampled(")
+    with pytest.raises(InfiniteField):
+        check_composition(a, strategy="exhaustive")
 
 
 def test_composition_detects_wrong_form():
@@ -322,10 +324,20 @@ def test_descending_exhaustive_route_caches():
 def test_descending_exhaustive_needs_finite_budget():
     a = make_hurwitz_tower(Q, None, (Q.one(),))
     a.certificates.clear()
-    with pytest.raises(CostCapExceeded):
+    with pytest.raises(InfiniteField):
         check_descending(a, "flexible", strategy="exhaustive")
     with pytest.raises(UnknownIdentity):
         check_descending(a, "monotone")
+    with pytest.raises(UnknownIdentity):
+        check_descending(make_okubo_isotropic(F3, F3.one(), F3.from_int(2)), "flexible",
+                         strategy="bogus")
+    # 3^8 elements: 6561^2 pairs are past the default cap of 10^7
+    b = make_hurwitz_tower(F3, None, (F3.one(), F3.one(), F3.one()))
+    with pytest.raises(CostCapExceeded) as e:
+        check_descending(b, "flexible", strategy="exhaustive")
+    assert e.value.estimate == 6561
+
+
 
 
 def test_descending_alternative_fails_on_isotropic_table():

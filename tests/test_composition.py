@@ -1,4 +1,4 @@
-"""The composition law: the polarized proof against the pointwise scans."""
+"""The composition law, the polarized proof and the numpy scans against Python loops."""
 
 from functools import lru_cache
 
@@ -6,14 +6,21 @@ import pytest
 
 from complen import primescan
 from complen.algebra import AlgebraTable, QuadraticForm
-from complen.checkers import _composition_scan_pairs, check_composition
+from complen.checkers import (
+    _elements_in_order,
+    check_composition,
+    find_idempotents,
+    find_isotropic,
+)
 from complen.constructors import (
     cayley_dickson_double,
     make_hurwitz_tower,
     make_okubo_idempotent,
     make_okubo_isotropic,
+    make_quadratic_etale,
     standard_twist,
 )
+from complen.errors import CostCapExceeded
 from complen.fields import field_make
 
 F2 = field_make("F2")
@@ -21,6 +28,10 @@ F3 = field_make("F3")
 F5 = field_make("F5")
 Q = field_make("Q")
 GF4 = field_make("F2^2:1,1,1")
+GF8 = field_make("F2^3:1,1,0,1")
+GF9 = field_make("F3^2:1,0,1")
+GF16 = field_make("F2^4:1,1,0,0,1")
+GF25 = field_make("F5^2:2,0,1")
 
 
 def _variant(a: AlgebraTable, quad: QuadraticForm = None, table=None) -> AlgebraTable:
@@ -142,7 +153,24 @@ def test_constructors_prove_composition_over_rationals(monkeypatch):
     assert seen == ["polarized-basis"] * 3
 
 
-# --- the batched prime-field scan against the pair loop ----------------------
+# --- the restricted scans against the Python loops ---------------------------
+
+
+def _pair_loop(a: AlgebraTable):
+    """Exhaustive n(xy) = n(x)n(y) by the pair loop: the first failing (x, y)."""
+    elems = _elements_in_order(a)
+    norms = {x: a.quad_eval(x) for x in elems}
+    f = a.field
+    for x in elems:
+        nx = norms[x]
+        for y in elems:
+            if a.quad_eval(a.multiply(x, y)) != f.mul(nx, norms[y]):
+                return x, y
+    return None
+
+
+def _element_loop(a: AlgebraTable, keep) -> list:
+    return [x for x in _elements_in_order(a) if not a.is_zero(x) and keep(x)]
 
 
 def _quaternions(f):
@@ -150,12 +178,32 @@ def _quaternions(f):
     return make_hurwitz_tower(f, mu, (f.from_int(-1),))
 
 
-@pytest.mark.parametrize("field", (F3, F5), ids=("F3", "F5"))
-def test_batched_scan_matches_pair_loop_on_perturbed_norms(field):
-    a = _quaternions(field)
+# K(mu) with mu = 1 as an index, the scalar X^(k-1), outside the prime field
+SCAN_TABLES = {
+    "F3": lambda: _quaternions(F3),
+    "F5": lambda: _quaternions(F5),
+    "K-GF4": lambda: make_quadratic_etale(GF4, 1),
+    "K-GF8": lambda: make_quadratic_etale(GF8, 1),
+    "K-GF9": lambda: make_quadratic_etale(GF9, 1),
+    "K-GF16": lambda: make_quadratic_etale(GF16, 1),
+    "K-GF25": lambda: make_quadratic_etale(GF25, 1),
+    "quaternion-GF4": lambda: make_hurwitz_tower(GF4, 2, (3,)),
+    "hurwitz-F2-dim2": lambda: _tower(F2, 2),
+    "hurwitz-F2-dim4": lambda: _tower(F2, 4),
+    "twist-II-F2-dim4": lambda: standard_twist(_tower(F2, 4), "II"),
+    "hurwitz-F3-dim1": lambda: _tower(F3, 1),
+    "hurwitz-F3-dim2": lambda: _tower(F3, 2),
+    "K-F5": lambda: make_quadratic_etale(F5, F5.from_int(2)),
+    "K-F7": lambda: make_quadratic_etale(field_make("F7"), 3),
+}
+
+
+@pytest.mark.parametrize("build", SCAN_TABLES.values(), ids=SCAN_TABLES.keys())
+def test_batched_scan_matches_pair_loop_on_perturbed_norms(build):
+    a = build()
     assert primescan.composition_scan(a) is None
     for b in _perturbed(a):
-        bad = _composition_scan_pairs(b)
+        bad = _pair_loop(b)
         assert bad is not None
         assert primescan.composition_scan(b) == bad
 
@@ -168,18 +216,44 @@ def test_batched_scan_matches_pair_loop_on_late_failures(y_block, chunk_bytes, m
     monkeypatch.setattr(primescan, "SCAN_Y_BLOCK", y_block)
     monkeypatch.setattr(primescan, "SCAN_CHUNK_BYTES", chunk_bytes)
     # a wrong square of e_i leaves every x with x_i = 0 intact; the first x
-    # with x_i != 0 has index p^(3-i), past the first chunks
-    for field, rows in ((F3, range(4)), (F5, (1, 2))):
-        a = _quaternions(field)
+    # with x_i != 0 has index q^(dim-1-i), past the first chunks
+    for a, rows in ((_quaternions(F3), range(4)), (_quaternions(F5), (1, 2)),
+                    (make_quadratic_etale(GF9, 1), range(2)),
+                    (make_hurwitz_tower(GF4, 2, (3,)), (2, 3))):
+        f = a.field
         for i in rows:
             table = [list(r) for r in a.table]
             entry = list(table[i][i])
-            entry[0] = field.add(entry[0], field.one())
+            entry[0] = f.add(entry[0], f.one())
             table[i][i] = tuple(entry)
             b = _variant(a, table=table)
-            bad = _composition_scan_pairs(b)
+            bad = _pair_loop(b)
             assert bad is not None
             assert primescan.composition_scan(b) == bad
+
+
+@pytest.mark.parametrize("build", SCAN_TABLES.values(), ids=SCAN_TABLES.keys())
+def test_element_scans_match_element_loop(build):
+    a = build()
+    assert find_idempotents(a) == (_element_loop(a, lambda x: a.multiply(x, x) == x), True)
+    for b in [a] + _perturbed(a):
+        assert find_isotropic(b) == (_element_loop(b, lambda x: not b.quad_eval(x)), True)
+
+
+def test_auto_proves_the_gf9_quaternions_exhaustively():
+    a = _quaternions(GF9)
+    v = check_composition(a)
+    assert v.holds and v.certificate == "exhaustive"
+    b = _perturbed(a)[1]
+    v = check_composition(b, strategy="exhaustive")
+    assert not v.holds and v.certificate == "exhaustive"
+    _check_counterexample(b, v)
+
+
+def test_exhaustive_over_the_gf16_quaternions_is_capped():
+    with pytest.raises(CostCapExceeded) as e:
+        check_composition(_quaternions(GF16), strategy="exhaustive")
+    assert e.value.estimate == 65536
 
 
 def test_auto_route_unchanged():

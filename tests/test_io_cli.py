@@ -361,6 +361,29 @@ def test_python_dash_m_complen_runs_the_cli():
     assert "--filter" in proc.stdout
 
 
+def test_import_leaves_numpy_out():
+    # the scans import numpy lazily; importing the package must not
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, complen; print('numpy' in sys.modules, 'complen.primescan' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("what", ("composition", "descending-flexible"))
+def test_cli_exhaustive_over_the_rationals_is_an_infinite_field_error(tmp_path, capsys, what):
+    path = str(tmp_path / "k.json")
+    _run(capsys, "construct", "--family", "hurwitz", "--field", "Q", "--params", "1,1",
+         "--out", path)
+    code, out, err = _run(capsys, "check", "--algebra", path, "--what", what,
+                          "--strategy", "exhaustive")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InfiniteField"
+
+
 # --- fuzzing the parsers ---------------------------------------------------------
 
 FUZZ = settings(max_examples=120, deadline=None,
