@@ -17,11 +17,18 @@ products of rows added at levels i and k-i, so it stops when the span is
 the whole algebra or when k > 2L, L the last level that added rows: past 2L
 one factor of every pair is empty, and the chain is stable from there.
 
-The length search is one loop of three parts. A source yields subspaces in
-a fixed order: every nonzero subspace (as Subspace objects, or over GF(2) as
-bitmask rows) or seeded random ones. A lane evaluates each: lin_spans, or
-the bitmask recursion with product lookup tables. The loop itself is the one
-accumulator of the census and the witness, and builds the SearchResult.
+The length search is one loop of three parts. A source yields weighted
+items in a fixed order: every nonzero subspace with weight 1 (as Subspace
+objects, or over GF(2) as bitmask rows), seeded random ones with weight 1,
+or for a unital algebra the subspaces U of a hyperplane H complementing the
+unit e. The quotient is exact because both lanes start from Lin_0 = <e> and
+Lin_m*e = e*Lin_m = Lin_m, so S and S + <e> have the same chain; U stands
+for the 1 + q^dim U nonzero S with S + <e> = <e> + U (1 for U = 0). A lane
+evaluates each item: lin_spans, or the bitmask recursion with product lookup
+tables. The loop itself is the one accumulator: it adds each weight to the
+census and to the covered count, keeps the witness, and builds the
+SearchResult. Under the quotient the witness, the first maximal subspace in
+enumeration order, comes from a walk through one dimension afterwards.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import AlgebraTable, Element
 from .checkers import descending_kinds, validate_report
@@ -210,20 +217,20 @@ def count_subspaces(field: Field, ambient: int, dims: Iterable[int]) -> int:
 # --- subspace sources ----------------------------------------------------------
 
 
-def _echelon_patterns(ambient: int, k: int) -> Iterator[tuple]:
-    """(pivots, free cells) of every k-row reduced echelon pattern.
+def _echelon_patterns(columns: Sequence[int], k: int) -> Iterator[tuple]:
+    """(pivots, free cells) of every k-row reduced echelon pattern on columns.
 
     Pivot sets come in lexicographic order. The free cells of a pattern are
     the (row, column) positions right of the row's pivot and outside every
-    pivot column, in row-major order.
+    pivot column, in row-major order; columns not listed stay zero.
     """
-    for pivots in itertools.combinations(range(ambient), k):
+    for pivots in itertools.combinations(columns, k):
         pivset = set(pivots)
         cells = [
             (r, c)
             for r in range(k)
-            for c in range(pivots[r] + 1, ambient)
-            if c not in pivset
+            for c in columns
+            if c > pivots[r] and c not in pivset
         ]
         yield pivots, cells
 
@@ -237,17 +244,22 @@ def _echelon_form(field: Field, ambient: int, pivots: tuple, cells: list, values
     return Subspace(field, ambient, tuple(map(tuple, rows)), pivots)
 
 
-def enumerate_subspaces(field: Field, ambient: int, k: int) -> Iterator[Subspace]:
+def enumerate_subspaces(
+    field: Field, ambient: int, k: int, columns: Optional[Sequence[int]] = None
+) -> Iterator[Subspace]:
     """All k-dimensional subspaces, each exactly once, in a fixed order.
 
     Order: pivot-column combinations lexicographically, then the free cells
     running through the field's enumeration order, the last cell fastest.
-    Rows come out directly in reduced echelon form.
+    Rows come out directly in reduced echelon form. With columns given (in
+    increasing order), only the subspaces of the coordinate subspace on
+    those columns, in the order of enumerate_subspaces(field, len(columns),
+    k) with zeros inserted. k = 0 gives the zero subspace.
     """
     if not field.is_finite():
         raise InfiniteField("subspace enumeration needs a finite field")
     elems = list(field.enumerate())
-    for pivots, cells in _echelon_patterns(ambient, k):
+    for pivots, cells in _echelon_patterns(range(ambient) if columns is None else columns, k):
         for fill in itertools.product(elems, repeat=len(cells)):
             yield _echelon_form(field, ambient, pivots, cells, fill)
 
@@ -259,7 +271,7 @@ def _random_subspace(field: Field, ambient: int, rng: random.Random) -> Subspace
     free entries uniform. Rationals: uniform pivot set, small integer entries.
     """
     k = rng.randint(1, ambient)
-    patterns = list(_echelon_patterns(ambient, k))
+    patterns = list(_echelon_patterns(range(ambient), k))
     if field.is_finite():
         q = field.cardinality()
         pivots, cells = rng.choices(patterns, weights=[q ** len(c) for _, c in patterns])[0]
@@ -271,31 +283,64 @@ def _random_subspace(field: Field, ambient: int, rng: random.Random) -> Subspace
     return _echelon_form(field, ambient, pivots, cells, values)
 
 
-def _gf2_subspaces(dim: int) -> Iterator[tuple]:
-    """Every nonzero subspace of GF(2)^dim as bitmask rows (bit i is
-    coordinate i), in the order of enumerate_subspaces."""
-    for k in range(1, dim + 1):
-        for pivots, cells in _echelon_patterns(dim, k):
-            # each row's fills, its last cell fastest; the product then runs
-            # the last row fastest, which is the last cell of the whole form
-            fills = []
-            for r, p in enumerate(pivots):
-                cols = [c for row, c in cells if row == r]
-                fills.append([
-                    sum((b << c for b, c in zip(bits, cols)), 1 << p)
-                    for bits in itertools.product((0, 1), repeat=len(cols))
-                ])
-            yield from itertools.product(*fills)
+def _gf2_subspaces(columns: Sequence[int], k: int) -> Iterator[tuple]:
+    """Every k-dimensional subspace on the given coordinates of GF(2)^n as
+    bitmask rows (bit i is coordinate i), in the order of enumerate_subspaces."""
+    for pivots, cells in _echelon_patterns(columns, k):
+        # each row's fills, its last cell fastest; the product then runs
+        # the last row fastest, which is the last cell of the whole form
+        fills = []
+        for r, p in enumerate(pivots):
+            cols = [c for row, c in cells if row == r]
+            fills.append([
+                sum((b << c for b, c in zip(bits, cols)), 1 << p)
+                for bits in itertools.product((0, 1), repeat=len(cols))
+            ])
+        yield from itertools.product(*fills)
+
+
+def _exhaustive_source(a: AlgebraTable, subspaces) -> Iterator[tuple]:
+    """(item, weight) pairs in enumeration order; the weights count the
+    nonzero subspaces each item stands for and sum to all of them.
+
+    subspaces(columns, k) yields a lane's items. Without a unit every
+    nonzero subspace is an item of weight 1. With a unit e, p its first
+    nonzero coordinate, the items are the subspaces U of the hyperplane
+    H = {x_p = 0}, the zero subspace included: T = <e> + U is every
+    subspace containing e exactly once, and a nonzero S has S + <e> = T for
+    S = T and the q^dim U hyperplanes of T that miss e, so U stands for
+    1 + q^dim U subspaces (U = 0 for <e> alone).
+    """
+    n = a.dim
+    e = a.unit_element()
+    if e is None:
+        for k in range(1, n + 1):
+            yield from zip(subspaces(range(n), k), itertools.repeat(1))
+        return
+    p = next(i for i, x in enumerate(e) if x)
+    hyperplane = [c for c in range(n) if c != p]
+    q = a.field.cardinality()
+    for k in range(n):
+        yield from zip(subspaces(hyperplane, k), itertools.repeat(1 + q**k if k else 1))
 
 
 # --- evaluator lanes -------------------------------------------------------------
 #
-# A lane is a pair (evaluate, as_subspace). evaluate(item) gives the trimmed
-# difference sequence of a generating item and None otherwise; as_subspace(item)
-# turns the witness item into a Subspace.
+# A lane evaluates one kind of item. evaluate(item) gives the trimmed difference
+# sequence of a generating item and None otherwise; subspaces(columns, k) yields
+# the k-dimensional items on those coordinates in enumeration order; and
+# as_subspace(item) turns the witness item into a Subspace.
 
 
-def _span_lane(a: AlgebraTable):
+@dataclass(frozen=True)
+class _Lane:
+    name: str
+    evaluate: Callable
+    subspaces: Callable
+    as_subspace: Callable
+
+
+def _span_lane(a: AlgebraTable) -> _Lane:
     """Subspace items through lin_spans, under the strongest justified mode."""
     mode = "descending" if has_descending_certificate(a) else "general"
 
@@ -303,7 +348,10 @@ def _span_lane(a: AlgebraTable):
         rep = lin_spans(a, sub.basis, mode=mode)
         return rep.d if rep.generating else None
 
-    return evaluate, lambda sub: sub
+    def subspaces(columns, k):
+        return enumerate_subspaces(a.field, a.dim, k, columns)
+
+    return _Lane(f"span:{mode}", evaluate, subspaces, lambda sub: sub)
 
 
 def _gf2_product_tables(a: AlgebraTable):
@@ -338,7 +386,7 @@ def _gf2_product_tables(a: AlgebraTable):
     return prod, tprod, mask
 
 
-def _gf2_lane(a: AlgebraTable):
+def _gf2_lane(a: AlgebraTable) -> _Lane:
     """Bitmask-row items over the two-element field, with product lookups.
 
     Valid only under a descending certificate: the per-subspace iteration is
@@ -397,7 +445,7 @@ def _gf2_lane(a: AlgebraTable):
             f, dim, [tuple(one if m >> i & 1 else zero for i in range(dim)) for m in s_rows]
         )
 
-    return evaluate, as_subspace
+    return _Lane("gf2-bitmask", evaluate, _gf2_subspaces, as_subspace)
 
 
 # --- the search loop ---------------------------------------------------------------
@@ -424,19 +472,32 @@ def length_of_algebra(
 ) -> SearchResult:
     """Maximize l(S) over subspaces; exhaustive mode gives the exact value.
 
-    Exhaustive mode enumerates every nonzero subspace (the length of a set
-    depends only on its span) and needs a finite field plus an enumeration
-    count within the cost cap. Random mode samples subspaces and yields a
-    lower bound marked exact=False.
+    Exhaustive mode covers every nonzero subspace (the length of a set
+    depends only on its span) and needs a finite field plus a subspace count
+    within the cost cap. Random mode samples budget >= 1 subspaces and yields
+    a lower bound marked exact=False.
 
-    Every search is one loop: a source yields subspaces in a fixed order, a
-    lane evaluates each, and the loop accumulates the census of generating
-    difference sequences and the witness, the first subspace of maximal
-    length in source order.
+    Every search is one loop: a source yields (item, weight) pairs in a fixed
+    order, a lane evaluates each item, and the loop adds the weight to the
+    census of generating difference sequences and to ``enumerated``, the
+    subspaces covered. Random mode and algebras without a unit give every
+    subspace weight 1. A unital algebra is searched over A/<e>: S and
+    S + <e> have the same chain, since both lanes start from Lin_0 = <e> and
+    Lin_m*e = Lin_m, so one item U stands for every S with S + <e> = <e> + U
+    (see _exhaustive_source for the weight 1 + q^dim U). ``stats`` names the
+    lane and counts the items it evaluated.
+
+    The witness is the first subspace of maximal length in enumeration
+    order. Under the quotient, let t be the least dimension of a maximal
+    <e> + U (the first maximal U has dimension t - 1). A subspace of
+    dimension below t - 1 spans less than t with e, so the witness is the
+    first maximal subspace of dimension max(t - 1, 1), found by a walk
+    through that dimension alone.
     """
     if cap is None:
         cap = cost_cap()
     f = a.field
+    quotient = False
     if mode == "exhaustive":
         if not f.is_finite():
             raise InfiniteField("exhaustive search needs a finite field")
@@ -447,39 +508,49 @@ def length_of_algebra(
                 estimate=total,
             )
         if f.cardinality() == 2 and has_descending_certificate(a):
-            source = _gf2_subspaces(a.dim)
-            evaluate, as_subspace = _gf2_lane(a)
+            lane = _gf2_lane(a)
         else:
-            source = (
-                sub for k in range(1, a.dim + 1) for sub in enumerate_subspaces(f, a.dim, k)
-            )
-            evaluate, as_subspace = _span_lane(a)
+            lane = _span_lane(a)
+        source = _exhaustive_source(a, lane.subspaces)
+        quotient = a.is_unital()
     elif mode == "random":
+        if budget < 1:
+            raise ParseError(f"random search needs a budget of at least 1, got {budget}")
         rng = random.Random(seed)
-        source = (_random_subspace(f, a.dim, rng) for _ in range(budget))
-        evaluate, as_subspace = _span_lane(a)
+        source = ((_random_subspace(f, a.dim, rng), 1) for _ in range(budget))
+        lane = _span_lane(a)
     else:
         raise ModeUnjustified(f"unknown search mode {mode!r}")
 
     census: Counter = Counter()
-    enumerated = 0
+    enumerated = evaluated = 0
     best_len, best = -1, None
-    for item in source:
-        enumerated += 1
-        d = evaluate(item)
+    for item, weight in source:
+        evaluated += 1
+        enumerated += weight
+        d = lane.evaluate(item)
         if d is None:
             continue
-        census[d] += 1
+        census[d] += weight
         if len(d) - 1 > best_len:
             best_len, best = len(d) - 1, item
+    if quotient and best is not None:
+        # the witness walk: best is the first maximal U, of dimension t - 1
+        for s in lane.subspaces(range(a.dim), max(lane.as_subspace(best).dim, 1)):
+            d = lane.evaluate(s)
+            if d is not None and len(d) - 1 == best_len:
+                best = s
+                break
     stats = {
+        "lane": lane.name,
+        "evaluated": evaluated,
         "generating": sum(census.values()),
         "d_census": dict(census),
         "violations": _validate_census(a, census),
     }
     return SearchResult(
         best_length=max(best_len, 0),
-        witness=None if best is None else as_subspace(best),
+        witness=None if best is None else lane.as_subspace(best),
         enumerated=enumerated,
         mode=mode if mode == "exhaustive" else f"random(seed={seed},budget={budget})",
         exact=mode == "exhaustive",

@@ -39,7 +39,7 @@ from .constructors import (
     make_two_dim_form,
     standard_twist,
 )
-from .errors import InvariantViolation
+from .errors import ComplenError, InvariantViolation
 from .fields import field_make
 from .length import length_of_algebra, lin_spans
 from .linalg import Subspace
@@ -573,6 +573,8 @@ def run_suite(
     fmt: str = "tsv",
 ) -> int:
     cases = select_cases(filter_glob)
+    if not cases:
+        raise ComplenError(f"no suite case matches the filter {filter_glob!r}")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -245,6 +245,19 @@ def test_cli_length_algebra_exhaustive(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["best_length"] == 1 and doc["exact"] is True
     assert doc["enumerated"] == 4
+    # K(1) is unital: one item per subspace of a line, the zero one included
+    assert doc["stats"]["lane"] == "gf2-bitmask" and doc["stats"]["evaluated"] == 2
+
+
+def test_cli_length_algebra_nonpositive_budget_is_json_error(tmp_path, capsys):
+    path = str(tmp_path / "k.json")
+    _run(capsys, "construct", "--family", "hurwitz", "--field", "F2",
+         "--params", "1", "--out", path)
+    code, out, err = _run(capsys, "length-algebra", "--algebra", path,
+                          "--mode", "random", "--budget", "-3")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and "budget" in doc["message"]
 
 
 def test_cli_length_algebra_cost_cap(tmp_path, capsys):
@@ -300,6 +313,13 @@ def test_cli_verify_paper_single_case(capsys):
     fields = lines[1].split("\t")
     assert fields[0] == "standard-F3-I-dim1"
     assert fields[1] == "PASS"
+
+
+def test_cli_verify_paper_empty_selection_is_json_error(capsys):
+    code, out, err = _run(capsys, "verify-paper", "--filter", "nomatch*")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ComplenError" and "nomatch*" in doc["message"]
 
 
 def test_cli_verify_paper_json(capsys):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,15 +19,18 @@ from complen.constructors import (
     make_quadratic_etale,
     standard_twist,
 )
-from complen.errors import CostCapExceeded, InfiniteField, ModeUnjustified
+from complen.errors import CostCapExceeded, InfiniteField, ModeUnjustified, ParseError
 from complen.fields import field_make
 from complen.iofmt import dump_algebra
 from complen.length import (
+    _exhaustive_source,
+    count_subspaces,
+    enumerate_subspaces,
     length_of_algebra,
     length_of_set,
     lin_spans,
 )
-from complen.linalg import Subspace
+from complen.linalg import Subspace, gaussian_binomial
 
 F2 = field_make("F2")
 F3 = field_make("F3")
@@ -183,6 +187,15 @@ def test_random_search_deterministic_per_seed():
     assert r1.best_length == r2.best_length
     assert r1.witness == r2.witness
     assert r1.best_length <= 2  # never above the true value
+    assert r1.enumerated == r1.stats["evaluated"] == 60
+
+
+def test_random_search_needs_a_positive_budget():
+    a = make_hurwitz_tower(F3, None, (F3.one(), F3.one()))
+    for budget in (0, -3):
+        with pytest.raises(ParseError):
+            length_of_algebra(a, mode="random", budget=budget)
+    assert length_of_algebra(a, mode="random", budget=1).enumerated == 1
 
 
 def test_gf2_fast_lane_matches_generic_lane():
@@ -217,12 +230,20 @@ def test_gf2_source_runs_in_enumeration_order():
     from complen.length import _gf2_subspaces, enumerate_subspaces
 
     for n in range(1, 6):
-        masks = [
-            tuple(tuple(F2.from_int(m >> i & 1) for i in range(n)) for m in rows)
-            for rows in _gf2_subspaces(n)
-        ]
-        rows = [s.rows for k in range(1, n + 1) for s in enumerate_subspaces(F2, n, k)]
-        assert masks == rows
+        for k in range(n + 1):
+            masks = [
+                tuple(tuple(F2.from_int(m >> i & 1) for i in range(n)) for m in rows)
+                for rows in _gf2_subspaces(range(n), k)
+            ]
+            assert masks == [s.rows for s in enumerate_subspaces(F2, n, k)]
+        # on a coordinate subspace: the same forms with a zero column inserted
+        for k in range(n):
+            masks = list(_gf2_subspaces([c for c in range(n) if c != 1], k))
+            rows = [
+                tuple(m & 1 | (m >> 1) << 2 for m in sub)
+                for sub in _gf2_subspaces(range(n - 1), k)
+            ]
+            assert masks == rows
 
 
 def test_uncertified_census_runs_every_general_chain_to_its_end():
@@ -306,7 +327,128 @@ def test_gf9_quaternion_census_and_file_are_pinned():
     )
     assert json.dumps(length_of_algebra(a, mode="exhaustive").as_dict(), sort_keys=True) == (
         '{"best_length": 2, "enumerated": 9103, "exact": true, "mode": "exhaustive", '
-        '"stats": {"d_census": {"1 2 1": 6642, "1 3": 730}, "generating": 7372, '
-        '"violations": []}, "witness": [["1,0", "0,0", "0,0", "0,1"], '
+        '"stats": {"d_census": {"1 2 1": 6642, "1 3": 730}, "evaluated": 184, '
+        '"generating": 7372, "lane": "span:descending", "violations": []}, '
+        '"witness": [["1,0", "0,0", "0,0", "0,1"], '
         '["0,0", "1,0", "0,0", "0,0"]]}'
     )
+
+
+# --- the unit quotient -------------------------------------------------------------
+
+
+def _reference_search(a):
+    """Every nonzero subspace through lin_spans in general mode: census,
+    enumerated count, best length and the first maximal subspace's rows."""
+    census, enumerated, best, witness = Counter(), 0, -1, None
+    for k in range(1, a.dim + 1):
+        for sub in enumerate_subspaces(a.field, a.dim, k):
+            enumerated += 1
+            rep = lin_spans(a, sub.basis, mode="general")
+            if rep.generating:
+                census[rep.d] += 1
+                if rep.length > best:
+                    best, witness = rep.length, sub
+    return dict(census), enumerated, best, witness.rows
+
+
+def _permuted(a, perm):
+    """The same algebra on the basis e_perm[0], e_perm[1], ... (no certificates)."""
+    f = a.field
+
+    def move(v):
+        return tuple(v[perm[i]] for i in range(a.dim))
+
+    table = [[move(a.table[perm[i]][perm[j]]) for j in range(a.dim)] for i in range(a.dim)]
+    return AlgebraTable(f, a.dim, [a.labels[p] for p in perm], table, name=a.name)
+
+
+def _uncertified(a):
+    a.certificates.clear()
+    return a
+
+
+GF4 = field_make("F2^2:1,1,1")
+F5 = field_make("F5")
+
+UNITAL = {
+    "K1-F2": lambda: make_hurwitz_tower(F2, F2.one(), ()),
+    "quaternion-F2": lambda: make_hurwitz_tower(F2, F2.one(), (F2.one(),)),
+    "quaternion-F2-general": lambda: _uncertified(make_hurwitz_tower(F2, F2.one(), (F2.one(),))),
+    "quaternion-F3": lambda: make_hurwitz_tower(F3, None, (F3.one(), F3.one())),
+    "quaternion-F5": lambda: make_hurwitz_tower(F5, None, (F5.one(), F5.one())),
+    "quaternion-GF4": lambda: make_hurwitz_tower(GF4, GF4.one(), (GF4.one(),)),
+    # the unit on the third coordinate: the hyperplane skips an inner column
+    "quaternion-F3-unit-e3": lambda: _permuted(
+        make_hurwitz_tower(F3, None, (F3.one(), F3.one())), (1, 2, 0, 3)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNITAL))
+def test_unit_quotient_matches_every_subspace(name):
+    a = UNITAL[name]()
+    res = length_of_algebra(a, mode="exhaustive")
+    census, enumerated, best, witness = _reference_search(a)
+    assert res.stats["d_census"] == census
+    assert res.stats["generating"] == sum(census.values())
+    assert res.enumerated == enumerated == count_subspaces(a.field, a.dim, range(1, a.dim + 1))
+    assert res.best_length == best
+    assert res.witness.rows == witness
+    assert res.stats["violations"] == []
+    # one item per subspace of the hyperplane, the zero subspace included
+    q = a.field.cardinality()
+    assert res.stats["evaluated"] == count_subspaces(a.field, a.dim - 1, range(a.dim))
+    assert res.stats["lane"] == (
+        "gf2-bitmask" if q == 2 and a.certificates
+        else "span:descending" if a.certificates else "span:general"
+    )
+
+
+def test_non_unital_search_evaluates_every_subspace():
+    q = make_hurwitz_tower(F3, None, (F3.one(), F3.one()))
+    for twist in ("II", "IV"):
+        res = length_of_algebra(standard_twist(q, twist), mode="exhaustive")
+        assert res.stats["evaluated"] == res.enumerated == 211
+        assert res.stats["lane"] == "span:descending"
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9))
+def test_quotient_weights_cover_every_subspace(q):
+    """Summed weights equal the number of nonzero subspaces. The stub lane
+    yields one item per (columns, k) and the test multiplies its weight by
+    the number of k-dimensional subspaces on those columns."""
+    f = field_make({4: "F2^2:1,1,1", 9: "F3^2:1,0,1"}.get(q, f"F{q}"))
+
+    def stub(columns, k):
+        yield gaussian_binomial(len(columns), k, q)
+
+    for n in range(1, 9):
+        e = [tuple(f.one() if i == j else f.zero() for i in range(n)) for j in range(n)]
+        zero = (f.zero(),) * n
+        # e_{n-1} is the unit, every other product is zero
+        u = n - 1
+        table = [
+            [e[j] if i == u else e[i] if j == u else zero for j in range(n)]
+            for i in range(n)
+        ]
+        a = AlgebraTable(f, n, [f"e{i}" for i in range(n)], table)
+        assert a.unit_element() == e[u]
+        covered = sum(count * w for count, w in _exhaustive_source(a, stub))
+        assert covered == count_subspaces(f, n, range(1, n + 1))
+
+
+def test_gf2_octonion_census_is_pinned():
+    # recorded when every one of the 417 198 subspaces was evaluated
+    a = make_hurwitz_tower(F2, F2.one(), (F2.one(), F2.one()))
+    res = length_of_algebra(a, mode="exhaustive")
+    assert (res.best_length, res.enumerated, res.stats["generating"]) == (3, 417198, 305516)
+    assert res.stats["d_census"] == {
+        (1, 3, 3, 1): 41472, (1, 4, 3): 169728, (1, 5, 2): 85932, (1, 6, 1): 8255, (1, 7): 129,
+    }
+    assert (res.stats["lane"], res.stats["evaluated"]) == ("gf2-bitmask", 29212)
+    assert res.as_dict()["witness"] == [
+        ["1", "0", "0", "0", "0", "0", "0", "1"],
+        ["0", "1", "0", "0", "0", "0", "0", "0"],
+        ["0", "0", "1", "0", "0", "0", "0", "0"],
+    ]
