@@ -102,9 +102,10 @@ class AlgebraTable:
     """A dim-dimensional algebra given by structure constants.
 
     table[i][j] is the coordinate vector of basis_i * basis_j. The algebraic
-    data is immutable after construction; `certificates` is a mutable cache of
-    verified structural facts (e.g. "descending-flexible") and is not part of
-    value semantics or serialization.
+    data is immutable after construction; `certificates` is a mutable cache
+    mapping each verified structural fact (e.g. "descending-flexible") to the
+    route that proved it ("closed-forms", "symmetric-law" or "exhaustive"),
+    and is not part of value semantics or serialization.
     """
 
     def __init__(
@@ -141,7 +142,7 @@ class AlgebraTable:
         self.unit = tuple(unit) if unit is not None else None
         self.quad = quad
         self.name = name
-        self.certificates: set[str] = set()
+        self.certificates: dict[str, str] = {}
         self._unit_solved = unit is not None
         # metadata set by standard_twist so checkers can use the parent's
         # unit/trace; never serialized

@@ -1,36 +1,29 @@
 """Exact certification of algebra identities and structural properties.
 
-The central device is polarized basis checking. An identity that is quadratic
-in a variable a is split into a function G multilinear in two slots a1, a2
-with G(a,a,...) equal to the identity's left-minus-right value. Verifying
+Each catalog identity is written once, as a function g(x, *rest) that returns
+its left-minus-right value, and is certified by its values at basis points.
+When g is homogeneous of degree 2 in x and linear in the rest, then for each
+basis tuple of the rest
 
-    G(e_i, e_i, ...) = 0           and
-    G(e_i, e_k, ...) + G(e_k, e_i, ...) = 0   for i < k
+    g(x) = sum_i c_ii x_i^2 + sum_{i<k} c_ik x_i x_k,
 
-verifies exactly the coefficients of the identity as a polynomial, so the
-check is sound and complete for genuine polynomial identities in every
-characteristic. Evaluating the identity on all field points instead would be
-unsound in characteristic 2 (x^2 = x on GF(2)). Failed diagonals yield the
-direct counterexample a = e_i; failed off-diagonals (once diagonals pass)
-yield a = e_i + e_k. G is the identity's only transcription: its value at a
-is G(a, a, ...), exact because the split form q below has q(x, x) = n(x),
-and counterexample values and the pointwise oracle both read it there.
+so g(e_i) = c_ii and g(e_i + e_k) = c_ii + c_kk + c_ik. The points are
+visited e_0, ..., e_{n-1} first and then e_i + e_k for i < k, so the first
+nonzero value is exactly one coefficient, and the point where it appears is
+the counterexample. All values zero means every coefficient vanishes: the
+identity holds as a polynomial identity, in every characteristic. Evaluating
+on all field points instead would be unsound in characteristic 2 (x^2 = x on
+GF(2)). A multilinear g is read at every basis tuple.
 
-The composition law n(xy) = n(x)n(y) has degree 2 in x and degree 2 in y,
-so it is polarized in both variables at once. With q the split form
-(q(x,x) = n(x)),
-
-    G(x1,x2,y1,y2) = q(x1*y1, x2*y2) - q(x1,x2) q(y1,y2)
-
-is multilinear and G(x,x,y,y) = n(xy) - n(x)n(y). For i <= k and j <= l the
-sum of G(e_a,e_b,e_c,e_d) over the distinct orderings (a,b) of (i,k) and
-(c,d) of (j,l) is the coefficient of x_i x_k y_j y_l in that polynomial, so
-the (dim(dim+1)/2)^2 sums vanish exactly when the identity holds as a
-polynomial identity, in every characteristic. A nonzero coefficient yields a
-pointwise counterexample among x in {e_i, e_k, e_i+e_k} and y in
-{e_j, e_l, e_j+e_l}: restricted to those two planes the difference is a
-nonzero form of degree (2,2), and a nonzero binary quadratic form vanishes
-on at most two of these three projective points, even over GF(2).
+The composition law n(xy) = n(x)n(y) has degree 2 in x and degree 2 in y.
+Its coefficient at x_i x_k y_j y_l (i <= k, j <= l) is read off the table,
+with no element multiplied, and the index pairs are visited in the same
+order: (i, i) for every i, then (i, k) for i < k, x in the outer loop. With
+point(i, k) = e_i, or e_i + e_k for i < k, the value of n(xy) - n(x)n(y) at
+(point(i, k), point(j, l)) is the sum of the coefficients whose x pair lies
+in {(i, i), (k, k), (i, k)} and whose y pair lies in {(j, j), (l, l), (j, l)}.
+Every term but (i, k), (j, l) itself comes earlier, so the first nonzero
+coefficient is the value at that pair of points, the counterexample.
 """
 
 from __future__ import annotations
@@ -46,7 +39,6 @@ from .errors import (
     CostCapExceeded,
     DegenerateForm,
     InfiniteField,
-    InvariantViolation,
     MirrorLawFailed,
     MissingQuadraticForm,
     MissingUnit,
@@ -58,6 +50,7 @@ from .linalg import Subspace
 
 DEFAULT_SAMPLES = 200
 PAIR_CAP = 8192  # elements; an exhaustive composition scan visits their square in pairs
+DESCENDING = ("descending-flexible", "descending-alternative")
 
 
 @dataclass
@@ -81,47 +74,20 @@ def random_element(a: AlgebraTable, rng: random.Random) -> Element:
     return tuple(random_scalar(a.field, rng) for _ in range(a.dim))
 
 
-def _norm_split(quad: QuadraticForm) -> Callable:
-    """Bilinear Q with Q(x,x) = n(x) exactly (upper-triangular placement)."""
-
-    f = quad.field
-    zero = f.zero()
-
-    def q(x, y):
-        acc = zero
-        for i, d in enumerate(quad.diag):
-            if d and x[i] and y[i]:
-                acc = f.add(acc, f.mul(d, f.mul(x[i], y[i])))
-        for (i, j), c in quad.polar.items():
-            if x[i] and y[j]:
-                acc = f.add(acc, f.mul(c, f.mul(x[i], y[j])))
-        return acc
-
-    return q
-
-
 @dataclass
 class _Form:
-    """One polarized form G, the only transcription of its identity.
+    """One catalog identity as g(x, *rest), its left-minus-right value.
 
-    kind "quad": G(a1, a2, *extras) is linear in each slot and G(x, x, *extras)
-    is the identity's left-minus-right value; arity counts the extras.
-    kind "multi": G is multilinear in its arity arguments and is the value.
+    A quadratic form is homogeneous of degree 2 in x and linear in the rest;
+    every other form is multilinear. arity counts all arguments, x included;
     scalar marks forms whose value is a scalar rather than an element.
     """
 
     name: str
-    kind: str  # "quad" or "multi"
     g: Callable
-    arity: int = 0
+    arity: int
+    quadratic: bool = False
     scalar: bool = False
-
-
-def _form_value(form: _Form, args: Sequence):
-    """The identity's value at args: G on the diagonal for a quad form."""
-    if form.kind == "quad":
-        return form.g(args[0], args[0], *args[1:])
-    return form.g(*args)
 
 
 def _twist_context(a: AlgebraTable):
@@ -154,21 +120,21 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
     add, sub, scale = a.add, a.sub, a.scale
 
     if identity == "flexible":
-        def g(a1, a2, b):
-            return sub(mul(mul(a1, b), a2), mul(a1, mul(b, a2)))
+        def g(x, b):
+            return sub(mul(mul(x, b), x), mul(x, mul(b, x)))
 
-        return [_Form("flexible", "quad", g, arity=1)]
+        return [_Form("flexible", g, 2, quadratic=True)]
 
     if identity == "alternative":
-        def g1(a1, a2, b):
-            return sub(mul(mul(a1, a2), b), mul(a1, mul(a2, b)))
+        def g1(x, b):
+            return sub(mul(mul(x, x), b), mul(x, mul(x, b)))
 
-        def g2(a1, a2, b):
-            return sub(mul(mul(b, a1), a2), mul(b, mul(a1, a2)))
+        def g2(x, b):
+            return sub(mul(mul(b, x), x), mul(b, mul(x, x)))
 
         return [
-            _Form("left-alternative", "quad", g1, arity=1),
-            _Form("right-alternative", "quad", g2, arity=1),
+            _Form("left-alternative", g1, 2, quadratic=True),
+            _Form("right-alternative", g2, 2, quadratic=True),
         ]
 
     if identity == "quadratic":
@@ -176,48 +142,45 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
         e = a.unit_element()
         if e is None:
             raise MissingUnit("quadratic identity needs the unit")
-        q = _norm_split(quad)
 
-        def g(a1, a2):
-            v = sub(mul(a1, a2), scale(quad.polar_eval(a1, e), a2))
-            return add(v, scale(q(a1, a2), e))
+        def g(x):
+            v = sub(mul(x, x), scale(quad.polar_eval(x, e), x))
+            return add(v, scale(quad.eval(x), e))
 
-        return [_Form("quadratic", "quad", g)]
+        return [_Form("quadratic", g, 1, quadratic=True)]
 
     if identity == "regular-involution":
         quad = _require_quad(a)
         e = a.unit_element()
         if e is None:
             raise MissingUnit("regular involution needs the unit")
-        q = _norm_split(quad)
 
         def conj(x):
             return sub(scale(quad.polar_eval(x, e), e), x)
 
-        def g1(a1, a2):
-            return sub(mul(a1, conj(a2)), scale(q(a1, a2), e))
+        def g1(x):
+            return sub(mul(x, conj(x)), scale(quad.eval(x), e))
 
-        def g2(a1, a2):
-            return sub(mul(conj(a1), a2), scale(q(a1, a2), e))
+        def g2(x):
+            return sub(mul(conj(x), x), scale(quad.eval(x), e))
 
         return [
-            _Form("x-conj(x)", "quad", g1),
-            _Form("conj(x)-x", "quad", g2),
+            _Form("x-conj(x)", g1, 1, quadratic=True),
+            _Form("conj(x)-x", g2, 1, quadratic=True),
         ]
 
     if identity == "symmetric":
         quad = _require_quad(a)
-        q = _norm_split(quad)
 
-        def g1(a1, a2, y):
-            return sub(mul(mul(a1, y), a2), scale(q(a1, a2), y))
+        def g1(x, y):
+            return sub(mul(mul(x, y), x), scale(quad.eval(x), y))
 
-        def g2(a1, a2, y):
-            return sub(mul(a1, mul(y, a2)), scale(q(a1, a2), y))
+        def g2(x, y):
+            return sub(mul(x, mul(y, x)), scale(quad.eval(x), y))
 
         return [
-            _Form("(x*y)*x", "quad", g1, arity=1),
-            _Form("x*(y*x)", "quad", g2, arity=1),
+            _Form("(x*y)*x", g1, 2, quadratic=True),
+            _Form("x*(y*x)", g2, 2, quadratic=True),
         ]
 
     if identity == "form-associativity":
@@ -226,7 +189,7 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
         def g(x, y, z):
             return f.sub(quad.polar_eval(mul(x, y), z), quad.polar_eval(x, mul(y, z)))
 
-        return [_Form("form-associativity", "multi", g, arity=3, scalar=True)]
+        return [_Form("form-associativity", g, 3, scalar=True)]
 
     if identity == "two-product":
         quad = _require_quad(a)
@@ -257,7 +220,7 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
                 return sub(lhs, rhs)
         else:
             raise UnknownIdentity(f"unknown standard type {ttype!r}")
-        return [_Form(f"two-product-{ttype}", "multi", g, arity=2)]
+        return [_Form(f"two-product-{ttype}", g, 2)]
 
     if identity == "para-unit":
         quad = _require_quad(a)
@@ -275,8 +238,8 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
             return sub(mul(x, e), conj(x))
 
         return [
-            _Form("para-unit-left", "multi", g, arity=1),
-            _Form("para-unit-right", "multi", g2, arity=1),
+            _Form("para-unit-left", g, 1),
+            _Form("para-unit-right", g2, 1),
         ]
 
     if identity == "standard-products":
@@ -301,15 +264,13 @@ def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
     Type III is not written out: twist III of A is the opposite of twist II
     of A^op, a Hurwitz algebra with the same norm, unit and conjugation. So
     the III forms are the II forms evaluated with the reversed product, named
-    by the mirrored words. Mirroring swaps the two split slots, so the
-    mirrored G is another polarization of the same identity: its diagonal and
-    symmetrized sums, the only values the checks read, are unchanged.
+    by the mirrored words.
     """
     f = a.field
     quad = _require_quad(a)
     ttype, e = _twist_context(a)
     mul, add, sub, scale = a.multiply, a.add, a.sub, a.scale
-    q = _norm_split(quad)
+    n = quad.eval
 
     def t(x):
         return quad.polar_eval(x, e)
@@ -321,62 +282,55 @@ def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
         return sub(scale(t(x), e), x)
 
     def emit(named):
-        return [_Form(f"{ttype}:{name}", "quad", g, arity=1) for name, g in named]
+        return [_Form(f"{ttype}:{name}", g, 2, quadratic=True) for name, g in named]
 
     def type_ii(m):
         # (a*b)*a = t(a) b*a + n(a) b - t(b) a*a
-        def g1(a1, a2, b):
-            lhs = m(m(a1, b), a2)
-            rhs = add(scale(t(a1), m(b, a2)), scale(q(a1, a2), b))
-            rhs = sub(rhs, scale(t(b), m(a1, a2)))
-            return sub(lhs, rhs)
+        def g1(x, b):
+            rhs = add(scale(t(x), m(b, x)), scale(n(x), b))
+            rhs = sub(rhs, scale(t(b), m(x, x)))
+            return sub(m(m(x, b), x), rhs)
 
         # a*(b*a) = t(a) b*a - n(a,b) a + n(a) b
-        def g2(a1, a2, b):
-            lhs = m(a1, m(b, a2))
-            rhs = sub(scale(t(a1), m(b, a2)), scale(pol(a1, b), a2))
-            rhs = add(rhs, scale(q(a1, a2), b))
-            return sub(lhs, rhs)
+        def g2(x, b):
+            rhs = sub(scale(t(x), m(b, x)), scale(pol(x, b), x))
+            rhs = add(rhs, scale(n(x), b))
+            return sub(m(x, m(b, x)), rhs)
 
         # (b*a)*a = n(a,b) a - t(a) b*a - n(a) b + t(b) a*a
-        def g3(a1, a2, b):
-            lhs = m(m(b, a1), a2)
-            rhs = sub(scale(pol(a1, b), a2), scale(t(a1), m(b, a2)))
-            rhs = sub(rhs, scale(q(a1, a2), b))
-            rhs = add(rhs, scale(t(b), m(a1, a2)))
-            return sub(lhs, rhs)
+        def g3(x, b):
+            rhs = sub(scale(pol(x, b), x), scale(t(x), m(b, x)))
+            rhs = sub(rhs, scale(n(x), b))
+            rhs = add(rhs, scale(t(b), m(x, x)))
+            return sub(m(m(b, x), x), rhs)
 
         # a*(a*b) = t(a) a*b - n(a) b
-        def g4(a1, a2, b):
-            lhs = m(a1, m(a2, b))
-            rhs = sub(scale(t(a1), m(a2, b)), scale(q(a1, a2), b))
-            return sub(lhs, rhs)
+        def g4(x, b):
+            rhs = sub(scale(t(x), m(x, b)), scale(n(x), b))
+            return sub(m(x, m(x, b)), rhs)
 
         return [("(a*b)*a", g1), ("a*(b*a)", g2), ("(b*a)*a", g3), ("a*(a*b)", g4)]
 
     if ttype == "I":
         # (ab)a = (n(a, conj(b)) - t(a)t(b)) a + t(b) aa + n(a) b
-        def g1(a1, a2, b):
-            lhs = mul(mul(a1, b), a2)
-            c = f.sub(pol(a1, conj(b)), f.mul(t(a1), t(b)))
-            rhs = add(scale(c, a2), add(scale(t(b), mul(a1, a2)), scale(q(a1, a2), b)))
-            return sub(lhs, rhs)
+        def g1(x, b):
+            c = f.sub(pol(x, conj(b)), f.mul(t(x), t(b)))
+            rhs = add(scale(c, x), add(scale(t(b), mul(x, x)), scale(n(x), b)))
+            return sub(mul(mul(x, b), x), rhs)
 
         # a(ba) = (ab)a
-        def g2(a1, a2, b):
-            return sub(mul(a1, mul(b, a2)), mul(mul(a1, b), a2))
+        def g2(x, b):
+            return sub(mul(x, mul(b, x)), mul(mul(x, b), x))
 
         # (ba)a = t(a) ba - n(a) b
-        def g3(a1, a2, b):
-            lhs = mul(mul(b, a1), a2)
-            rhs = sub(scale(t(a1), mul(b, a2)), scale(q(a1, a2), b))
-            return sub(lhs, rhs)
+        def g3(x, b):
+            rhs = sub(scale(t(x), mul(b, x)), scale(n(x), b))
+            return sub(mul(mul(b, x), x), rhs)
 
         # a(ab) = t(a) ab - n(a) b
-        def g4(a1, a2, b):
-            lhs = mul(a1, mul(a2, b))
-            rhs = sub(scale(t(a1), mul(a2, b)), scale(q(a1, a2), b))
-            return sub(lhs, rhs)
+        def g4(x, b):
+            rhs = sub(scale(t(x), mul(x, b)), scale(n(x), b))
+            return sub(mul(x, mul(x, b)), rhs)
 
         return emit([("(ab)a", g1), ("a(ba)", g2), ("(ba)a", g3), ("a(ab)", g4)])
 
@@ -390,89 +344,74 @@ def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
 
     if ttype == "IV":
         # (a*b)*a = n(a) b = a*(b*a)   (the para-Hurwitz product is symmetric)
-        def g1(a1, a2, b):
-            return sub(mul(mul(a1, b), a2), scale(q(a1, a2), b))
+        def g1(x, b):
+            return sub(mul(mul(x, b), x), scale(n(x), b))
 
-        def g2(a1, a2, b):
-            return sub(mul(a1, mul(b, a2)), scale(q(a1, a2), b))
+        def g2(x, b):
+            return sub(mul(x, mul(b, x)), scale(n(x), b))
 
-        # (b*a)*a = t(a) a*b + (t(a)^2 - n(a)) b + (n(a,b) - t(a)t(b)) a - t(b) a*a
-        def g3(a1, a2, b):
-            lhs = mul(mul(b, a1), a2)
-            rhs = scale(t(a1), mul(a2, b))
-            c_b = f.sub(f.mul(t(a1), t(a2)), q(a1, a2))
-            rhs = add(rhs, scale(c_b, b))
-            c_a = f.sub(pol(a1, b), f.mul(t(a1), t(b)))
-            rhs = add(rhs, scale(c_a, a2))
-            rhs = sub(rhs, scale(t(b), mul(a1, a2)))
-            return sub(lhs, rhs)
+        def tail(x, b):
+            # (t(a)^2 - n(a)) b + (n(a,b) - t(a)t(b)) a - t(b) a*a
+            rhs = scale(f.sub(f.mul(t(x), t(x)), n(x)), b)
+            rhs = add(rhs, scale(f.sub(pol(x, b), f.mul(t(x), t(b))), x))
+            return sub(rhs, scale(t(b), mul(x, x)))
 
-        # a*(a*b) = t(a) b*a + (t(a)^2 - n(a)) b + (n(a,b) - t(a)t(b)) a - t(b) a*a
-        def g4(a1, a2, b):
-            lhs = mul(a1, mul(a2, b))
-            rhs = scale(t(a1), mul(b, a2))
-            c_b = f.sub(f.mul(t(a1), t(a2)), q(a1, a2))
-            rhs = add(rhs, scale(c_b, b))
-            c_a = f.sub(pol(a1, b), f.mul(t(a1), t(b)))
-            rhs = add(rhs, scale(c_a, a2))
-            rhs = sub(rhs, scale(t(b), mul(a1, a2)))
-            return sub(lhs, rhs)
+        # (b*a)*a = t(a) a*b + tail
+        def g3(x, b):
+            return sub(mul(mul(b, x), x), add(scale(t(x), mul(x, b)), tail(x, b)))
+
+        # a*(a*b) = t(a) b*a + tail
+        def g4(x, b):
+            return sub(mul(x, mul(x, b)), add(scale(t(x), mul(b, x)), tail(x, b)))
 
         return emit([("(a*b)*a", g1), ("a*(b*a)", g2), ("(b*a)*a", g3), ("a*(a*b)", g4)])
 
     raise UnknownIdentity(f"unknown standard type {ttype!r}")
 
 
+def _index_pairs(dim: int) -> list[tuple]:
+    """(i, i) for every i, then (i, k) for i < k: the point order."""
+    return [(i, i) for i in range(dim)] + list(itertools.combinations(range(dim), 2))
+
+
+def _point(a: AlgebraTable, i: int, k: int) -> Element:
+    """e_i for i == k, else e_i + e_k."""
+    e = a.basis_element(i)
+    return e if i == k else a.add(e, a.basis_element(k))
+
+
 def _scalar_or_vec_zero(a: AlgebraTable, v, scalar: bool) -> bool:
     return not v if scalar else a.is_zero(v)
 
 
-def _first_basis_failure(a: AlgebraTable, form: _Form, basis: list) -> Optional[tuple]:
-    """Arguments of the first failing basis check of one form, or None.
-
-    A failed diagonal yields (e_i, *extras); a failed symmetrized
-    off-diagonal, once the diagonals of those extras pass, (e_i + e_k, *extras).
-    """
-    if form.kind == "multi":
-        for args in itertools.product(basis, repeat=form.arity):
-            if not _scalar_or_vec_zero(a, form.g(*args), form.scalar):
-                return args
-        return None
-    plus = a.field.add if form.scalar else a.add
-    for extras in itertools.product(basis, repeat=form.arity):
-        for b in basis:
-            if not _scalar_or_vec_zero(a, form.g(b, b, *extras), form.scalar):
-                return (b,) + extras
-        for i in range(a.dim):
-            for k in range(i + 1, a.dim):
-                bi, bk = basis[i], basis[k]
-                tot = plus(form.g(bi, bk, *extras), form.g(bk, bi, *extras))
-                if not _scalar_or_vec_zero(a, tot, form.scalar):
-                    return (a.add(bi, bk),) + extras
-    return None
-
-
 def check_polarized_identity(a: AlgebraTable, identity: str) -> Verdict:
-    """Certify an identity from the catalog exactly on the basis.
+    """Certify an identity from the catalog exactly at basis points.
 
-    Multilinear forms are checked on all basis tuples; forms quadratic in one
-    variable get the polarized diagonal plus symmetrized off-diagonal checks
-    described in the module docstring.
+    For each basis tuple of the rest, a quadratic form is read at e_0, ...,
+    e_{n-1} and then at e_i + e_k for i < k (module docstring); a multilinear
+    form is read at every basis tuple. The first nonzero value is the
+    counterexample.
     """
     basis = [a.basis_element(i) for i in range(a.dim)]
+    points = [_point(a, i, k) for i, k in _index_pairs(a.dim)]
     for form in _identity_forms(a, identity):
-        args = _first_basis_failure(a, form, basis)
-        if args is not None:
-            return Verdict(
-                identity,
-                False,
-                "polarized-basis",
-                counterexample={
-                    "form": form.name,
-                    "args": args,
-                    "value": _form_value(form, args),
-                },
+        if form.quadratic:
+            trials = (
+                (x, *rest)
+                for rest in itertools.product(basis, repeat=form.arity - 1)
+                for x in points
             )
+        else:
+            trials = itertools.product(basis, repeat=form.arity)
+        for args in trials:
+            value = form.g(*args)
+            if not _scalar_or_vec_zero(a, value, form.scalar):
+                return Verdict(
+                    identity,
+                    False,
+                    "polarized-basis",
+                    counterexample={"form": form.name, "args": args, "value": value},
+                )
     return Verdict(identity, True, "polarized-basis")
 
 
@@ -484,28 +423,29 @@ def _elements_in_order(a: AlgebraTable) -> list[Element]:
 
 
 def _composition_polarized(a: AlgebraTable):
-    """First nonzero coefficient of n(xy) - n(x)n(y), or None.
+    """First nonzero coefficient of n(xy) - n(x)n(y) in point order, or None.
 
-    Returns (i, k, j, l, coefficient) for the first failing index tuple in
-    lexicographic order. The coefficient is
-    sum q(e_a e_c, e_b e_d) - n_ik n_jl over the orderings (a,b) of (i,k)
-    and (c,d) of (j,l), with n_ik the coefficient of x_i x_k in n(x). Each q
-    value is read from the table entries and the split form's basis values
-    once; no element is multiplied.
+    Returns (i, k, j, l, coefficient) for the coefficient of x_i x_k y_j y_l,
+    the index pairs visited in point order with x outer (module docstring),
+    so the coefficient is the value at (point(i, k), point(j, l)). With n(u)
+    = u^T B u for the upper-triangular B of the form, the coefficient is
+    sum (e_a e_c)^T B (e_b e_d) - n_ik n_jl over the orderings (a, b) of
+    (i, k) and (c, d) of (j, l), n_ik the coefficient of x_i x_k in n(x).
+    Each term is read from the table entries and B; no element is multiplied.
     """
     f = a.field
     zero = f.zero()
     add, mul = f.add, f.mul
     quad = a.quad
     dim = a.dim
-    # split form as sparse rows: q(u, v) = sum_r sum_s u_r split[r][s] v_s
+    # B as sparse rows: u^T B v = sum_r sum_s u_r split[r][s] v_s
     split = [{} for _ in range(dim)]
     for i, d in enumerate(quad.diag):
         if d:
             split[i][i] = d
     for (i, j), c in quad.polar.items():
         split[i][j] = c
-    # nonzero coordinates of e_a e_c, and of e_a e_c pushed through the form
+    # nonzero coordinates of e_a e_c, and of e_a e_c pushed through B
     coords = [[[(s, v) for s, v in enumerate(a.table[r][c]) if v]
                for c in range(dim)] for r in range(dim)]
     pushed = []
@@ -519,8 +459,7 @@ def _composition_polarized(a: AlgebraTable):
             row.append({s: v for s, v in w.items() if v})
         pushed.append(row)
     orders = {
-        (i, k): ((i, k),) if i == k else ((i, k), (k, i))
-        for i in range(dim) for k in range(i, dim)
+        (i, k): ((i, k),) if i == k else ((i, k), (k, i)) for i, k in _index_pairs(dim)
     }
     for (i, k), xo in orders.items():
         n_ik = split[i].get(k)
@@ -544,29 +483,6 @@ def _composition_polarized(a: AlgebraTable):
 def _composition_value(a: AlgebraTable, x: Element, y: Element):
     f = a.field
     return f.sub(a.quad_eval(a.multiply(x, y)), f.mul(a.quad_eval(x), a.quad_eval(y)))
-
-
-def _plane_points(a: AlgebraTable, i: int, k: int) -> list[Element]:
-    """e_i, e_k and e_i + e_k: three distinct projective points of a plane."""
-    if i == k:
-        return [a.basis_element(i)]
-    return [a.basis_element(i), a.basis_element(k), a.add(a.basis_element(i), a.basis_element(k))]
-
-
-def _polarized_counterexample(a: AlgebraTable, i, k, j, l, coeff) -> dict:
-    for x in _plane_points(a, i, k):
-        for y in _plane_points(a, j, l):
-            value = _composition_value(a, x, y)
-            if value:
-                return {
-                    "args": (x, y),
-                    "value": value,
-                    "indices": (i, k, j, l),
-                    "coefficient": coeff,
-                }
-    raise InvariantViolation(
-        f"coefficient ({i},{k},{j},{l}) is nonzero but no plane point fails"
-    )
 
 
 def _element_count(a: AlgebraTable, strategy: str, what: str) -> Optional[int]:
@@ -594,21 +510,26 @@ def check_composition(
     field (restriction of scalars), and "auto" does so when the element count
     permits; otherwise "auto" and "sampled" evaluate random pairs, which is
     evidence rather than a certificate. The certificate string says which one
-    was obtained. "polarized" certifies the law as a polynomial identity;
-    since the law has degree 2 in each variable, its nine-point
-    counterexample argument makes that equivalent to the pointwise law even
-    over GF(2), so "polarized" and "exhaustive" agree.
+    was obtained. "polarized" certifies the law as a polynomial identity, and
+    its first nonzero coefficient is the value at a pair of basis points, so
+    "polarized" and "exhaustive" agree, even over GF(2).
     """
     _require_quad(a)
     if strategy == "polarized":
         bad = _composition_polarized(a)
         if bad is None:
             return Verdict("composition", True, "polarized-basis")
+        i, k, j, l, coeff = bad
         return Verdict(
             "composition",
             False,
             "polarized-basis",
-            counterexample=_polarized_counterexample(a, *bad),
+            counterexample={
+                "args": (_point(a, i, k), _point(a, j, l)),
+                "value": coeff,
+                "indices": (i, k, j, l),
+                "coefficient": coeff,
+            },
         )
     n_elems = _element_count(a, strategy, "composition")
     can_exhaust = n_elems is not None and n_elems <= PAIR_CAP
@@ -760,10 +681,11 @@ def check_descending(
 ) -> Verdict:
     """Check descending flexibility or alternativity.
 
-    Positive certificates come from cached construction-time closed-form
-    verification, from the symmetric law (flexible only), or from exhaustive
-    enumeration under the cost cap. Everything else is refutation-oriented
-    sampling whose positive outcome proves nothing.
+    Positive certificates come from the cache (the certificate is the route
+    that earned it: "closed-forms", "symmetric-law" or "exhaustive"), from the
+    symmetric law (flexible only), or from exhaustive enumeration under the
+    cost cap; the last two are cached with their route. Everything else is
+    refutation-oriented sampling whose positive outcome proves nothing.
     """
     if kind not in ("flexible", "alternative"):
         raise UnknownIdentity(f"descending kind must be flexible/alternative, not {kind!r}")
@@ -780,11 +702,11 @@ def check_descending(
 
     if strategy != "exhaustive":
         if ident in a.certificates:
-            return Verdict(ident, True, "cached-closed-forms")
+            return Verdict(ident, True, a.certificates[ident])
         if kind == "flexible":
             sym = check_polarized_identity(a, "symmetric") if a.quad is not None else None
             if sym is not None and sym.holds:
-                a.certificates.add(ident)
+                a.certificates[ident] = "symmetric-law"
                 return Verdict(ident, True, "symmetric-law")
 
     pairs_ok = n_elems is not None and n_elems * n_elems <= cap
@@ -808,7 +730,7 @@ def check_descending(
                         bad = _triple_violation(a, kind, x, y, z)
                         if bad:
                             return Verdict(ident, False, "exhaustive", counterexample=bad)
-            a.certificates.add(ident)
+            a.certificates[ident] = "exhaustive"
             return Verdict(ident, True, "exhaustive")
 
     rng = random.Random(seed)
@@ -836,13 +758,12 @@ def check_identity_direct(
 
     The oracle for the polarized certificates (exhaustive over small finite
     fields) and the refutation-only sampled fallback; it proves nothing over
-    infinite fields. It shares each identity's one transcription, the form G,
-    and evaluates it on the diagonal (_form_value); what stays independent of
-    check_polarized_identity is the algorithm: every element tuple against
-    the basis coefficient argument.
+    infinite fields. It shares each identity's one transcription, the form's
+    g; what stays independent of check_polarized_identity is the algorithm:
+    every element tuple against the basis-point argument.
     """
     forms = _identity_forms(a, identity)
-    arities = [f.arity + (1 if f.kind == "quad" else 0) for f in forms]
+    arities = [f.arity for f in forms]
     if strategy == "exhaustive":
         card = a.field.cardinality()
         if card is None:
@@ -870,7 +791,7 @@ def check_identity_direct(
     else:
         raise UnknownIdentity(f"unknown strategy {strategy!r}")
     for form, args in trials:
-        v = _form_value(form, args)
+        v = form.g(*args)
         if not _scalar_or_vec_zero(a, v, form.scalar):
             return Verdict(
                 identity,
@@ -886,29 +807,31 @@ def acquire_descending_certificates(a: AlgebraTable, cap: int = 10**7) -> set:
 
     Routes, cheapest first: the already-cached certificates, the standard
     closed forms (both kinds at once), the symmetric law (flexible), and
-    exhaustive enumeration under the cost cap. Sampling never appears here
-    because a sampled pass certifies nothing.
+    exhaustive enumeration under the cost cap; each is cached with its route.
+    Sampling never appears here because a sampled pass certifies nothing.
+    Returns the names certified.
     """
-    want = {"descending-flexible", "descending-alternative"}
-    if not want <= a.certificates and a.quad is not None:
+    want = set(DESCENDING)
+    if not want <= a.certificates.keys() and a.quad is not None:
         try:
             v = check_polarized_identity(a, "standard-products")
         except (MissingUnit, MissingQuadraticForm):
             v = None
         if v is not None and v.holds:
-            a.certificates |= want
+            for ident in DESCENDING:
+                a.certificates.setdefault(ident, "closed-forms")
     for kind in ("flexible", "alternative"):
         ident = f"descending-{kind}"
         if ident in a.certificates:
             continue
         if kind == "flexible" and a.quad is not None:
             if check_polarized_identity(a, "symmetric").holds:
-                a.certificates.add(ident)
+                a.certificates[ident] = "symmetric-law"
                 continue
         card = a.field.cardinality()
         if card is not None and card ** (3 * a.dim) <= cap:
             check_descending(a, kind, strategy="exhaustive", cap=cap)
-    return want & a.certificates
+    return want & a.certificates.keys()
 
 
 # --- element searches -------------------------------------------------------

@@ -204,7 +204,7 @@ def _cmd_construct(args) -> int:
             "field": f.spec.format(),
             "dim": a.dim,
             "unital": a.is_unital(),
-            "certificates": sorted(a.certificates),
+            "certificates": a.certificates,
             "out": args.out,
         }
     )
@@ -274,6 +274,7 @@ def _cmd_length_set(args) -> int:
     )
     doc = rep.as_dict()
     doc["set"] = [[a.field.format(c) for c in v] for v in vectors]
+    doc["certificates"] = a.certificates
     _emit(doc)
     return 0
 
@@ -282,7 +283,7 @@ def _cmd_length_algebra(args) -> int:
     a = load_algebra(args.algebra)
     acquire_descending_certificates(a)
     res = length_of_algebra(a, mode=args.mode, seed=args.seed, budget=args.budget)
-    _emit(res.as_dict())
+    _emit({**res.as_dict(), "certificates": a.certificates})
     return 0
 
 

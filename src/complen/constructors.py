@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import AlgebraTable, Element, QuadraticForm
-from .checkers import Verdict, check_composition, check_polarized_identity, recover_norm
+from .checkers import (
+    DESCENDING,
+    Verdict,
+    check_composition,
+    check_polarized_identity,
+    recover_norm,
+)
 from .errors import (
     CharacteristicForbidden,
     DegenerateParameter,
@@ -56,8 +62,7 @@ def _certify_hurwitz(a: AlgebraTable) -> None:
         _must_hold(check_polarized_identity(a, ident), a.name)
     _must_hold(check_polarized_identity(a, "standard-products"), a.name)
     _must_hold(check_polarized_identity(a, "two-product"), a.name)
-    a.certificates.add("descending-flexible")
-    a.certificates.add("descending-alternative")
+    a.certificates.update(dict.fromkeys(DESCENDING, "closed-forms"))
 
 
 def make_base_algebra(field: Field) -> AlgebraTable:
@@ -244,8 +249,7 @@ def standard_twist(a: AlgebraTable, t: str) -> AlgebraTable:
     _must_hold(check_polarized_identity(out, "two-product"), out.name)
     if t == "IV":
         _must_hold(check_polarized_identity(out, "para-unit"), out.name)
-    out.certificates.add("descending-flexible")
-    out.certificates.add("descending-alternative")
+    out.certificates.update(dict.fromkeys(DESCENDING, "closed-forms"))
     return out
 
 
@@ -338,7 +342,7 @@ def _finish_symmetric(a: AlgebraTable) -> AlgebraTable:
     _must_hold(check_polarized_identity(a, "form-associativity"), a.name)
     if not a.quad.is_strictly_nondegenerate():
         raise SelfCheckFailed(f"{a.name}: norm is degenerate")
-    a.certificates.add("descending-flexible")
+    a.certificates["descending-flexible"] = "symmetric-law"
     return a
 
 

@@ -52,7 +52,7 @@ class ZeroParameter(ComplenError):
     pass
 
 
-# alias, both names are in use
+# the name the constructors raise; a JSON error prints the class name, ZeroParameter
 ParameterZero = ZeroParameter
 
 

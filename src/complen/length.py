@@ -41,7 +41,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import AlgebraTable, Element
-from .checkers import descending_kinds, validate_report
+from .checkers import DESCENDING, descending_kinds, validate_report
 from .errors import CostCapExceeded, InfiniteField, ModeUnjustified, ParseError
 from .fields import Field
 from .linalg import Subspace, gaussian_binomial
@@ -112,7 +112,7 @@ def _trim(d: Sequence[int]) -> tuple:
 
 
 def has_descending_certificate(a: AlgebraTable) -> bool:
-    return bool({"descending-flexible", "descending-alternative"} & a.certificates)
+    return any(name in a.certificates for name in DESCENDING)
 
 
 def _lin0(a: AlgebraTable) -> Subspace:

@@ -110,7 +110,7 @@ class Subspace:
         return self._rref
 
     def key(self):
-        """Deterministic total-order key (used for witness tie-breaking)."""
+        """Deterministic total-order key: (dim, pivots, canonical rows)."""
         f = self.field
         return (self.dim, self.pivots, tuple(tuple(f.sort_key(x) for x in row) for row in self.rows))
 

@@ -166,5 +166,5 @@ def test_certificates_not_part_of_value():
     assert "descending-flexible" in a.certificates or "flexible" in a.certificates
     # mutating the cache must not affect the structure table
     before = a.table
-    a.certificates.add("scratch")
+    a.certificates["scratch"] = "exhaustive"
     assert a.table is before

@@ -1,17 +1,15 @@
 """Identity certification, descending checks, floors, and report validation."""
 
+import itertools
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from complen.algebra import AlgebraTable, QuadraticForm
 from complen.checkers import (
-    _form_value,
     _identity_forms,
-    _norm_split,
     acquire_descending_certificates,
     alternative_floor,
     certify_bounds,
@@ -74,22 +72,85 @@ def test_polarized_agrees_on_failure():
     assert {"form", "args", "value"} <= set(p.counterexample)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_split_form_on_the_diagonal_is_the_norm(data):
-    # the fact that lets a quad form's value be read off its G on the diagonal
-    f = data.draw(st.sampled_from((F2, F3, GF4, Q)), label="field")
-    if f is Q:
-        scalars = st.fractions(min_value=-9, max_value=9, max_denominator=5)
-    else:
-        scalars = st.sampled_from(list(f.enumerate()))
-    dim = data.draw(st.integers(1, 4), label="dim")
-    diag = data.draw(st.lists(scalars, min_size=dim, max_size=dim), label="diag")
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    polar = dict(zip(pairs, data.draw(st.lists(scalars, min_size=len(pairs), max_size=len(pairs)))))
-    quad = QuadraticForm(f, dim, diag, polar)
-    x = tuple(data.draw(st.lists(scalars, min_size=dim, max_size=dim), label="x"))
-    assert _norm_split(quad)(x, x) == quad.eval(x)
+# identities that need a unit ride along on unital tables; the direct oracle
+# visits card^(dim*arity) tuples per form, so forms above the budget are left
+# to the smaller cases (form-associativity over GF(4) at dim 3)
+POINT_IDENTITIES = ("flexible", "alternative", "symmetric", "form-associativity")
+UNITAL_IDENTITIES = ("quadratic", "regular-involution")
+DIRECT_BUDGET = 20_000
+
+
+def _random_table(field, dim: int, unital: bool, seed: int) -> AlgebraTable:
+    """A seeded sparse random table and norm; e_0 is the unit when unital."""
+    rng = random.Random(seed)
+    nonzero = list(field.enumerate())[1:]
+
+    def scalar():
+        return rng.choice(nonzero) if rng.random() < 0.3 else field.zero()
+
+    basis = [tuple(field.one() if k == j else field.zero() for k in range(dim))
+             for j in range(dim)]
+    table = [[tuple(scalar() for _ in range(dim)) for _ in range(dim)] for _ in range(dim)]
+    if unital:
+        for j in range(dim):
+            table[0][j] = table[j][0] = basis[j]
+    quad = QuadraticForm(
+        field, dim, [scalar() for _ in range(dim)],
+        {(i, k): scalar() for i, k in itertools.combinations(range(dim), 2)},
+    )
+    return AlgebraTable(field, dim, tuple(f"e{i}" for i in range(dim)), table,
+                        unit=basis[0] if unital else None, quad=quad)
+
+
+def _point_order(a: AlgebraTable, form) -> list:
+    """A form's argument tuples in the documented visiting order.
+
+    Quadratic: each basis tuple of the rest, then x at e_0..e_{n-1} and at
+    e_i + e_k for i < k. Multilinear: every basis tuple.
+    """
+    basis = [a.basis_element(i) for i in range(a.dim)]
+    if not form.quadratic:
+        return list(itertools.product(basis, repeat=form.arity))
+    sums = [a.add(basis[i], basis[k]) for i, k in itertools.combinations(range(a.dim), 2)]
+    return [(x, *rest) for rest in itertools.product(basis, repeat=form.arity - 1)
+            for x in basis + sums]
+
+
+def _nonzero(form, value) -> bool:
+    return bool(value) if form.scalar else any(value)
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("field", (F2, F3, GF4), ids=("F2", "F3", "GF4"))
+def test_point_argument_matches_direct_evaluation(field, dim):
+    at_sum = held = 0
+    for seed, unital in itertools.product(range(12), (False, True)):
+        a = _random_table(field, dim, unital, seed)
+        for name in POINT_IDENTITIES + (UNITAL_IDENTITIES if unital else ()):
+            forms = _identity_forms(a, name)
+            if max(field.cardinality() ** (dim * f.arity) for f in forms) > DIRECT_BUDGET:
+                continue
+            p = check_polarized_identity(a, name)
+            d = check_identity_direct(a, name, strategy="exhaustive")
+            assert p.holds == d.holds, (seed, unital, name)
+            held += p.holds
+            for v in (p, d):
+                if not v.holds:
+                    form = next(f for f in forms if f.name == v.counterexample["form"])
+                    value = form.g(*v.counterexample["args"])
+                    assert _nonzero(form, value) and value == v.counterexample["value"]
+            if p.holds:
+                continue
+            # the counterexample is the first nonzero value in the documented order
+            form = next(f for f in forms if f.name == p.counterexample["form"])
+            for earlier in forms[: forms.index(form)]:
+                assert not any(_nonzero(earlier, earlier.g(*t)) for t in _point_order(a, earlier))
+            order = _point_order(a, form)
+            first = order.index(p.counterexample["args"])
+            assert not any(_nonzero(form, form.g(*t)) for t in order[:first])
+            at_sum += sum(1 for c in p.counterexample["args"][0] if c) > 1
+    # both verdicts occur, and some identities fail only at an e_i + e_k point
+    assert held and at_sum
 
 
 def _twist_cases():
@@ -128,7 +189,7 @@ def _with_diag_raised(a: AlgebraTable, i: int) -> AlgebraTable:
 
 def _reevaluated(a: AlgebraTable, identity: str, cx: dict):
     form = next(f for f in _identity_forms(a, identity) if f.name == cx["form"])
-    return _form_value(form, cx["args"])
+    return form.g(*cx["args"])
 
 
 @pytest.mark.parametrize("field", (F2, F3, Q), ids=("F2", "F3", "Q"))
@@ -300,9 +361,10 @@ def test_descending_candidate_refutation():
 
 
 def test_descending_cached_route():
+    # the constructor earned the certificate by the symmetric law
     a = make_okubo_isotropic(F2, F2.one(), F2.one())
     v = check_descending(a, "flexible")
-    assert v.holds and v.certificate == "cached-closed-forms"
+    assert v.holds and v.certificate == "symmetric-law"
 
 
 def test_descending_symmetric_law_route():
@@ -310,7 +372,7 @@ def test_descending_symmetric_law_route():
     a.certificates.clear()
     v = check_descending(a, "flexible")
     assert v.holds and v.certificate == "symmetric-law"
-    assert "descending-flexible" in a.certificates
+    assert a.certificates == {"descending-flexible": "symmetric-law"}
 
 
 def test_descending_exhaustive_route_caches():
@@ -318,7 +380,39 @@ def test_descending_exhaustive_route_caches():
     a.certificates.clear()
     v = check_descending(a, "flexible", strategy="exhaustive")
     assert v.holds and v.certificate == "exhaustive"
-    assert "descending-flexible" in a.certificates
+    assert a.certificates == {"descending-flexible": "exhaustive"}
+    # the cached lookup reports the route that earned it
+    assert check_descending(a, "flexible").certificate == "exhaustive"
+
+
+def test_descending_closed_forms_route():
+    a = make_hurwitz_tower(F3, None, (F3.one(),))
+    assert a.certificates == dict.fromkeys(
+        ("descending-flexible", "descending-alternative"), "closed-forms")
+    for kind in ("flexible", "alternative"):
+        v = check_descending(a, kind)
+        assert v.holds and v.certificate == "closed-forms"
+
+
+def _routes_acquired(a: AlgebraTable) -> dict:
+    a.certificates.clear()
+    got = acquire_descending_certificates(a)
+    assert got == set(a.certificates)
+    for name, route in a.certificates.items():
+        assert check_descending(a, name.split("-", 1)[1]).certificate == route
+    return a.certificates
+
+
+def test_acquired_certificates_record_their_route():
+    both = ("descending-flexible", "descending-alternative")
+    twist = standard_twist(make_hurwitz_tower(F3, None, (F3.one(),)), "II")
+    assert _routes_acquired(twist) == dict.fromkeys(both, "closed-forms")
+    okubo = make_okubo_isotropic(F5, F5.from_int(2), F5.from_int(3))
+    assert _routes_acquired(okubo) == {"descending-flexible": "symmetric-law"}
+    # no norm: only enumeration can earn them
+    k = make_quadratic_etale(F2, F2.one())
+    bare = AlgebraTable(F2, k.dim, k.labels, k.table)
+    assert _routes_acquired(bare) == dict.fromkeys(both, "exhaustive")
 
 
 def test_descending_exhaustive_needs_finite_budget():
@@ -353,7 +447,7 @@ def test_acquire_certificates_on_unital_table():
     a.certificates.clear()
     got = acquire_descending_certificates(a)
     assert got == {"descending-flexible", "descending-alternative"}
-    assert got <= a.certificates
+    assert got <= a.certificates.keys()
 
 
 def test_acquire_certificates_on_twist():

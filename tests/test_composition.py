@@ -129,6 +129,25 @@ def test_polarized_proves_over_rationals(build):
         _check_counterexample(b, v)
 
 
+def _point(a: AlgebraTable, i: int, k: int):
+    return a.basis_element(i) if i == k else a.add(a.basis_element(i), a.basis_element(k))
+
+
+@pytest.mark.parametrize("build", [b for _, b in FINITE + QFAMS],
+                         ids=[n for n, _ in FINITE + QFAMS])
+def test_polarized_counterexample_is_the_coefficient(build):
+    # the first nonzero coefficient in point order is the value at its points
+    for b in _perturbed(build()):
+        v = check_composition(b, strategy="polarized")
+        assert not v.holds
+        cx = v.counterexample
+        i, k, j, l = cx["indices"]
+        assert i <= k and j <= l
+        assert cx["args"] == (_point(b, i, k), _point(b, j, l))
+        assert cx["value"] == cx["coefficient"]
+        _check_counterexample(b, v)
+
+
 def test_polarized_rejects_the_dim16_double():
     a = cayley_dickson_double(_tower(Q, 8), Q.from_int(2))
     assert a.dim == 16

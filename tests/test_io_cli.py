@@ -208,6 +208,29 @@ def test_cli_twist_requires_flag_consistency(tmp_path, capsys):
     assert json.loads(out)["unital"] is False
 
 
+def test_cli_prints_certificate_routes(tmp_path, capsys):
+    path = str(tmp_path / "iso.json")
+    code, out, _ = _run(capsys, "construct", "--family", "okubo-isotropic", "--field", "F3",
+                        "--params", "1,2", "--out", path)
+    assert code == 0
+    routes = {"descending-flexible": "symmetric-law"}
+    assert json.loads(out)["certificates"] == routes
+    # a loaded file carries none until a command acquires them
+    code, out, _ = _run(capsys, "length-set", "--algebra", path, "--set", "1,0,0,0,0,0,0,0")
+    assert code == 0 and json.loads(out)["certificates"] == {}
+    code, out, _ = _run(capsys, "length-set", "--algebra", path, "--set", "1,0,0,0,0,0,0,0",
+                        "--mode", "descending")
+    assert code == 0 and json.loads(out)["certificates"] == routes
+    code, out, _ = _run(capsys, "length-algebra", "--algebra", path,
+                        "--mode", "random", "--budget", "3")
+    assert code == 0 and json.loads(out)["certificates"] == routes
+    code, out, _ = _run(capsys, "construct", "--family", "hurwitz", "--field", "F2",
+                        "--params", "1", "--out", str(tmp_path / "k.json"))
+    assert json.loads(out)["certificates"] == {
+        "descending-alternative": "closed-forms", "descending-flexible": "closed-forms",
+    }
+
+
 def test_cli_length_set_general(tmp_path, capsys):
     path = str(tmp_path / "iso.json")
     _run(capsys, "construct", "--family", "okubo-isotropic", "--field", "F5",
