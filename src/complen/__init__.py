@@ -3,7 +3,7 @@
 The package builds multiplication tables for Hurwitz algebras and their
 standard twists, the two eight-dimensional symmetric (Okubo) tables, the
 pseudo-octonion matrix model, and a two-dimensional symmetric family; checks
-their defining identities by polarization or enumeration; recovers norms from
+their defining identities at basis points or by enumeration; recovers norms from
 products; and computes length functions of generating sets exactly over Q and
 finite fields.
 """

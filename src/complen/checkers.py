@@ -562,8 +562,8 @@ def recover_norm(a: AlgebraTable) -> QuadraticForm:
 
     For such a product, y -> (b_i * y) * b_i is n(b_i) times the identity and
     y -> (b_i * y) * b_j + (b_j * y) * b_i is n(b_i, b_j) times the identity.
-    The candidate form must then pass the polarized mirror law and be strictly
-    nondegenerate.
+    The candidate form must then pass the symmetric law at basis points and be
+    strictly nondegenerate.
     """
     f = a.field
     basis = [a.basis_element(i) for i in range(a.dim)]

@@ -7,8 +7,8 @@ algebra with the twisted product, and the two-dimensional anisotropic family.
 
 Every constructor runs exact checks before returning and raises
 SelfCheckFailed on any violation, so a transcription or convention error
-cannot produce a usable object. The unital tower proves n(xy) = n(x)n(y) by
-the polarized basis check, over the rationals as over finite fields.
+cannot produce a usable object. The unital tower proves n(xy) = n(x)n(y) from
+its coefficients on the basis, over the rationals as over finite fields.
 Constructors also cache the descending certificates their closed-form
 identities justify; the length engine's early stopping relies on those.
 """
@@ -135,7 +135,7 @@ def cayley_dickson_double(a: AlgebraTable, alpha: Scalar) -> AlgebraTable:
 
     t = alpha is the doubling parameter; the new basis is ordered so that
     e_{i+dim} = e_i * l with l = (0, e). Norm n(a,b) = n(a) - alpha*n(b).
-    Composition is proved by polarization up to dimension 8; the
+    Composition is proved from the basis up to dimension 8; the
     dimension-16 double is built without that check because it genuinely
     stops being a composition algebra there.
     """
@@ -219,8 +219,8 @@ def standard_twist(a: AlgebraTable, t: str) -> AlgebraTable:
     """Twist a unital composition algebra: I a*b=ab, II conj(a)b, III a conj(b),
     IV conj(a)conj(b). The norm is carried over unchanged.
 
-    The four closed product forms for the chosen type are verified by
-    polarization; their a*a coefficients depend only on b, which grants both
+    The four closed product forms for the chosen type are verified at basis
+    points; their a*a coefficients depend only on b, which grants both
     descending certificates. Types II-IV of dimension >= 2 are verified
     non-unital.
     """
