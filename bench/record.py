@@ -1,19 +1,32 @@
 """Record one BENCH_<n>.json: perfbench workloads, verify-paper per case, src size.
 
-    python3 bench/record.py --n 6                       # this checkout
-    python3 bench/record.py --n 5 --root ../parent      # another checkout
-    python3 bench/record.py --n 6 --tier1               # also time tier-1
+    python3 bench/record.py --n 11                          # HEAD
+    python3 bench/record.py --n 11 --commit <rev>           # another commit
+    python3 bench/record.py --n 11 --base <rev> --seeds 10  # <rev> against HEAD
+    python3 bench/record.py --n 11 --tier1                  # also time tier-1
 
-For each workload that the measured checkout's `BENCHMARK.json` declares, and
-for seeds 1, 2 and 3, it runs that checkout's `perfbench/run.py` for the
-declared `run_seconds` in a subprocess and keeps its `metric` lines, `wrong`
-lines and result object; the summary holds each metric's median, minimum and
-maximum over the seeds. Then it times
+It measures a commit, never the working tree: `git archive` exports the
+commit into a fresh temporary directory, every command runs there, and the
+file records the full commit id. With `--base`, the base commit is exported
+as well and the two are measured in alternating pairs with the same seeds,
+the base first for odd seeds and the head first for even ones.
+
+For each workload that the measured commit's `BENCHMARK.json` declares, and
+for seeds 1 to `--seeds` (3 by default), it runs that commit's
+`perfbench/run.py` for the declared `run_seconds` in a subprocess and keeps
+its `metric` lines, `wrong` lines and result object; the summary holds each
+metric's median, minimum and maximum over the seeds. Then it times
 `complen verify-paper --jobs 1 --format json` once and keeps every row (status,
 expected, measured) apart from its seconds, so two BENCH files show whether
 the rows moved, and the seconds per case. With `--tier1` it times the tier-1
-pytest run. It counts the lines of every module in `src/complen/`. The file is
-written next to this script's checkout root. Standard library only.
+pytest run. It counts the lines of every module in `src/complen/`.
+
+The head's results sit at the top level of the file, as in a file without a
+base. With `--base`, `base` holds the same keys for the base commit, and
+`pairs` gives, for each workload and each end-to-end metric of
+`BENCHMARK.json`, both sides' medians and quartiles and the number of pairs
+the head won (ties count for neither side). The file is written next to
+this script's checkout root. Standard library only.
 """
 
 from __future__ import annotations
@@ -26,11 +39,11 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
-SEEDS = (1, 2, 3)
 
 
 def _env(root: Path) -> dict:
@@ -39,13 +52,23 @@ def _env(root: Path) -> dict:
     return env
 
 
-def _commit(root: Path) -> str:
-    try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
-                             cwd=root, capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+def resolve(rev: str) -> str:
+    """The full commit id of rev in this script's repository."""
+    out = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                         cwd=HERE, capture_output=True, text=True)
+    if out.returncode != 0:
+        raise SystemExit(f"record: {rev!r} is not a commit: {out.stderr.strip()}")
     return out.stdout.strip()
+
+
+def export(commit: str, dest: Path) -> Path:
+    """Extract the committed files of commit into dest with git archive."""
+    archive = subprocess.run(["git", "archive", "--format=tar", commit],
+                             cwd=HERE, capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    if not all((dest / p).exists() for p in ("BENCHMARK.json", "perfbench/run.py", "src/complen")):
+        raise SystemExit(f"record: commit {commit} is not a complen tree with perfbench/")
+    return dest
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -89,6 +112,36 @@ def summarize(runs: list) -> dict:
     return {"correct": all(r.get("result", {}).get("correct") for r in runs), "metrics": out}
 
 
+def _quartiles(values: list) -> list:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
+def compare(base_runs: list, head_runs: list, metrics: list) -> dict:
+    """Per end-to-end metric: medians, quartiles and pairs won by the head."""
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        pairs = [
+            (b["metrics"][name]["value"], h["metrics"][name]["value"])
+            for b, h in zip(base_runs, head_runs)
+            if name in b.get("metrics", {}) and name in h.get("metrics", {})
+        ]
+        if not pairs:
+            continue
+        base, head = [b for b, _ in pairs], [h for _, h in pairs]
+        out[name] = {
+            "pairs": len(pairs),
+            "head_wins": sum(h < b if lower else h > b for b, h in pairs),
+            "base_wins": sum(b < h if lower else b > h for b, h in pairs),
+            "base_median": statistics.median(base),
+            "head_median": statistics.median(head),
+            "base_quartiles": _quartiles(base),
+            "head_quartiles": _quartiles(head),
+            "bound": m.get("bound"),
+        }
+    return out
+
+
 def verify_paper(root: Path) -> dict:
     cmd = [sys.executable, "-m", "complen", "verify-paper", "--jobs", "1", "--format", "json"]
     t = time.perf_counter()
@@ -122,42 +175,74 @@ def src_lines(root: Path) -> dict:
     return {"total": sum(per.values()), "modules": per}
 
 
+def measure(sides: dict, seeds: list, with_tier1: bool) -> dict:
+    """Results per side ("head", and "base" when given) of one recording.
+
+    sides maps a side to (commit, exported root). Each perfbench seed runs on
+    every side before the next seed starts, the base first for odd seeds.
+    """
+    bench = json.loads((sides["head"][1] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    out = {
+        side: {"commit": commit, "seconds": seconds, "src_lines": src_lines(root),
+               "workloads": {}}
+        for side, (commit, root) in sides.items()
+    }
+    pairs = {}
+    for w in (w["name"] for w in bench["workloads"]):
+        runs = {side: [] for side in sides}
+        for seed in seeds:
+            for side in sorted(sides, reverse=seed % 2 == 0):
+                print(f"record: {w} seed {seed} {side}", file=sys.stderr, flush=True)
+                runs[side].append(perfbench(sides[side][1], w, seed, seconds))
+        for side in sides:
+            out[side]["workloads"][w] = {"summary": summarize(runs[side]), "runs": runs[side]}
+        if "base" in sides:
+            pairs[w] = compare(runs["base"], runs["head"], bench["end_to_end"])
+    for side in sorted(sides):
+        print(f"record: verify-paper {side}", file=sys.stderr, flush=True)
+        out[side]["verify_paper"] = verify_paper(sides[side][1])
+        if with_tier1:
+            print(f"record: tier-1 {side}", file=sys.stderr, flush=True)
+            out[side]["tier1"] = tier1(sides[side][1])
+    if pairs:
+        out["pairs"] = pairs
+        out["rows_identical"] = (
+            out["base"]["verify_paper"]["rows"] == out["head"]["verify_paper"]["rows"]
+        )
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, required=True, help="write BENCH_<n>.json")
-    ap.add_argument("--root", type=Path, default=HERE, help="checkout to measure")
+    ap.add_argument("--commit", default="HEAD", help="commit to measure (default HEAD)")
+    ap.add_argument("--base", help="also measure this commit, in alternating pairs")
+    ap.add_argument("--seeds", type=int, default=3, help="seeds 1..SEEDS (default 3)")
     ap.add_argument("--tier1", action="store_true", help="also time the tier-1 pytest run")
     args = ap.parse_args(argv)
-    root = args.root.resolve()
-    if not all((root / p).exists() for p in ("BENCHMARK.json", "perfbench/run.py", "src/complen")):
-        print(f"record: {root} is not a complen checkout with perfbench/", file=sys.stderr)
-        return 2
-    bench = json.loads((root / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"]
+    if args.seeds < 1:
+        ap.error("--seeds must be at least 1")
+    seeds = list(range(1, args.seeds + 1))
+    revs = {"head": args.commit, **({"base": args.base} if args.base else {})}
+    commits = {side: resolve(rev) for side, rev in revs.items()}
+
+    with tempfile.TemporaryDirectory(prefix="complen-record-") as tmp:
+        sides = {}
+        for side, commit in commits.items():
+            (Path(tmp) / side).mkdir()
+            sides[side] = (commit, export(commit, Path(tmp) / side))
+        res = measure(sides, seeds, args.tier1)
 
     doc = {
         "n": args.n,
-        "commit": _commit(root),
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "seeds": list(SEEDS),
-        "seconds": seconds,
-        "src_lines": src_lines(root),
-        "workloads": {},
+        "seeds": seeds,
+        **res.pop("head"),
+        **res,
     }
-    for w in (w["name"] for w in bench["workloads"]):
-        runs = []
-        for seed in SEEDS:
-            print(f"record: {w} seed {seed}", file=sys.stderr, flush=True)
-            runs.append(perfbench(root, w, seed, seconds))
-        doc["workloads"][w] = {"summary": summarize(runs), "runs": runs}
-    print("record: verify-paper", file=sys.stderr, flush=True)
-    doc["verify_paper"] = verify_paper(root)
-    if args.tier1:
-        print("record: tier-1", file=sys.stderr, flush=True)
-        doc["tier1"] = tier1(root)
-
     out = HERE / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"record: wrote {out}", file=sys.stderr)

@@ -10,6 +10,7 @@ coefficient first (ExtensionField). Every operation is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -314,14 +315,16 @@ def _digits(n: int, p: int, k: int) -> list[int]:
     return [n // p ** (k - 1 - i) % p for i in range(k)]
 
 
-def _log_tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[list, list, list]:
+@functools.cache
+def _log_tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
     """(exp, log, zech) of GF(p)[X]/(modulus) on index-coded scalars.
 
     exp[i] = g^i for the first g in index order whose powers reach every
     nonzero element; the walk multiplies a coefficient vector by the matrix
     whose column j is g*X^j. log inverts exp (log[0] is None), and
     zech[n] = log(1 + g^n). exp and zech are stored twice over, so a sum or
-    difference of two logs indexes them without reduction.
+    difference of two logs indexes them without reduction. Every field of one
+    (p, k, modulus) shares the cached tables, so they are immutable tuples.
     """
     q, one = p**k, p ** (k - 1)
 
@@ -347,7 +350,7 @@ def _log_tables(p: int, k: int, modulus: tuple[int, ...]) -> tuple[list, list, l
     for i, n in enumerate(exp):
         log[n] = i
     zech = [log[(n // one + 1) % p * one + n % one] for n in exp]
-    return exp * 2, log, zech * 2
+    return tuple(exp * 2), tuple(log), tuple(zech * 2)
 
 
 class ExtensionField(Field):

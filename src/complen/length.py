@@ -6,16 +6,18 @@ NOT a stopping criterion for arbitrary algebras, whose lengths can grow
 exponentially in the dimension. The descending mode uses the one-sided
 recursion Lin_{m+1} = Lin_m + Lin_m*S + S*Lin_m and stops at the first
 plateau; both steps are only valid on algebras carrying a descending
-certificate, so the mode refuses to run without one unless overridden.
+certificate, so the mode refuses to run without one unless overridden. It
+serves lin_spans callers only: the length search always runs the general
+recursion, which inside the census is also the faster one.
 
 Both modes are incremental. Each level is a Subspace snapshot, and inserting
 into a Subspace never rewrites a stored row, so the rows a level adds (those
 whose pivots the level below lacks) span it modulo that level. The
 descending mode multiplies only the rows added at the last level against a
 basis of span(S), in both orders. The general mode builds Lin_k from
-products of rows added at levels i and k-i, so it stops when the span is
-the whole algebra or when k > 2L, L the last level that added rows: past 2L
-one factor of every pair is empty, and the chain is stable from there.
+products of rows added at levels i and k-i, so it stops as soon as the
+span is the whole algebra, or when k > 2L, L the last level that added rows:
+past 2L one factor of every pair is empty, and the chain is stable there.
 
 The length search is one loop of three parts. A source yields weighted
 items in a fixed order: every nonzero subspace with weight 1 (as Subspace
@@ -24,11 +26,12 @@ or for a unital algebra the subspaces U of a hyperplane H complementing the
 unit e. The quotient is exact because both lanes start from Lin_0 = <e> and
 Lin_m*e = e*Lin_m = Lin_m, so S and S + <e> have the same chain; U stands
 for the 1 + q^dim U nonzero S with S + <e> = <e> + U (1 for U = 0). A lane
-evaluates each item: lin_spans, or the bitmask recursion with product lookup
-tables. The loop itself is the one accumulator: it adds each weight to the
-census and to the covered count, keeps the witness, and builds the
-SearchResult. Under the quotient the witness, the first maximal subspace in
-enumeration order, comes from a walk through one dimension afterwards.
+evaluates each item: lin_spans, or over GF(2) the same recursion on bitmask
+rows with product lookup tables. The loop itself is the one accumulator: it
+adds each weight to the census and to the covered count, keeps the witness,
+and builds the SearchResult. Under the quotient the witness, the first
+maximal subspace in enumeration order, comes from a walk through one
+dimension afterwards.
 """
 
 from __future__ import annotations
@@ -138,12 +141,13 @@ def _general_spans(a: AlgebraTable, s: Sequence[Element]):
     while spans[-1].dim < a.dim and len(spans) <= 2 * last:
         k = len(spans)
         acc = spans[-1]
-        for i, xs in new.items():
-            ys = new.get(k - i)
-            if ys:
-                for x in xs:
-                    for y in ys:
-                        acc = acc.insert(a.multiply(x, y))
+        products = (
+            a.multiply(x, y) for i, xs in new.items() for x in xs for y in new.get(k - i, ())
+        )
+        for v in products:
+            acc = acc.insert(v)
+            if acc.dim == a.dim:
+                break
         if acc is not spans[-1]:
             new[k], last = _new_rows(spans[-1], acc), k
         spans.append(acc)
@@ -156,15 +160,16 @@ def _descending_spans(a: AlgebraTable, s: Sequence[Element]):
     # unit, so S gets its own reduction
     s_span = Subspace.span(a.field, a.dim, s)
     spans = [lin0, lin0.sum(s_span)]
-    while True:
+    while spans[-1].dim < a.dim:
         lin = spans[-1]
         nxt = lin
         for r in _new_rows(spans[-2], lin):
             for srow in s_span.basis:
                 nxt = nxt.insert(a.multiply(r, srow)).insert(a.multiply(srow, r))
         if nxt is lin:
-            return spans
+            break
         spans.append(nxt)
+    return spans
 
 
 def lin_spans(
@@ -341,33 +346,32 @@ class _Lane:
 
 
 def _span_lane(a: AlgebraTable) -> _Lane:
-    """Subspace items through lin_spans, under the strongest justified mode."""
-    mode = "descending" if has_descending_certificate(a) else "general"
+    """Subspace items through lin_spans in general mode."""
 
     def evaluate(sub: Subspace):
-        rep = lin_spans(a, sub.basis, mode=mode)
+        rep = lin_spans(a, sub.basis, mode="general")
         return rep.d if rep.generating else None
 
     def subspaces(columns, k):
         return enumerate_subspaces(a.field, a.dim, k, columns)
 
-    return _Lane(f"span:{mode}", evaluate, subspaces, lambda sub: sub)
+    return _Lane("span:general", evaluate, subspaces, lambda sub: sub)
 
 
-def _gf2_product_tables(a: AlgebraTable):
-    """Full product lookup PROD[x][y] = x*y on bitmask elements, plus transpose."""
-    f = a.field
-    one = f.one()
+def _gf2_lane(a: AlgebraTable) -> _Lane:
+    """Bitmask-row items over the two-element field, with product lookups.
+
+    The recursion of _general_spans on bitmasks: level k adds prod[x][y] for
+    x and y among the rows first added at levels i and k - i.
+    """
     dim = a.dim
     size = 1 << dim
 
     def mask(vec) -> int:
-        m = 0
-        for i, x in enumerate(vec):
-            if x == one:
-                m |= 1 << i
-        return m
+        return sum(1 << i for i, x in enumerate(vec) if x)
 
+    # prod[x][y] = x*y: rows[i][y] = e_i*y, and the row of x is the row of x
+    # without its lowest bit plus the row of that bit
     bm = [[mask(a.table[i][j]) for j in range(dim)] for i in range(dim)]
     rows = []
     for i in range(dim):
@@ -379,71 +383,62 @@ def _gf2_product_tables(a: AlgebraTable):
     prod = [[0] * size]
     for x in range(1, size):
         low = x & -x
-        src = prod[x ^ low]
-        r = rows[low.bit_length() - 1]
-        prod.append([src[y] ^ r[y] for y in range(size)])
-    tprod = [[prod[x][y] for x in range(size)] for y in range(size)]
-    return prod, tprod, mask
-
-
-def _gf2_lane(a: AlgebraTable) -> _Lane:
-    """Bitmask-row items over the two-element field, with product lookups.
-
-    Valid only under a descending certificate: the per-subspace iteration is
-    the descending recursion with first-plateau stop.
-    """
-    f = a.field
-    dim = a.dim
-    prod, tprod, mask = _gf2_product_tables(a)
+        prod.append([u ^ v for u, v in zip(prod[x ^ low], rows[low.bit_length() - 1])])
+    # Lin_0 in an echelon keyed by most-significant bit
+    red0 = [0] * dim
     e = a.unit_element()
-    unit_mask = mask(e) if e is not None else 0
-    d0 = 1 if unit_mask else 0
+    if e is not None:
+        red0[mask(e).bit_length() - 1] = mask(e)
+    d0 = int(e is not None)
+
+    def level(red: list, new: dict, k: int, room: int) -> list:
+        """The rows level k adds to the echelon red, stopping at room rows."""
+        fresh = []
+        for i, xs in new.items():
+            ys = new.get(k - i, ())
+            for x in xs:
+                px = prod[x]
+                for y in ys:
+                    v = px[y]
+                    while v:
+                        p = v.bit_length() - 1
+                        w = red[p]
+                        if w == 0:
+                            red[p] = v
+                            fresh.append(v)
+                            if len(fresh) == room:
+                                return fresh
+                            break
+                        v ^= w
+        return fresh
 
     def evaluate(s_rows: tuple):
-        # forward echelon keyed by most-significant bit
-        red = [0] * dim
-        if unit_mask:
-            red[unit_mask.bit_length() - 1] = unit_mask
-        rank = d0
-        new = []
+        red = red0.copy()
+        first = []
         for v in s_rows:
             while v:
                 p = v.bit_length() - 1
                 w = red[p]
                 if w == 0:
                     red[p] = v
-                    new.append(v)
-                    rank += 1
+                    first.append(v)
                     break
                 v ^= w
-        d = [d0, rank - d0]
-        while new and rank < dim:
-            fresh = []
-            for r in s_rows:
-                pr = prod[r]
-                tr = tprod[r]
-                for x in new:
-                    for v in (pr[x], tr[x]):
-                        while v:
-                            p = v.bit_length() - 1
-                            w = red[p]
-                            if w == 0:
-                                red[p] = v
-                                fresh.append(v)
-                                rank += 1
-                                break
-                            v ^= w
-            if not fresh:
-                break
+        # d[k] rows were first added at level k; new[k] holds them for the
+        # levels that added rows, and the span's rank is sum(d)
+        d = [d0, len(first)]
+        new, last = {1: first}, 1 if first else 0
+        while sum(d) < dim and len(d) <= 2 * last:
+            k = len(d)
+            fresh = level(red, new, k, dim - sum(d))
+            if fresh:
+                new[k], last = fresh, k
             d.append(len(fresh))
-            new = fresh
-        return _trim(d) if rank == dim else None
+        return _trim(d) if sum(d) == dim else None
 
     def as_subspace(s_rows: tuple) -> Subspace:
-        one, zero = f.one(), f.zero()
-        return Subspace.span(
-            f, dim, [tuple(one if m >> i & 1 else zero for i in range(dim)) for m in s_rows]
-        )
+        rows = [tuple(a.field.from_int(m >> i & 1) for i in range(dim)) for m in s_rows]
+        return Subspace.span(a.field, dim, rows)
 
     return _Lane("gf2-bitmask", evaluate, _gf2_subspaces, as_subspace)
 
@@ -485,7 +480,9 @@ def length_of_algebra(
     S + <e> have the same chain, since both lanes start from Lin_0 = <e> and
     Lin_m*e = Lin_m, so one item U stands for every S with S + <e> = <e> + U
     (see _exhaustive_source for the weight 1 + q^dim U). ``stats`` names the
-    lane and counts the items it evaluated.
+    lane and counts the items it evaluated. Every lane runs the general
+    recursion (``gf2-bitmask`` over F2, ``span:general`` elsewhere and in
+    random mode); certificates only choose the laws ``violations`` checks.
 
     The witness is the first subspace of maximal length in enumeration
     order. Under the quotient, let t be the least dimension of a maximal
@@ -507,10 +504,7 @@ def length_of_algebra(
                 f"enumeration of {total} subspaces exceeds the cost cap {cap}",
                 estimate=total,
             )
-        if f.cardinality() == 2 and has_descending_certificate(a):
-            lane = _gf2_lane(a)
-        else:
-            lane = _span_lane(a)
+        lane = _gf2_lane(a) if f.cardinality() == 2 else _span_lane(a)
         source = _exhaustive_source(a, lane.subspaces)
         quotient = a.is_unital()
     elif mode == "random":

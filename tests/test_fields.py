@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complen.constructors import make_hurwitz_tower
 from complen.errors import CostCapExceeded, FieldSpecError, NotPrime, ReducibleModulus
 from complen.fields import (
     ELEMENT_SCAN_CAP,
@@ -23,6 +24,7 @@ from complen.fields import (
     random_scalar,
     solve_quadratic,
 )
+from complen.iofmt import dump_algebra, parse_algebra
 
 F2 = field_make("F2")
 F3 = field_make("F3")
@@ -465,6 +467,22 @@ def test_the_largest_allowed_extension_builds_quickly():
     f = field_make("F251^2:1,0,1")
     assert time.perf_counter() - t < 2.0
     assert f.cardinality() <= EXTENSION_MAX < 257**2
+
+
+def test_extension_tables_are_built_once_and_shared():
+    # x^2 + 1 and x^2 + x + 2 are both irreducible over F3
+    f, g, h = field_make("F3^2:1,0,1"), field_make("F3^2:1,0,1"), field_make("F3^2:2,1,1")
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert (f._exp, f._log, f._zech) == (g._exp, g._log, g._zech)
+    assert f._exp is g._exp and f._log is g._log and f._zech is g._zech
+    # every build of GF(9) holds these very tables, so none may change them
+    assert all(isinstance(t, tuple) for t in (f._exp, f._log, f._zech))
+    assert h != f and h._exp is not f._exp
+    # a parsed file builds its field again and still shares the tables
+    b = parse_algebra(dump_algebra(make_hurwitz_tower(f, None, (f.one(),))))
+    assert b.field == f and b.field._log is f._log
+    x, y = f.parse("1,2"), f.parse("2,2")
+    assert g.mul(x, y) == f.mul(x, y) and g.add(x, y) == f.add(x, y)
 
 
 @pytest.mark.parametrize("spec", ("Q", "F2", "F7", "F1000000007") + SMALL_EXTENSIONS[:3])

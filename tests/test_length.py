@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -24,6 +25,8 @@ from complen.fields import field_make
 from complen.iofmt import dump_algebra
 from complen.length import (
     _exhaustive_source,
+    _gf2_lane,
+    _gf2_subspaces,
     count_subspaces,
     enumerate_subspaces,
     length_of_algebra,
@@ -248,7 +251,7 @@ def test_gf2_source_runs_in_enumeration_order():
 
 def test_uncertified_census_runs_every_general_chain_to_its_end():
     a = make_hurwitz_tower(F2, F2.one(), (F2.one(),))
-    a.certificates.clear()  # general mode for every subspace
+    a.certificates.clear()  # the same lane: certificates never choose it
     full = length_of_algebra(a, mode="exhaustive")
     assert full.exact and full.best_length == 2
     assert full.stats["generating"] == 29
@@ -328,7 +331,7 @@ def test_gf9_quaternion_census_and_file_are_pinned():
     assert json.dumps(length_of_algebra(a, mode="exhaustive").as_dict(), sort_keys=True) == (
         '{"best_length": 2, "enumerated": 9103, "exact": true, "mode": "exhaustive", '
         '"stats": {"d_census": {"1 2 1": 6642, "1 3": 730}, "evaluated": 184, '
-        '"generating": 7372, "lane": "span:descending", "violations": []}, '
+        '"generating": 7372, "lane": "span:general", "violations": []}, '
         '"witness": [["1,0", "0,0", "0,0", "0,1"], '
         '["0,0", "1,0", "0,0", "0,0"]]}'
     )
@@ -399,10 +402,7 @@ def test_unit_quotient_matches_every_subspace(name):
     # one item per subspace of the hyperplane, the zero subspace included
     q = a.field.cardinality()
     assert res.stats["evaluated"] == count_subspaces(a.field, a.dim - 1, range(a.dim))
-    assert res.stats["lane"] == (
-        "gf2-bitmask" if q == 2 and a.certificates
-        else "span:descending" if a.certificates else "span:general"
-    )
+    assert res.stats["lane"] == ("gf2-bitmask" if q == 2 else "span:general")
 
 
 def test_non_unital_search_evaluates_every_subspace():
@@ -410,7 +410,7 @@ def test_non_unital_search_evaluates_every_subspace():
     for twist in ("II", "IV"):
         res = length_of_algebra(standard_twist(q, twist), mode="exhaustive")
         assert res.stats["evaluated"] == res.enumerated == 211
-        assert res.stats["lane"] == "span:descending"
+        assert res.stats["lane"] == "span:general"
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9))
@@ -438,9 +438,7 @@ def test_quotient_weights_cover_every_subspace(q):
         assert covered == count_subspaces(f, n, range(1, n + 1))
 
 
-def test_gf2_octonion_census_is_pinned():
-    # recorded when every one of the 417 198 subspaces was evaluated
-    a = make_hurwitz_tower(F2, F2.one(), (F2.one(), F2.one()))
+def _assert_gf2_octonion_census(a):
     res = length_of_algebra(a, mode="exhaustive")
     assert (res.best_length, res.enumerated, res.stats["generating"]) == (3, 417198, 305516)
     assert res.stats["d_census"] == {
@@ -452,3 +450,103 @@ def test_gf2_octonion_census_is_pinned():
         ["0", "1", "0", "0", "0", "0", "0", "0"],
         ["0", "0", "1", "0", "0", "0", "0", "0"],
     ]
+
+
+def test_gf2_octonion_census_is_pinned():
+    # recorded when every one of the 417 198 subspaces was evaluated
+    _assert_gf2_octonion_census(make_hurwitz_tower(F2, F2.one(), (F2.one(), F2.one())))
+
+
+def test_certificate_free_gf2_octonion_census_is_pinned():
+    # certificates no longer choose the lane: a table without them (a loaded
+    # file, say) takes the same bitmask lane and gives the same census
+    a = make_hurwitz_tower(F2, F2.one(), (F2.one(), F2.one()))
+    a.certificates.clear()
+    _assert_gf2_octonion_census(a)
+
+
+# --- the GF(2) bitmask lane against lin_spans --------------------------------------
+
+
+def _random_f2_table(n, seed, density):
+    """A seeded F2 table without certificates: each coordinate of each basis
+    product is 1 with probability density."""
+    rng = random.Random(seed)
+
+    def vec():
+        return tuple(F2.from_int(int(rng.random() < density)) for _ in range(n))
+
+    table = [[vec() for _ in range(n)] for _ in range(n)]
+    return AlgebraTable(F2, n, [f"e{i}" for i in range(n)], table, name=f"random-{seed}")
+
+
+# sparse-4 and sparse-5 have generating subspaces whose chain stalls at a level
+# and grows again later (Lin_3 = Lin_2 with Lin_2*Lin_2 outside Lin_3, for one)
+SMALL_F2 = {
+    "K0-F2": lambda: make_quadratic_etale(F2, F2.zero()),
+    "K1-F2": lambda: make_quadratic_etale(F2, F2.one()),
+    **{
+        f"K{mu}-F2-{t}": (
+            lambda mu=mu, t=t: standard_twist(make_quadratic_etale(F2, F2.from_int(mu)), t)
+        )
+        for mu in (0, 1)
+        for t in ("II", "III", "IV")
+    },
+    "quaternion-F2": lambda: make_hurwitz_tower(F2, F2.one(), (F2.one(),)),
+    **{
+        f"quaternion-F2-{t}": (
+            lambda t=t: standard_twist(make_hurwitz_tower(F2, F2.one(), (F2.one(),)), t)
+        )
+        for t in ("II", "III", "IV")
+    },
+    "squares-4": lambda: _squares_table(4)[0],
+    "sparse-4": lambda: _random_f2_table(4, 2, 0.1),
+    "sparse-5": lambda: _random_f2_table(5, 4, 0.1),
+    **{f"dense-4-{seed}": (lambda seed=seed: _random_f2_table(4, seed, 0.5)) for seed in range(3)},
+}
+
+
+def _general_d(a, basis):
+    rep = lin_spans(a, basis, mode="general")
+    return rep.d if rep.generating else None
+
+
+@pytest.mark.parametrize("cleared", (False, True), ids=("as-built", "certificates-cleared"))
+@pytest.mark.parametrize("name", sorted(SMALL_F2))
+def test_gf2_lane_matches_general_spans_on_every_subspace(name, cleared):
+    a = SMALL_F2[name]()
+    if cleared:
+        a.certificates.clear()
+    lane = _gf2_lane(a)
+    inner_plateaus = 0
+    for k in range(1, a.dim + 1):
+        for rows in _gf2_subspaces(range(a.dim), k):
+            d = lane.evaluate(rows)
+            assert d == _general_d(a, lane.as_subspace(rows).basis), (name, rows)
+            inner_plateaus += d is not None and 0 in d[1:]
+    if name.startswith("sparse"):
+        assert inner_plateaus
+
+
+DIM8_F2 = {
+    "octonion-F2": lambda: _tower(F2, "I"),
+    "octonion-F2-II": lambda: standard_twist(_tower(F2, "I"), "II"),
+    "octonion-F2-IV": lambda: standard_twist(_tower(F2, "I"), "IV"),
+    "okubo-isotropic-F2": lambda: make_okubo_isotropic(F2, F2.one(), F2.one()),
+    "okubo-idempotent-F2": lambda: make_okubo_idempotent(F2, F2.one(), F2.one()),
+    "sparse-8": lambda: _random_f2_table(8, 0, 0.1),
+    "dense-8": lambda: _random_f2_table(8, 0, 0.5),
+}
+
+
+@pytest.mark.parametrize("cleared", (False, True), ids=("as-built", "certificates-cleared"))
+@pytest.mark.parametrize("name", sorted(DIM8_F2))
+def test_gf2_lane_matches_general_spans_on_dim8_samples(name, cleared):
+    a = DIM8_F2[name]()
+    if cleared:
+        a.certificates.clear()
+    lane = _gf2_lane(a)
+    rng = random.Random(name)
+    for _ in range(300):
+        rows = tuple(rng.randrange(1, 256) for _ in range(rng.randint(1, 4)))
+        assert lane.evaluate(rows) == _general_d(a, lane.as_subspace(rows).basis), (name, rows)
