@@ -481,7 +481,7 @@ def _random_f2_table(n, seed, density):
 
 
 # sparse-4 and sparse-5 have generating subspaces whose chain stalls at a level
-# and grows again later (Lin_3 = Lin_2 with Lin_2*Lin_2 outside Lin_3, for one)
+# (Lin_k = Lin_{k-1}) and grows again later, so a first-plateau stop is wrong
 SMALL_F2 = {
     "K0-F2": lambda: make_quadratic_etale(F2, F2.zero()),
     "K1-F2": lambda: make_quadratic_etale(F2, F2.one()),
