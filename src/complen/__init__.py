@@ -13,7 +13,6 @@ from .checkers import (
     Verdict,
     acquire_descending_certificates,
     alternative_floor,
-    certify_bounds,
     check_composition,
     check_descending,
     check_identity_direct,
@@ -26,13 +25,9 @@ from .checkers import (
     validate_report,
 )
 from .constructors import (
-    CayleyDicksonSpec,
-    OkuboSpec,
     cayley_dickson_double,
     make_base_algebra,
-    make_hurwitz,
     make_hurwitz_tower,
-    make_okubo,
     make_okubo_idempotent,
     make_okubo_isotropic,
     make_para_hurwitz,
@@ -64,7 +59,6 @@ from .length import (
     count_subspaces,
     enumerate_subspaces,
     length_of_algebra,
-    length_of_set,
     lin_spans,
 )
 
@@ -72,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraTable",
-    "CayleyDicksonSpec",
     "CharacteristicForbidden",
     "ComplenError",
     "CostCapExceeded",
@@ -81,7 +74,6 @@ __all__ = [
     "InvariantViolation",
     "LengthReport",
     "ModeUnjustified",
-    "OkuboSpec",
     "ParseError",
     "QuadraticForm",
     "SearchResult",
@@ -91,7 +83,6 @@ __all__ = [
     "algebra_to_dict",
     "alternative_floor",
     "cayley_dickson_double",
-    "certify_bounds",
     "check_composition",
     "check_descending",
     "check_identity_direct",
@@ -104,14 +95,11 @@ __all__ = [
     "find_isotropic",
     "flexible_floor",
     "length_of_algebra",
-    "length_of_set",
     "length_upper_bound",
     "lin_spans",
     "load_algebra",
     "make_base_algebra",
-    "make_hurwitz",
     "make_hurwitz_tower",
-    "make_okubo",
     "make_okubo_idempotent",
     "make_okubo_isotropic",
     "make_para_hurwitz",

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import AlgebraTable, Element, QuadraticForm
 from .errors import (
-    CertificateMissing,
     CostCapExceeded,
     DegenerateForm,
     InfiniteField,
@@ -45,7 +44,7 @@ from .errors import (
     NotScalarOperator,
     UnknownIdentity,
 )
-from .fields import ELEMENT_SCAN_CAP, random_scalar
+from .fields import ELEMENT_SCAN_CAP, cost_cap, random_scalar
 from .linalg import Subspace
 
 DEFAULT_SAMPLES = 200
@@ -67,7 +66,6 @@ class Verdict:
     holds: bool
     certificate: str
     counterexample: Optional[dict] = None
-    details: dict = dc_field(default_factory=dict)
 
 
 def random_element(a: AlgebraTable, rng: random.Random) -> Element:
@@ -677,15 +675,16 @@ def check_descending(
     seed: int = 0,
     samples: int = DEFAULT_SAMPLES,
     candidates: Optional[Sequence[tuple]] = None,
-    cap: int = 10**7,
 ) -> Verdict:
     """Check descending flexibility or alternativity.
 
     Positive certificates come from the cache (the certificate is the route
     that earned it: "closed-forms", "symmetric-law" or "exhaustive"), from the
-    symmetric law (flexible only), or from exhaustive enumeration under the
-    cost cap; the last two are cached with their route. Everything else is
-    refutation-oriented sampling whose positive outcome proves nothing.
+    symmetric law (flexible only), or from exhaustive enumeration of every
+    pair and triple when their count is within cost_cap(); the last two are
+    cached with their route. Everything else is refutation-oriented sampling
+    whose positive outcome proves nothing. Supplied candidates (pairs or
+    triples) are tried first, and a violation among them is returned at once.
     """
     if kind not in ("flexible", "alternative"):
         raise UnknownIdentity(f"descending kind must be flexible/alternative, not {kind!r}")
@@ -709,6 +708,7 @@ def check_descending(
                 a.certificates[ident] = "symmetric-law"
                 return Verdict(ident, True, "symmetric-law")
 
+    cap = cost_cap()
     pairs_ok = n_elems is not None and n_elems * n_elems <= cap
     triples_ok = n_elems is not None and n_elems**3 <= cap
     if strategy == "exhaustive" and not (pairs_ok and triples_ok):
@@ -752,7 +752,6 @@ def check_identity_direct(
     strategy: str = "exhaustive",
     seed: int = 0,
     samples: int = DEFAULT_SAMPLES,
-    cap: int = 10**7,
 ) -> Verdict:
     """Pointwise evaluation of a catalog identity on element tuples.
 
@@ -769,7 +768,7 @@ def check_identity_direct(
         if card is None:
             raise InfiniteField("exhaustive identity evaluation needs a finite field")
         worst = max(card ** (a.dim * n) for n in arities)
-        if worst > cap:
+        if worst > cost_cap():
             raise CostCapExceeded(
                 f"direct evaluation needs {worst} tuples", estimate=worst
             )
@@ -802,12 +801,14 @@ def check_identity_direct(
     return Verdict(identity, True, tag)
 
 
-def acquire_descending_certificates(a: AlgebraTable, cap: int = 10**7) -> set:
+def acquire_descending_certificates(a: AlgebraTable) -> set:
     """Run the cheap proof routes and cache whatever they certify.
 
     Routes, cheapest first: the already-cached certificates, the standard
     closed forms (both kinds at once), the symmetric law (flexible), and
-    exhaustive enumeration under the cost cap; each is cached with its route.
+    exhaustive enumeration when the q^(3 dim) triples are within cost_cap();
+    each is cached with its route. Over the cap the route is skipped, and the
+    returned names show what was earned.
     Sampling never appears here because a sampled pass certifies nothing.
     Returns the names certified.
     """
@@ -829,52 +830,40 @@ def acquire_descending_certificates(a: AlgebraTable, cap: int = 10**7) -> set:
                 a.certificates[ident] = "symmetric-law"
                 continue
         card = a.field.cardinality()
-        if card is not None and card ** (3 * a.dim) <= cap:
-            check_descending(a, kind, strategy="exhaustive", cap=cap)
+        if card is not None and card ** (3 * a.dim) <= cost_cap():
+            check_descending(a, kind, strategy="exhaustive")
     return want & a.certificates.keys()
 
 
 # --- element searches -------------------------------------------------------
 
 
-def _element_search(
-    a: AlgebraTable,
-    kind: str,
-    keep: Callable[[Element], bool],
-    cap: int,
-    candidates: Optional[Sequence[Element]],
-) -> tuple[list[Element], bool]:
-    """(nonzero elements x with keep(x), exhaustive?) under the element-count cap.
+def _element_search(a: AlgebraTable, kind: str) -> tuple[list[Element], bool]:
+    """(nonzero elements of the kind, exhaustive?) under ELEMENT_SCAN_CAP.
 
-    A finite field within the cap scans every element through
-    primescan.element_scan(a, kind). Beyond the cap, or over infinite fields,
-    only supplied candidates are verified and the second component is False.
+    A finite field with at most ELEMENT_SCAN_CAP elements in the algebra scans
+    every element through primescan.element_scan(a, kind). Beyond the cap, or
+    over infinite fields, nothing is searched: ([], False).
     """
     card = a.field.cardinality()
-    if card is not None and card**a.dim <= cap:
+    if card is not None and card**a.dim <= ELEMENT_SCAN_CAP:
         from .primescan import element_scan
 
         return element_scan(a, kind), True
-    return [x for x in candidates or () if not a.is_zero(x) and keep(x)], False
+    return [], False
 
 
-def find_idempotents(
-    a: AlgebraTable,
-    cap: int = ELEMENT_SCAN_CAP,
-    candidates: Optional[Sequence[Element]] = None,
-) -> tuple[list[Element], bool]:
-    """(nonzero idempotents, exhaustive?) under the element-count cap."""
-    return _element_search(a, "idempotent", lambda x: a.multiply(x, x) == x, cap, candidates)
+def find_idempotents(a: AlgebraTable) -> tuple[list[Element], bool]:
+    """(nonzero idempotents, exhaustive?): every one when the algebra has at
+    most ELEMENT_SCAN_CAP elements over a finite field, else ([], False)."""
+    return _element_search(a, "idempotent")
 
 
-def find_isotropic(
-    a: AlgebraTable,
-    cap: int = ELEMENT_SCAN_CAP,
-    candidates: Optional[Sequence[Element]] = None,
-) -> tuple[list[Element], bool]:
-    """(nonzero isotropic vectors, exhaustive?) under the element-count cap."""
+def find_isotropic(a: AlgebraTable) -> tuple[list[Element], bool]:
+    """(nonzero isotropic vectors, exhaustive?): every one when the algebra has
+    at most ELEMENT_SCAN_CAP elements over a finite field, else ([], False)."""
     _require_quad(a)
-    return _element_search(a, "isotropic", lambda x: not a.quad_eval(x), cap, candidates)
+    return _element_search(a, "isotropic")
 
 
 # --- theorem bounds ---------------------------------------------------------
@@ -909,43 +898,6 @@ def length_upper_bound(dim: int, d0: int, kind: str) -> int:
 def descending_kinds(a: AlgebraTable) -> list:
     """The descending properties ("flexible", "alternative") certified on a."""
     return [k for k in ("flexible", "alternative") if f"descending-{k}" in a.certificates]
-
-
-def certify_bounds(a: AlgebraTable, reports: Sequence) -> Verdict:
-    """Check every report's length against the certified descending floors.
-
-    Reports need .d, .length, .generating. A violation would contradict the
-    established inequalities, so it is returned as a counterexample.
-    """
-    kinds = descending_kinds(a)
-    if not kinds:
-        raise CertificateMissing(
-            "no descending certificate cached for this algebra; "
-            "run check_descending or construct via a certifying constructor"
-        )
-    for idx, rep in enumerate(reports):
-        if not rep.generating:
-            continue
-        for kind in kinds:
-            floor = (
-                flexible_floor(rep.length)
-                if kind == "flexible"
-                else alternative_floor(rep.length)
-            )
-            if floor > a.dim - rep.d[0]:
-                return Verdict(
-                    "length-bounds",
-                    False,
-                    "certified-floors",
-                    counterexample={
-                        "report": idx,
-                        "kind": kind,
-                        "length": rep.length,
-                        "needs": floor,
-                        "budget": a.dim - rep.d[0],
-                    },
-                )
-    return Verdict("length-bounds", True, "certified-floors", details={"kinds": kinds})
 
 
 def validate_report(

@@ -151,11 +151,7 @@ def _ensure_quad(a: AlgebraTable) -> bool:
 
 def _cmd_construct(args) -> int:
     f = field_make(args.field)
-    tokens = (
-        [t.strip() for t in _split_brackets(args.params, ",") if t.strip()]
-        if args.params
-        else []
-    )
+    tokens = [t.strip() for t in _split_brackets(args.params, ",")] if args.params else []
     fam = args.family
     if args.twist and fam != "twist":
         raise UnknownFamily("--twist applies only to --family twist")

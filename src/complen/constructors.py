@@ -15,7 +15,6 @@ identities justify; the length engine's early stopping relies on those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import AlgebraTable, Element, QuadraticForm
@@ -32,10 +31,10 @@ from .errors import (
     MissingQuadraticForm,
     MissingUnit,
     MuNotASolution,
-    ParameterZero,
     ReducibleCubic,
     SelfCheckFailed,
     UnknownFamily,
+    ZeroParameter,
 )
 from .fields import Field, Scalar, is_irreducible_cubic, solve_quadratic
 
@@ -141,7 +140,7 @@ def cayley_dickson_double(a: AlgebraTable, alpha: Scalar) -> AlgebraTable:
     """
     f = a.field
     if not alpha:
-        raise ParameterZero("doubling parameter must be nonzero")
+        raise ZeroParameter("doubling parameter must be nonzero")
     if a.quad is None:
         raise MissingQuadraticForm("doubling needs the norm of the base algebra")
     e = a.unit_element()
@@ -185,16 +184,6 @@ def cayley_dickson_double(a: AlgebraTable, alpha: Scalar) -> AlgebraTable:
     return out
 
 
-@dataclass(frozen=True)
-class CayleyDicksonSpec:
-    """Tower recipe: seed parameter mu (None = start at the base field,
-    characteristic != 2 only), then one doubling parameter per level."""
-
-    base: Field
-    mu: Optional[Scalar]
-    params: tuple = ()
-
-
 def make_hurwitz_tower(
     field: Field, mu: Optional[Scalar], params: Sequence[Scalar] = ()
 ) -> AlgebraTable:
@@ -209,10 +198,6 @@ def make_hurwitz_tower(
     for alpha in params:
         a = cayley_dickson_double(a, alpha)
     return a
-
-
-def make_hurwitz(spec: CayleyDicksonSpec) -> AlgebraTable:
-    return make_hurwitz_tower(spec.base, spec.mu, spec.params)
 
 
 def standard_twist(a: AlgebraTable, t: str) -> AlgebraTable:
@@ -354,7 +339,7 @@ def make_okubo_isotropic(field: Field, alpha: Scalar, beta: Scalar) -> AlgebraTa
     """
     f = field
     if not alpha or not beta:
-        raise ParameterZero("alpha and beta must be nonzero")
+        raise ZeroParameter("alpha and beta must be nonzero")
     ia, ib = f.inv(alpha), f.inv(beta)
     coeff = {
         "1": f.one(), "a": alpha, "b": beta, "ia": ia, "ib": ib,
@@ -378,7 +363,7 @@ def make_okubo_idempotent(field: Field, beta: Scalar, gamma: Scalar) -> AlgebraT
     if f.characteristic() == 3:
         raise CharacteristicForbidden("the idempotent table requires characteristic != 3")
     if not beta or not gamma:
-        raise ParameterZero("beta and gamma must be nonzero")
+        raise ZeroParameter("beta and gamma must be nonzero")
     coeff = {
         "1": f.one(), "b": beta, "g": gamma, "bg": f.mul(beta, gamma),
     }
@@ -489,26 +474,6 @@ def make_pseudo_octonion(field: Field, mu: Optional[Scalar] = None) -> AlgebraTa
         name=f"pseudo-octonion({f.format(mu)})",
     )
     return _finish_symmetric(out)
-
-
-@dataclass(frozen=True)
-class OkuboSpec:
-    variant: str  # isotropic | idempotent | pseudo-octonion
-    field: Field
-    params: tuple = ()
-
-
-def make_okubo(spec: OkuboSpec) -> AlgebraTable:
-    if spec.variant == "isotropic":
-        alpha, beta = spec.params
-        return make_okubo_isotropic(spec.field, alpha, beta)
-    if spec.variant == "idempotent":
-        beta, gamma = spec.params
-        return make_okubo_idempotent(spec.field, beta, gamma)
-    if spec.variant == "pseudo-octonion":
-        mu = spec.params[0] if spec.params else None
-        return make_pseudo_octonion(spec.field, mu)
-    raise UnknownFamily(f"unknown variant {spec.variant!r}")
 
 
 def make_two_dim_form(field: Field, lam: Scalar) -> AlgebraTable:

@@ -52,10 +52,6 @@ class ZeroParameter(ComplenError):
     pass
 
 
-# the name the constructors raise; a JSON error prints the class name, ZeroParameter
-ParameterZero = ZeroParameter
-
-
 class SelfCheckFailed(ComplenError):
     pass
 
@@ -101,10 +97,6 @@ class DegenerateForm(ComplenError):
 
 
 class UnknownIdentity(ComplenError):
-    pass
-
-
-class CertificateMissing(ComplenError):
     pass
 
 

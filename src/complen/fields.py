@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
@@ -22,6 +23,7 @@ from .errors import (
     FieldSpecError,
     InfiniteField,
     NotPrime,
+    ParseError,
     ReducibleModulus,
     UnsupportedDegree,
 )
@@ -30,6 +32,18 @@ Scalar = Union[Fraction, int]
 
 EXTENSION_MAX = 2**16  # elements of an extension field; its log tables hold one entry each
 ELEMENT_SCAN_CAP = 10**6  # elements any scan over a finite field or an algebra may visit
+DEFAULT_COST_CAP = 10**7  # work units of an exhaustive search; COMPLEN_COST_CAP overrides it
+
+
+def cost_cap() -> int:
+    """The cap every exhaustive search prices itself against: subspaces in the
+    length search, element tuples in direct identity evaluation, and pairs
+    and triples in descending checks and certificate acquisition."""
+    raw = os.environ.get("COMPLEN_COST_CAP", str(DEFAULT_COST_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"COMPLEN_COST_CAP must be an integer, got {raw!r}") from None
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -10,7 +10,6 @@ triples sorted), which makes load -> save -> load the identity on bytes.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .algebra import AlgebraTable, QuadraticForm
 from .errors import InvariantViolation, ParseError
@@ -149,10 +148,3 @@ def load_algebra(path: str) -> AlgebraTable:
     with open(path, encoding="utf-8") as fh:
         return parse_algebra(fh.read())
 
-
-def io_roundtrip(path: str) -> bool:
-    """load -> save -> load, byte-identity of the two dumps."""
-    a = load_algebra(path)
-    first = dump_algebra(a)
-    second = dump_algebra(parse_algebra(first))
-    return first == second

@@ -37,7 +37,6 @@ dimension afterwards.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -46,18 +45,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .algebra import AlgebraTable, Element
 from .checkers import DESCENDING, descending_kinds, validate_report
 from .errors import CostCapExceeded, InfiniteField, ModeUnjustified, ParseError
-from .fields import Field
+from .fields import Field, cost_cap
 from .linalg import Subspace, gaussian_binomial
-
-DEFAULT_COST_CAP = 10**7
-
-
-def cost_cap() -> int:
-    raw = os.environ.get("COMPLEN_COST_CAP", str(DEFAULT_COST_CAP))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"COMPLEN_COST_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -203,15 +192,6 @@ def lin_spans(
         spans=tuple(spans),
         mode=mode,
     )
-
-
-def length_of_set(
-    a: AlgebraTable, s: Sequence[Element], assume_descending: bool = False
-) -> LengthReport:
-    """Length report for one set, under the strongest justified mode."""
-    if assume_descending or has_descending_certificate(a):
-        return lin_spans(a, s, mode="descending", assume_descending=assume_descending)
-    return lin_spans(a, s, mode="general")
 
 
 def count_subspaces(field: Field, ambient: int, dims: Iterable[int]) -> int:
@@ -463,13 +443,12 @@ def length_of_algebra(
     mode: str = "exhaustive",
     seed: int = 0,
     budget: int = 2000,
-    cap: Optional[int] = None,
 ) -> SearchResult:
     """Maximize l(S) over subspaces; exhaustive mode gives the exact value.
 
     Exhaustive mode covers every nonzero subspace (the length of a set
     depends only on its span) and needs a finite field plus a subspace count
-    within the cost cap. Random mode samples budget >= 1 subspaces and yields
+    within cost_cap(). Random mode samples budget >= 1 subspaces and yields
     a lower bound marked exact=False.
 
     Every search is one loop: a source yields (item, weight) pairs in a fixed
@@ -491,14 +470,13 @@ def length_of_algebra(
     first maximal subspace of dimension max(t - 1, 1), found by a walk
     through that dimension alone.
     """
-    if cap is None:
-        cap = cost_cap()
     f = a.field
     quotient = False
     if mode == "exhaustive":
         if not f.is_finite():
             raise InfiniteField("exhaustive search needs a finite field")
         total = count_subspaces(f, a.dim, range(1, a.dim + 1))
+        cap = cost_cap()
         if total > cap:
             raise CostCapExceeded(
                 f"enumeration of {total} subspaces exceeds the cost cap {cap}",

@@ -3,16 +3,15 @@
 import itertools
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
+from complen import checkers
 from complen.algebra import AlgebraTable, QuadraticForm
 from complen.checkers import (
     _identity_forms,
     acquire_descending_certificates,
     alternative_floor,
-    certify_bounds,
     check_composition,
     check_descending,
     check_identity_direct,
@@ -32,7 +31,6 @@ from complen.constructors import (
     standard_twist,
 )
 from complen.errors import (
-    CertificateMissing,
     CostCapExceeded,
     InfiniteField,
     NotScalarOperator,
@@ -287,13 +285,14 @@ def test_unknown_identity_rejected():
         check_identity_direct(a, "flexible", strategy="psychic")
 
 
-def test_direct_exhaustive_needs_finite_field_and_budget():
+def test_direct_exhaustive_needs_finite_field_and_budget(monkeypatch):
     a = make_hurwitz_tower(Q, None, (Q.one(),))
     with pytest.raises(InfiniteField):
         check_identity_direct(a, "flexible", strategy="exhaustive")
     b = make_hurwitz_tower(F3, None, (F3.one(), F3.one()))
+    monkeypatch.setenv("COMPLEN_COST_CAP", "10")
     with pytest.raises(CostCapExceeded):
-        check_identity_direct(b, "flexible", strategy="exhaustive", cap=10)
+        check_identity_direct(b, "flexible", strategy="exhaustive")
 
 
 def test_direct_sampled_is_deterministic_per_seed():
@@ -415,6 +414,15 @@ def test_acquired_certificates_record_their_route():
     assert _routes_acquired(bare) == dict.fromkeys(both, "exhaustive")
 
 
+def test_acquisition_skips_enumeration_over_the_cost_cap(monkeypatch):
+    # the bare K(1) over F2 has 64 triples, over a cap of 10
+    monkeypatch.setenv("COMPLEN_COST_CAP", "10")
+    k = make_quadratic_etale(F2, F2.one())
+    bare = AlgebraTable(F2, k.dim, k.labels, k.table)
+    assert acquire_descending_certificates(bare) == set()
+    assert "exhaustive" not in bare.certificates.values()
+
+
 def test_descending_exhaustive_needs_finite_budget():
     a = make_hurwitz_tower(Q, None, (Q.one(),))
     a.certificates.clear()
@@ -459,25 +467,17 @@ def test_acquire_certificates_on_twist():
 # --- element scans ---------------------------------------------------------------
 
 
-def test_find_idempotents_candidates_route():
-    # infinite field: only supplied candidates are verified
-    a = make_okubo_idempotent(Q, Q.one(), Q.one())
-    x0 = a.basis_element(0)
-    els, exhaustive = find_idempotents(a, candidates=[x0, a.scale(Q.from_int(2), x0)])
-    assert not exhaustive
-    assert els == [x0]
-
-
-def test_find_isotropic_candidates_route():
-    # a cap below the element count forces the candidates-only route
+def test_find_isotropic_candidates_route(monkeypatch):
+    # a scan cap below the element count leaves nothing searched
+    monkeypatch.setattr(checkers, "ELEMENT_SCAN_CAP", 10)
     a = make_okubo_isotropic(F5, F5.from_int(2), F5.from_int(3))
-    els, exhaustive = find_isotropic(a, cap=10, candidates=[a.basis_element(0)])
-    assert not exhaustive and els == [a.basis_element(0)]
+    assert find_isotropic(a) == ([], False)
 
 
-def test_element_scan_too_large_falls_back():
+def test_element_scan_too_large_falls_back(monkeypatch):
+    monkeypatch.setattr(checkers, "ELEMENT_SCAN_CAP", 10)
     a = make_okubo_idempotent(F5, F5.one(), F5.one())
-    els, exhaustive = find_idempotents(a, cap=10)
+    els, exhaustive = find_idempotents(a)
     assert not exhaustive
 
 
@@ -497,27 +497,6 @@ def test_length_upper_bound():
     assert length_upper_bound(4, 1, "flexible") == 2
     assert length_upper_bound(2, 1, "flexible") == 1
     assert length_upper_bound(1, 1, "flexible") == 0
-
-
-def test_certify_bounds_passes_consistent_reports():
-    a = make_okubo_isotropic(F2, F2.one(), F2.one())
-    rep = SimpleNamespace(d=(0, 2, 3, 2, 1), length=4, generating=True)
-    v = certify_bounds(a, [rep])
-    assert v.holds and "flexible" in v.details["kinds"]
-
-
-def test_certify_bounds_flags_impossible_report():
-    a = make_okubo_isotropic(F2, F2.one(), F2.one())
-    rep = SimpleNamespace(d=(0, 2, 2, 2, 1, 1), length=5, generating=True)
-    v = certify_bounds(a, [rep])
-    assert not v.holds
-    assert v.counterexample["needs"] == 9 and v.counterexample["budget"] == 8
-
-
-def test_certify_bounds_needs_certificate():
-    bare = AlgebraTable(Q, 1, ("z",), [[(Q.zero(),)]])
-    with pytest.raises(CertificateMissing):
-        certify_bounds(bare, [])
 
 
 def test_validate_report_clean():
@@ -540,7 +519,7 @@ def test_validate_report_structural_laws():
     assert any("plateau" in v for v in out)
     # a generating length-5 report cannot fit in dimension 8
     out = validate_report((0, 2, 2, 2, 1, 1), 5, True, 8, False, kinds=("flexible",))
-    assert any("bound violated" in v for v in out)
+    assert "flexible bound violated: needs dim-d0 >= 9" in out
     # flexible growth law: d3 >= 1 forces d1, d2 >= 2
     out = validate_report((0, 1, 1, 2), 3, False, 8, False, kinds=("flexible",))
     assert sum("growth law" in v for v in out) == 2

@@ -4,13 +4,9 @@ import pytest
 
 from complen.checkers import check_polarized_identity, find_idempotents, find_isotropic
 from complen.constructors import (
-    CayleyDicksonSpec,
-    OkuboSpec,
     cayley_dickson_double,
     make_base_algebra,
-    make_hurwitz,
     make_hurwitz_tower,
-    make_okubo,
     make_okubo_idempotent,
     make_okubo_isotropic,
     make_para_hurwitz,
@@ -24,9 +20,9 @@ from complen.errors import (
     DegenerateParameter,
     MissingUnit,
     MuNotASolution,
-    ParameterZero,
     ReducibleCubic,
     UnknownFamily,
+    ZeroParameter,
 )
 from complen.fields import field_make
 
@@ -82,13 +78,6 @@ def test_doubling_negates_norm_block():
     x_new = d.basis_element(3)
     assert d.quad_eval(x_new) == Q.mul(Q.from_int(-3), base.quad_eval(base.basis_element(1)))
     assert d.quad_eval(x_old) == base.quad_eval(base.basis_element(1))
-
-
-def test_spec_wrapper_matches_direct_call():
-    spec = CayleyDicksonSpec(Q, None, (Q.one(), Q.one()))
-    a = make_hurwitz(spec)
-    b = make_hurwitz_tower(Q, None, (Q.one(), Q.one()))
-    assert a.table == b.table and a.quad == b.quad
 
 
 def test_dim16_tower_is_flexible_and_quadratic_but_not_composition_certified():
@@ -196,9 +185,9 @@ def test_idempotent_table_general_parameter_product():
 
 
 def test_symmetric_table_parameter_validation():
-    with pytest.raises(ParameterZero):
+    with pytest.raises(ZeroParameter):
         make_okubo_isotropic(F5, F5.zero(), F5.one())
-    with pytest.raises(ParameterZero):
+    with pytest.raises(ZeroParameter):
         make_okubo_idempotent(Q, Q.one(), Q.zero())
     with pytest.raises(CharacteristicForbidden):
         make_okubo_idempotent(F3, F3.one(), F3.one())
@@ -228,15 +217,6 @@ def test_pseudo_octonion_characteristic_guard():
         make_pseudo_octonion(F2)
     with pytest.raises(CharacteristicForbidden):
         make_pseudo_octonion(F3)
-
-
-def test_okubo_dispatcher():
-    a = make_okubo(OkuboSpec("isotropic", F5, (F5.from_int(2), F5.from_int(3))))
-    assert a.name.startswith("okubo-isotropic")
-    b = make_okubo(OkuboSpec("pseudo-octonion", F7))
-    assert b.name == "pseudo-octonion(2)"
-    with pytest.raises(UnknownFamily):
-        make_okubo(OkuboSpec("spherical", F5, ()))
 
 
 # --- two-dimensional form ----------------------------------------------------

@@ -1,17 +1,20 @@
 """Algebra files and the command-line interface."""
 
+import ast
 import json
 import os
 import string
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import complen
 from complen.algebra import AlgebraTable, QuadraticForm
 from complen.cli import main, parse_vector_set
 from complen.constructors import (
@@ -25,7 +28,6 @@ from complen.iofmt import (
     algebra_from_dict,
     algebra_to_dict,
     dump_algebra,
-    io_roundtrip,
     load_algebra,
     parse_algebra,
     save_algebra,
@@ -47,7 +49,8 @@ def test_roundtrip_is_byte_identical(tmp_path):
     ):
         p = tmp_path / "alg.json"
         save_algebra(a, str(p))
-        assert io_roundtrip(str(p))
+        first = dump_algebra(load_algebra(str(p)))
+        assert dump_algebra(parse_algebra(first)) == first
         b = load_algebra(str(p))
         assert b.table == a.table
         assert b.quad == a.quad
@@ -319,6 +322,29 @@ def test_cli_bad_cost_cap_is_json_error(tmp_path, capsys, monkeypatch):
     assert doc["error"] == "ParseError" and "COMPLEN_COST_CAP" in doc["message"]
 
 
+@pytest.mark.parametrize("what,estimate", (("descending-flexible", 9), ("flexible", 81)))
+def test_cli_exhaustive_checks_honour_the_cost_cap(tmp_path, capsys, monkeypatch, what, estimate):
+    # K(1) over F3: 9 elements, so 81 pairs and 729 triples, all over a cap of 10
+    path = str(tmp_path / "k.json")
+    _run(capsys, "construct", "--family", "hurwitz", "--field", "F3",
+         "--params", "1", "--out", path)
+    monkeypatch.setenv("COMPLEN_COST_CAP", "10")
+    code, out, err = _run(capsys, "check", "--algebra", path, "--what", what,
+                          "--strategy", "exhaustive")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "CostCapExceeded" and doc["estimate"] == estimate
+
+
+@pytest.mark.parametrize("params", ("1,,1", "1,1,", ",1"))
+def test_cli_empty_params_token_is_parse_error(tmp_path, capsys, params):
+    code, out, err = _run(capsys, "construct", "--family", "hurwitz", "--field", "F3",
+                          "--params", params, "--out", str(tmp_path / "a.json"))
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and "empty scalar token" in doc["message"]
+
+
 def test_cli_bad_set_is_parse_error(tmp_path, capsys):
     path = str(tmp_path / "k.json")
     _run(capsys, "construct", "--family", "hurwitz", "--field", "F2",
@@ -414,6 +440,25 @@ def test_import_leaves_numpy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+def test_public_surface_is_exactly_what_init_binds():
+    init = os.path.join(os.path.dirname(complen.__file__), "__init__.py")
+    with open(init, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {
+        name for name in bound
+        if not name.startswith("_") and not isinstance(getattr(complen, name), types.ModuleType)
+    }
+    assert len(complen.__all__) == len(set(complen.__all__))
+    assert all(hasattr(complen, name) for name in complen.__all__)
+    assert set(complen.__all__) == public
 
 
 @pytest.mark.parametrize("what", ("composition", "descending-flexible"))

@@ -30,7 +30,6 @@ from complen.length import (
     count_subspaces,
     enumerate_subspaces,
     length_of_algebra,
-    length_of_set,
     lin_spans,
 )
 from complen.linalg import Subspace, gaussian_binomial
@@ -122,15 +121,6 @@ def test_descending_mode_needs_certificate():
         lin_spans(a, s, mode="middle-out")
 
 
-def test_length_of_set_picks_strongest_mode():
-    a = make_okubo_isotropic(F2, F2.one(), F2.one())
-    s = [a.basis_element(2), a.basis_element(0)]
-    assert length_of_set(a, s).mode == "descending"
-    a.certificates.clear()
-    assert length_of_set(a, s).mode == "general"
-    assert length_of_set(a, s, assume_descending=True).mode == "descending"
-
-
 def test_report_dict_shape():
     a = make_quadratic_etale(F3, F3.one())
     rep = lin_spans(a, [a.basis_element(1)], mode="general")
@@ -172,10 +162,11 @@ def test_exhaustive_search_quaternions_f3():
     assert rep.length == res.best_length and rep.generating
 
 
-def test_exhaustive_search_respects_cap():
+def test_exhaustive_search_respects_cap(monkeypatch):
     a = make_hurwitz_tower(F3, None, (F3.one(), F3.one()))
+    monkeypatch.setenv("COMPLEN_COST_CAP", "10")
     with pytest.raises(CostCapExceeded) as exc:
-        length_of_algebra(a, mode="exhaustive", cap=10)
+        length_of_algebra(a, mode="exhaustive")
     assert exc.value.estimate == 211
     b = make_hurwitz_tower(Q, None, (Q.one(),))
     with pytest.raises((CostCapExceeded, InfiniteField)):
