@@ -15,7 +15,12 @@ For each workload that the measured commit's `BENCHMARK.json` declares, and
 for seeds 1 to `--seeds` (3 by default), it runs that commit's
 `perfbench/run.py` for the declared `run_seconds` in a subprocess and keeps
 its `metric` lines, `wrong` lines and result object; the summary holds each
-metric's median, minimum and maximum over the seeds. Then it times
+metric's median, minimum and maximum over the seeds. One more run per
+workload and side, seed 1 with `--seconds 0 --trace 1`, gives the
+per-layer metrics (field operations, inserts, span chains, per-layer
+seconds) under `workloads.<w>.layers`, so the file shows where the time
+went; tracing slows that run, so its seconds compare only with other
+traced runs. Then it times
 `complen verify-paper --jobs 1 --format json` once and keeps every row (status,
 expected, measured) apart from its seconds, so two BENCH files show whether
 the rows moved, and the seconds per case. With `--tier1` it times the tier-1
@@ -71,9 +76,9 @@ def export(commit: str, dest: Path) -> Path:
     return dest
 
 
-def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     t = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     run = {"seed": seed, "exit": proc.returncode, "seconds": round(time.perf_counter() - t, 2)}
@@ -196,7 +201,13 @@ def measure(sides: dict, seeds: list, with_tier1: bool) -> dict:
                 print(f"record: {w} seed {seed} {side}", file=sys.stderr, flush=True)
                 runs[side].append(perfbench(sides[side][1], w, seed, seconds))
         for side in sides:
-            out[side]["workloads"][w] = {"summary": summarize(runs[side]), "runs": runs[side]}
+            print(f"record: {w} layers {side}", file=sys.stderr, flush=True)
+            traced = perfbench(sides[side][1], w, 1, 0, trace=1)
+            out[side]["workloads"][w] = {
+                "summary": summarize(runs[side]),
+                "runs": runs[side],
+                "layers": traced.get("metrics") or {"error": traced.get("error")},
+            }
         if "base" in sides:
             pairs[w] = compare(runs["base"], runs["head"], bench["end_to_end"])
     for side in sorted(sides):

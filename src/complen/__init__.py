@@ -30,7 +30,6 @@ from .constructors import (
     make_hurwitz_tower,
     make_okubo_idempotent,
     make_okubo_isotropic,
-    make_para_hurwitz,
     make_pseudo_octonion,
     make_quadratic_etale,
     make_two_dim_form,
@@ -102,7 +101,6 @@ __all__ = [
     "make_hurwitz_tower",
     "make_okubo_idempotent",
     "make_okubo_isotropic",
-    "make_para_hurwitz",
     "make_pseudo_octonion",
     "make_quadratic_etale",
     "make_two_dim_form",

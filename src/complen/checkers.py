@@ -712,8 +712,10 @@ def check_descending(
     pairs_ok = n_elems is not None and n_elems * n_elems <= cap
     triples_ok = n_elems is not None and n_elems**3 <= cap
     if strategy == "exhaustive" and not (pairs_ok and triples_ok):
+        triples = n_elems**3
         raise CostCapExceeded(
-            f"descending check needs {n_elems}^3 triples", estimate=n_elems
+            f"descending check needs {triples} triples, over the cost cap {cap}",
+            estimate=triples,
         )
 
     if strategy in ("auto", "exhaustive") and pairs_ok:

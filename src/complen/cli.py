@@ -5,8 +5,9 @@ length-set (difference sequence of one set), length-algebra (search over all
 or sampled subspaces), verify-paper (the bundled theorem/example suite).
 Everything prints JSON except verify-paper, whose default format is TSV.
 
-Exit codes: 0 success, 2 cost-cap exceeded, 1 any other failure (including
-suite FAIL rows). Failures print a JSON error object on stderr.
+Exit codes: 0 success (and --help), 2 cost-cap exceeded, 1 any other failure
+(including usage errors and suite FAIL rows). Failures print a JSON error
+object on stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .constructors import (
     make_hurwitz_tower,
     make_okubo_idempotent,
     make_okubo_isotropic,
-    make_para_hurwitz,
     make_pseudo_octonion,
     make_two_dim_form,
     standard_twist,
@@ -168,7 +168,7 @@ def _cmd_construct(args) -> int:
                 raise UnknownFamily("--family twist needs --twist I|II|III|IV")
             a = standard_twist(a, args.twist)
         elif fam == "para-hurwitz":
-            a = make_para_hurwitz(a)
+            a = standard_twist(a, "IV")
     elif fam == "pseudo-octonion":
         if not tokens or tokens == ["auto"]:
             mu = None
@@ -263,11 +263,9 @@ def _cmd_check(args) -> int:
 def _cmd_length_set(args) -> int:
     a = load_algebra(args.algebra)
     vectors = parse_vector_set(a.field, a.dim, args.set)
-    if args.mode == "descending" and not args.assume_descending:
+    if args.mode == "descending":
         acquire_descending_certificates(a)
-    rep = lin_spans(
-        a, vectors, mode=args.mode, assume_descending=args.assume_descending
-    )
+    rep = lin_spans(a, vectors, mode=args.mode)
     doc = rep.as_dict()
     doc["set"] = [[a.field.format(c) for c in v] for v in vectors]
     doc["certificates"] = a.certificates
@@ -291,8 +289,16 @@ def _cmd_verify_paper(args) -> int:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParseError (a JSON error,
+    exit 1) instead of printing usage text and exiting with status 2."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="complen",
         description="Exact construction, certification, and length computation "
         "for composition algebras.",
@@ -324,11 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="vectors ';'-separated, coordinates ','-separated, "
                     "extension scalars bracketed [c0,c1]")
     ls.add_argument("--mode", default="general", choices=("general", "descending"))
-    ls.add_argument(
-        "--assume-descending",
-        action="store_true",
-        help="use descending mode without a certificate (caller asserts it)",
-    )
     ls.set_defaults(fn=_cmd_length_set)
 
     la = sub.add_parser("length-algebra", help="maximize length over subspaces")
@@ -348,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CostCapExceeded as e:
         print(

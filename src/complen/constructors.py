@@ -10,7 +10,7 @@ SelfCheckFailed on any violation, so a transcription or convention error
 cannot produce a usable object. The unital tower proves n(xy) = n(x)n(y) from
 its coefficients on the basis, over the rationals as over finite fields.
 Constructors also cache the descending certificates their closed-form
-identities justify; the length engine's early stopping relies on those.
+identities justify.
 """
 
 from __future__ import annotations
@@ -236,10 +236,6 @@ def standard_twist(a: AlgebraTable, t: str) -> AlgebraTable:
         _must_hold(check_polarized_identity(out, "para-unit"), out.name)
     out.certificates.update(dict.fromkeys(DESCENDING, "closed-forms"))
     return out
-
-
-def make_para_hurwitz(a: AlgebraTable) -> AlgebraTable:
-    return standard_twist(a, "IV")
 
 
 # --- the two eight-dimensional symmetric tables -----------------------------

@@ -1,23 +1,21 @@
 """Nested spans of words, difference sequences, and length search.
 
-Two evaluation modes exist for a reason. The general mode follows the
-defining recursion Lin_k = Lin_{k-1} + sum of product spans; a plateau is
-NOT a stopping criterion for arbitrary algebras, whose lengths can grow
-exponentially in the dimension. The descending mode uses the one-sided
-recursion Lin_{m+1} = Lin_m + Lin_m*S + S*Lin_m and stops at the first
-plateau; both steps are only valid on algebras carrying a descending
-certificate, so the mode refuses to run without one unless overridden. It
-serves lin_spans callers only: the length search always runs the general
-recursion, which inside the census is also the faster one.
+One recursion computes every chain: the defining Lin_k = Lin_{k-1} + sum of
+product spans. A plateau is NOT a stopping criterion for arbitrary algebras,
+whose lengths can grow exponentially in the dimension. lin_spans has two
+modes that run this same chain: "general", and "descending", which refuses
+to run unless the algebra carries a descending certificate. The certificate
+proves that the descending laws validate_report checks (no plateau before
+the chain's end, the flexible and alternative length floors) hold for the
+chain; it selects no algorithm.
 
-Both modes are incremental. Each level is a Subspace snapshot, and inserting
-into a Subspace never rewrites a stored row, so the rows a level adds (those
-whose pivots the level below lacks) span it modulo that level. The
-descending mode multiplies only the rows added at the last level against a
-basis of span(S), in both orders. The general mode builds Lin_k from
-products of rows added at levels i and k-i, so it stops as soon as the
-span is the whole algebra, or when k > 2L, L the last level that added rows:
-past 2L one factor of every pair is empty, and the chain is stable there.
+The recursion is incremental. Each level is a Subspace snapshot, and
+inserting into a Subspace never rewrites a stored row, so the rows a level
+adds (those whose pivots the level below lacks) span it modulo that level.
+Lin_k is built from products of rows added at levels i and k-i, so the chain
+stops as soon as the span is the whole algebra, or when k > 2L, L the last
+level that added rows: past 2L one factor of every pair is empty, and the
+chain is stable there.
 
 The length search is one loop of three parts. A source yields weighted
 items in a fixed order: every nonzero subspace with weight 1 (as Subspace
@@ -143,46 +141,21 @@ def _general_spans(a: AlgebraTable, s: Sequence[Element]):
     return spans[: max(last, 1) + 1]
 
 
-def _descending_spans(a: AlgebraTable, s: Sequence[Element]):
-    lin0 = _lin0(a)
-    # product partners must span Lin(S) itself, not Lin(S) reduced modulo the
-    # unit, so S gets its own reduction
-    s_span = Subspace.span(a.field, a.dim, s)
-    spans = [lin0, lin0.sum(s_span)]
-    while spans[-1].dim < a.dim:
-        lin = spans[-1]
-        nxt = lin
-        for r in _new_rows(spans[-2], lin):
-            for srow in s_span.basis:
-                nxt = nxt.insert(a.multiply(r, srow)).insert(a.multiply(srow, r))
-        if nxt is lin:
-            break
-        spans.append(nxt)
-    return spans
-
-
-def lin_spans(
-    a: AlgebraTable,
-    s: Sequence[Element],
-    mode: str = "general",
-    assume_descending: bool = False,
-) -> LengthReport:
+def lin_spans(a: AlgebraTable, s: Sequence[Element], mode: str = "general") -> LengthReport:
     """Nested spans and difference sequence of a set of elements.
 
-    mode "descending" requires a cached descending certificate on the algebra
-    (or assume_descending=True to override at the caller's own risk).
+    Both modes run the general recursion. mode "descending" also requires a
+    cached descending certificate on the algebra, the proof that the
+    descending laws apply to the chain, and raises ModeUnjustified without one.
     """
     if mode not in ("general", "descending"):
         raise ModeUnjustified(f"unknown mode {mode!r}")
-    if mode == "descending":
-        if not (assume_descending or has_descending_certificate(a)):
-            raise ModeUnjustified(
-                "descending mode needs a descending certificate on the algebra; "
-                "run check_descending first or pass assume_descending"
-            )
-        spans = _descending_spans(a, s)
-    else:
-        spans = _general_spans(a, s)
+    if mode == "descending" and not has_descending_certificate(a):
+        raise ModeUnjustified(
+            "descending mode needs a descending certificate on the algebra; "
+            "run check_descending or acquire_descending_certificates first"
+        )
+    spans = _general_spans(a, s)
     dims = [sp.dim for sp in spans]
     d = _trim([dims[0]] + [dims[k] - dims[k - 1] for k in range(1, len(dims))])
     return LengthReport(

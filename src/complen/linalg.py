@@ -3,8 +3,8 @@
 Vectors are tuples of scalars. A Subspace stores forward-reduced echelon rows:
 inserting a vector adds one row and never rewrites the others, so a subspace
 is immutable and a larger one shares the rows of the smaller. The reduced row
-echelon form, which is canonical, is built only when equality, hashing or a
-sort key needs it, and then cached.
+echelon form, which is canonical, is built only when equality or hashing
+needs it, and then cached.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ class Subspace:
     columns are not cleared from the other rows. ``insert``, ``reduce``,
     ``contains``, ``sum`` and ``dim`` work on this store. ``rows`` is the
     canonical reduced row echelon form (pivot columns zero outside their own
-    row), built on first use and cached; ``key``, equality and hashing read
-    it. The zero subspace has no rows.
+    row), built on first use and cached; equality and hashing read it. The
+    zero subspace has no rows.
     """
 
     __slots__ = ("field", "ambient", "basis", "pivots", "_rref")
@@ -108,11 +108,6 @@ class Subspace:
                 Subspace(f, n, b[i + 1 :], p[i + 1 :]).reduce(row) for i, row in enumerate(b)
             )
         return self._rref
-
-    def key(self):
-        """Deterministic total-order key: (dim, pivots, canonical rows)."""
-        f = self.field
-        return (self.dim, self.pivots, tuple(tuple(f.sort_key(x) for x in row) for row in self.rows))
 
     def __eq__(self, other) -> bool:
         return (

@@ -433,11 +433,11 @@ def test_descending_exhaustive_needs_finite_budget():
     with pytest.raises(UnknownIdentity):
         check_descending(make_okubo_isotropic(F3, F3.one(), F3.from_int(2)), "flexible",
                          strategy="bogus")
-    # 3^8 elements: 6561^2 pairs are past the default cap of 10^7
+    # 3^8 elements: 6561^2 pairs and 6561^3 triples are past the default cap of 10^7
     b = make_hurwitz_tower(F3, None, (F3.one(), F3.one(), F3.one()))
     with pytest.raises(CostCapExceeded) as e:
         check_descending(b, "flexible", strategy="exhaustive")
-    assert e.value.estimate == 6561
+    assert e.value.estimate == 6561**3
 
 
 

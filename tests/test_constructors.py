@@ -9,7 +9,6 @@ from complen.constructors import (
     make_hurwitz_tower,
     make_okubo_idempotent,
     make_okubo_isotropic,
-    make_para_hurwitz,
     make_pseudo_octonion,
     make_quadratic_etale,
     make_two_dim_form,
@@ -117,11 +116,6 @@ def test_twist_carries_descending_certificates():
     t = standard_twist(a, "IV")
     assert "descending-flexible" in t.certificates
     assert "descending-alternative" in t.certificates
-
-
-def test_para_hurwitz_is_type_iv():
-    a = make_hurwitz_tower(Q, None, (Q.one(),))
-    assert make_para_hurwitz(a).table == standard_twist(a, "IV").table
 
 
 def test_twist_rejects_unknown_type_and_nonunital_input():

@@ -211,6 +211,15 @@ def test_cli_twist_requires_flag_consistency(tmp_path, capsys):
     assert json.loads(out)["unital"] is False
 
 
+def test_cli_para_hurwitz_is_twist_iv(tmp_path, capsys):
+    para, twist = str(tmp_path / "p.json"), str(tmp_path / "t.json")
+    _run(capsys, "construct", "--family", "para-hurwitz", "--field", "Q",
+         "--params", "from-field,1", "--out", para)
+    _run(capsys, "construct", "--family", "twist", "--twist", "IV", "--field", "Q",
+         "--params", "from-field,1", "--out", twist)
+    assert load_algebra(para).table == load_algebra(twist).table
+
+
 def test_cli_prints_certificate_routes(tmp_path, capsys):
     path = str(tmp_path / "iso.json")
     code, out, _ = _run(capsys, "construct", "--family", "okubo-isotropic", "--field", "F3",
@@ -256,10 +265,10 @@ def test_cli_length_set_descending_modes(tmp_path, capsys):
                         "--set", vec16, "--mode", "descending")
     assert code == 1
     assert json.loads(err)["error"] == "ModeUnjustified"
-    code, out, _ = _run(capsys, "length-set", "--algebra", path,
-                        "--set", vec16, "--mode", "descending", "--assume-descending")
-    assert code == 0
-    assert json.loads(out)["mode"] == "descending"
+    code, out, err = _run(capsys, "length-set", "--algebra", path,
+                          "--set", vec16, "--mode", "descending", "--assume-descending")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
 
 
 def test_cli_length_algebra_exhaustive(tmp_path, capsys):
@@ -322,7 +331,7 @@ def test_cli_bad_cost_cap_is_json_error(tmp_path, capsys, monkeypatch):
     assert doc["error"] == "ParseError" and "COMPLEN_COST_CAP" in doc["message"]
 
 
-@pytest.mark.parametrize("what,estimate", (("descending-flexible", 9), ("flexible", 81)))
+@pytest.mark.parametrize("what,estimate", (("descending-flexible", 729), ("flexible", 81)))
 def test_cli_exhaustive_checks_honour_the_cost_cap(tmp_path, capsys, monkeypatch, what, estimate):
     # K(1) over F3: 9 elements, so 81 pairs and 729 triples, all over a cap of 10
     path = str(tmp_path / "k.json")
@@ -334,6 +343,24 @@ def test_cli_exhaustive_checks_honour_the_cost_cap(tmp_path, capsys, monkeypatch
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "CostCapExceeded" and doc["estimate"] == estimate
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    (
+        (("construct", "--family", "hurwitz", "--field", "F2", "--params", "1",
+          "--out", "k.json", "--bogus"), "--bogus"),
+        (("construct", "--family", "nope", "--field", "F2", "--out", "k.json"), "nope"),
+        (("length-set", "--algebra", "k.json"), "--set"),
+    ),
+    ids=("unknown-flag", "bad-family", "missing-required"),
+)
+def test_cli_usage_errors_are_json_errors(capsys, argv, named):
+    # argparse would print usage text and exit with status 2, the cost-cap code
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and named in doc["message"]
 
 
 @pytest.mark.parametrize("params", ("1,,1", "1,1,", ",1"))

@@ -45,7 +45,7 @@ def test_insert_clears_above_and_below():
 
 def test_span_order_independent():
     vs = [_v(F3, 1, 1, 0), _v(F3, 0, 1, 2), _v(F3, 1, 2, 2)]
-    spans = {Subspace.span(F3, 3, list(p)).key() for p in itertools.permutations(vs)}
+    spans = {Subspace.span(F3, 3, list(p)) for p in itertools.permutations(vs)}
     assert len(spans) == 1
 
 
@@ -67,9 +67,9 @@ def test_sum_of_subspaces():
 def test_equality_and_key_agree():
     a = Subspace.span(F3, 2, [_v(F3, 1, 2), _v(F3, 2, 2)])
     b = Subspace.span(F3, 2, [_v(F3, 0, 1), _v(F3, 1, 0)])
-    assert a == b and a.key() == b.key()
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
     c = Subspace.span(F3, 2, [_v(F3, 1, 0)])
-    assert c != a and c.key() != a.key()
+    assert c != a and c not in {a}
 
 
 def test_dedup_by_key_counts_all_subspaces_f2_cube():
@@ -77,7 +77,7 @@ def test_dedup_by_key_counts_all_subspaces_f2_cube():
     seen = set()
     for r in range(4):
         for combo in itertools.combinations(vecs, r):
-            seen.add(Subspace.span(F2, 3, list(combo)).key())
+            seen.add(Subspace.span(F2, 3, list(combo)))
     # total subspaces of F2^3: 1 + 7 + 7 + 1
     assert len(seen) == 16
 
@@ -106,7 +106,7 @@ def test_enumerate_subspaces_f2_dim4():
     for k in range(1, 5):
         for s in enumerate_subspaces(F2, 4, k):
             assert s.dim == k
-            keys.add(s.key())
+            keys.add(s)
             by_dim[k] = by_dim.get(k, 0) + 1
             total += 1
     assert total == len(keys) == 66
@@ -149,7 +149,7 @@ def test_subspace_keys_do_not_depend_on_the_rational_encoding(vectors):
     as_fractions = [tuple(Fraction(x) for x in v) for v in vectors]
     as_ints = [tuple(Q.parse(str(x)) for x in v) for v in vectors]
     s, t = Subspace.span(Q, 4, as_fractions), Subspace.span(Q, 4, as_ints)
-    assert s == t and hash(s) == hash(t) and s.key() == t.key() and s.rows == t.rows
+    assert s == t and hash(s) == hash(t) and s.rows == t.rows
     assert {s} == {t} and {s: 1}[t] == 1
     for row in s.rows:
         for x in row:
