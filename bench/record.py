@@ -20,18 +20,22 @@ workload and side, seed 1 with `--seconds 0 --trace 1`, gives the
 per-layer metrics (field operations, inserts, span chains, per-layer
 seconds) under `workloads.<w>.layers`, so the file shows where the time
 went; tracing slows that run, so its seconds compare only with other
-traced runs. Then it times
-`complen verify-paper --jobs 1 --format json` once and keeps every row (status,
-expected, measured) apart from its seconds, so two BENCH files show whether
-the rows moved, and the seconds per case. With `--tier1` it times the tier-1
-pytest run. It counts the lines of every module in `src/complen/`.
+traced runs. Then it times `complen verify-paper --jobs 1 --format json`
+REPEATS times per side, in alternating pairs ordered as the seeds are, and
+keeps every row (status, expected, measured) apart from its seconds, so two
+BENCH files show whether the rows moved; every run of a side must give the
+same rows. Each side's `verify_paper` holds the median `wall_s` and the runs
+with their seconds per case. With `--tier1` the tier-1 pytest run is timed
+the same way, under `tier1`. It counts the lines of every module in
+`src/complen/`.
 
 The head's results sit at the top level of the file, as in a file without a
 base. With `--base`, `base` holds the same keys for the base commit, and
 `pairs` gives, for each workload and each end-to-end metric of
 `BENCHMARK.json`, both sides' medians and quartiles and the number of pairs
-the head won (ties count for neither side). The file is written next to
-this script's checkout root. Standard library only.
+the head won (ties count for neither side); `suite_pairs` gives the same for
+the `wall_s` of verify-paper and tier-1. The file is written next to this
+script's checkout root. Standard library only.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+REPEATS = 3  # verify-paper and tier-1 runs per side
 
 
 def _env(root: Path) -> dict:
@@ -121,29 +126,32 @@ def _quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
 
+def _pair_stats(pairs: list, lower: bool = True) -> dict:
+    """Medians, quartiles and pairs won by each side of (base, head) values."""
+    base, head = [b for b, _ in pairs], [h for _, h in pairs]
+    return {
+        "pairs": len(pairs),
+        "head_wins": sum(h < b if lower else h > b for b, h in pairs),
+        "base_wins": sum(b < h if lower else b > h for b, h in pairs),
+        "base_median": statistics.median(base),
+        "head_median": statistics.median(head),
+        "base_quartiles": _quartiles(base),
+        "head_quartiles": _quartiles(head),
+    }
+
+
 def compare(base_runs: list, head_runs: list, metrics: list) -> dict:
     """Per end-to-end metric: medians, quartiles and pairs won by the head."""
     out = {}
     for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
+        name = m["name"]
         pairs = [
             (b["metrics"][name]["value"], h["metrics"][name]["value"])
             for b, h in zip(base_runs, head_runs)
             if name in b.get("metrics", {}) and name in h.get("metrics", {})
         ]
-        if not pairs:
-            continue
-        base, head = [b for b, _ in pairs], [h for _, h in pairs]
-        out[name] = {
-            "pairs": len(pairs),
-            "head_wins": sum(h < b if lower else h > b for b, h in pairs),
-            "base_wins": sum(b < h if lower else b > h for b, h in pairs),
-            "base_median": statistics.median(base),
-            "head_median": statistics.median(head),
-            "base_quartiles": _quartiles(base),
-            "head_quartiles": _quartiles(head),
-            "bound": m.get("bound"),
-        }
+        if pairs:
+            out[name] = {**_pair_stats(pairs, m["better"] == "lower"), "bound": m.get("bound")}
     return out
 
 
@@ -210,18 +218,41 @@ def measure(sides: dict, seeds: list, with_tier1: bool) -> dict:
             }
         if "base" in sides:
             pairs[w] = compare(runs["base"], runs["head"], bench["end_to_end"])
-    for side in sorted(sides):
-        print(f"record: verify-paper {side}", file=sys.stderr, flush=True)
-        out[side]["verify_paper"] = verify_paper(sides[side][1])
-        if with_tier1:
-            print(f"record: tier-1 {side}", file=sys.stderr, flush=True)
-            out[side]["tier1"] = tier1(sides[side][1])
+    suites = {"verify_paper": verify_paper, **({"tier1": tier1} if with_tier1 else {})}
+    suite_pairs = {}
+    for key, run in suites.items():
+        runs = repeated(sides, key, run)
+        for side, side_runs in runs.items():
+            entry = out[side][key] = {
+                "wall_s": statistics.median(r["wall_s"] for r in side_runs),
+                "counts": side_runs[0]["counts"],
+            }
+            if key == "verify_paper":
+                rows = side_runs[0].pop("rows")
+                if any(r.pop("rows") != rows for r in side_runs[1:]):
+                    raise SystemExit(f"record: verify-paper rows differ between {side} runs")
+                entry["rows"] = rows
+            entry["runs"] = side_runs
+        if "base" in sides:
+            walls = [(b["wall_s"], h["wall_s"]) for b, h in zip(runs["base"], runs["head"])]
+            suite_pairs[key] = _pair_stats(walls)
     if pairs:
         out["pairs"] = pairs
+        out["suite_pairs"] = suite_pairs
         out["rows_identical"] = (
             out["base"]["verify_paper"]["rows"] == out["head"]["verify_paper"]["rows"]
         )
     return out
+
+
+def repeated(sides: dict, key: str, run) -> dict:
+    """REPEATS runs of run(root) per side, the base first in odd rounds."""
+    runs = {side: [] for side in sides}
+    for r in range(1, REPEATS + 1):
+        for side in sorted(sides, reverse=r % 2 == 0):
+            print(f"record: {key} run {r} {side}", file=sys.stderr, flush=True)
+            runs[side].append(run(sides[side][1]))
+    return runs
 
 
 def main(argv=None) -> int:

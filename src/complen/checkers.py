@@ -1,29 +1,22 @@
 """Exact certification of algebra identities and structural properties.
 
-Each catalog identity is written once, as a function g(x, *rest) that returns
+Each catalog identity is written once, as a function g(*args) that returns
 its left-minus-right value, and is certified by its values at basis points.
-When g is homogeneous of degree 2 in x and linear in the rest, then for each
-basis tuple of the rest
-
-    g(x) = sum_i c_ii x_i^2 + sum_{i<k} c_ik x_i x_k,
-
-so g(e_i) = c_ii and g(e_i + e_k) = c_ii + c_kk + c_ik. The points are
-visited e_0, ..., e_{n-1} first and then e_i + e_k for i < k, so the first
-nonzero value is exactly one coefficient, and the point where it appears is
-the counterexample. All values zero means every coefficient vanishes: the
-identity holds as a polynomial identity, in every characteristic. Evaluating
-on all field points instead would be unsound in characteristic 2 (x^2 = x on
-GF(2)). A multilinear g is read at every basis tuple.
-
-The composition law n(xy) = n(x)n(y) has degree 2 in x and degree 2 in y.
-Its coefficient at x_i x_k y_j y_l (i <= k, j <= l) is read off the table,
-with no element multiplied, and the index pairs are visited in the same
-order: (i, i) for every i, then (i, k) for i < k, x in the outer loop. With
-point(i, k) = e_i, or e_i + e_k for i < k, the value of n(xy) - n(x)n(y) at
-(point(i, k), point(j, l)) is the sum of the coefficients whose x pair lies
-in {(i, i), (k, k), (i, k)} and whose y pair lies in {(j, j), (l, l), (j, l)}.
-Every term but (i, k), (j, l) itself comes earlier, so the first nonzero
-coefficient is the value at that pair of points, the counterexample.
+Let g have degree 2 in each of its first q slots (q = 0, 1 or 2) and be
+linear in the rest. Fix a basis tuple for the linear slots; a quadratic slot
+runs over point(i, k) = e_i for i == k, then e_i + e_k for i < k, and the
+slots run in that order with the first outermost. Then g is a sum of
+coefficients c times one monomial x_i x_k per quadratic slot, and its value
+at the points (point(i_1, k_1), ..., point(i_q, k_q)) is the sum of the
+coefficients whose pair in each slot s lies in {(i_s, i_s), (k_s, k_s),
+(i_s, k_s)}. Each of those pairs comes no later than (i_s, k_s) in its slot,
+so every term but the tuple's own coefficient was read earlier: the first
+nonzero value is exactly one coefficient, and its points are the
+counterexample. All values zero means every coefficient vanishes: the
+identity holds as a polynomial identity, in every characteristic.
+Evaluating on all field points instead would be unsound in characteristic 2
+(x^2 = x on GF(2)). For q = 0 the form is multilinear and read at every
+basis tuple; the composition law n(xy) - n(x)n(y) is the form with q = 2.
 """
 
 from __future__ import annotations
@@ -74,17 +67,17 @@ def random_element(a: AlgebraTable, rng: random.Random) -> Element:
 
 @dataclass
 class _Form:
-    """One catalog identity as g(x, *rest), its left-minus-right value.
+    """One catalog identity as g(*args), its left-minus-right value.
 
-    A quadratic form is homogeneous of degree 2 in x and linear in the rest;
-    every other form is multilinear. arity counts all arguments, x included;
-    scalar marks forms whose value is a scalar rather than an element.
+    g has degree 2 in each of its first `quadratic` slots (0, 1 or 2) and is
+    linear in the rest. arity counts all slots; scalar marks forms whose
+    value is a scalar rather than an element.
     """
 
     name: str
     g: Callable
     arity: int
-    quadratic: bool = False
+    quadratic: int = 0
     scalar: bool = False
 
 
@@ -121,7 +114,7 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
         def g(x, b):
             return sub(mul(mul(x, b), x), mul(x, mul(b, x)))
 
-        return [_Form("flexible", g, 2, quadratic=True)]
+        return [_Form("flexible", g, 2, quadratic=1)]
 
     if identity == "alternative":
         def g1(x, b):
@@ -131,8 +124,8 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
             return sub(mul(mul(b, x), x), mul(b, mul(x, x)))
 
         return [
-            _Form("left-alternative", g1, 2, quadratic=True),
-            _Form("right-alternative", g2, 2, quadratic=True),
+            _Form("left-alternative", g1, 2, quadratic=1),
+            _Form("right-alternative", g2, 2, quadratic=1),
         ]
 
     if identity == "quadratic":
@@ -145,7 +138,7 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
             v = sub(mul(x, x), scale(quad.polar_eval(x, e), x))
             return add(v, scale(quad.eval(x), e))
 
-        return [_Form("quadratic", g, 1, quadratic=True)]
+        return [_Form("quadratic", g, 1, quadratic=1)]
 
     if identity == "regular-involution":
         quad = _require_quad(a)
@@ -163,8 +156,8 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
             return sub(mul(conj(x), x), scale(quad.eval(x), e))
 
         return [
-            _Form("x-conj(x)", g1, 1, quadratic=True),
-            _Form("conj(x)-x", g2, 1, quadratic=True),
+            _Form("x-conj(x)", g1, 1, quadratic=1),
+            _Form("conj(x)-x", g2, 1, quadratic=1),
         ]
 
     if identity == "symmetric":
@@ -177,8 +170,8 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
             return sub(mul(x, mul(y, x)), scale(quad.eval(x), y))
 
         return [
-            _Form("(x*y)*x", g1, 2, quadratic=True),
-            _Form("x*(y*x)", g2, 2, quadratic=True),
+            _Form("(x*y)*x", g1, 2, quadratic=1),
+            _Form("x*(y*x)", g2, 2, quadratic=1),
         ]
 
     if identity == "form-associativity":
@@ -188,6 +181,21 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
             return f.sub(quad.polar_eval(mul(x, y), z), quad.polar_eval(x, mul(y, z)))
 
         return [_Form("form-associativity", g, 3, scalar=True)]
+
+    if identity == "composition":
+        n = _require_quad(a).eval
+        norms: dict = {}  # n at each point, read once
+
+        def norm(x):
+            v = norms.get(x)
+            if v is None:
+                v = norms[x] = n(x)
+            return v
+
+        def g(x, y):
+            return f.sub(n(mul(x, y)), f.mul(norm(x), norm(y)))
+
+        return [_Form("composition", g, 2, quadratic=2, scalar=True)]
 
     if identity == "two-product":
         quad = _require_quad(a)
@@ -280,7 +288,7 @@ def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
         return sub(scale(t(x), e), x)
 
     def emit(named):
-        return [_Form(f"{ttype}:{name}", g, 2, quadratic=True) for name, g in named]
+        return [_Form(f"{ttype}:{name}", g, 2, quadratic=1) for name, g in named]
 
     def type_ii(m):
         # (a*b)*a = t(a) b*a + n(a) b - t(b) a*a
@@ -385,22 +393,19 @@ def _scalar_or_vec_zero(a: AlgebraTable, v, scalar: bool) -> bool:
 def check_polarized_identity(a: AlgebraTable, identity: str) -> Verdict:
     """Certify an identity from the catalog exactly at basis points.
 
-    For each basis tuple of the rest, a quadratic form is read at e_0, ...,
-    e_{n-1} and then at e_i + e_k for i < k (module docstring); a multilinear
-    form is read at every basis tuple. The first nonzero value is the
+    The linear slots run over basis tuples in the outer loop; each quadratic
+    slot runs over e_0, ..., e_{n-1} and then e_i + e_k for i < k, the first
+    slot outermost (module docstring). The first nonzero value is the
     counterexample.
     """
     basis = [a.basis_element(i) for i in range(a.dim)]
     points = [_point(a, i, k) for i, k in _index_pairs(a.dim)]
     for form in _identity_forms(a, identity):
-        if form.quadratic:
-            trials = (
-                (x, *rest)
-                for rest in itertools.product(basis, repeat=form.arity - 1)
-                for x in points
-            )
-        else:
-            trials = itertools.product(basis, repeat=form.arity)
+        trials = (
+            (*xs, *rest)
+            for rest in itertools.product(basis, repeat=form.arity - form.quadratic)
+            for xs in itertools.product(points, repeat=form.quadratic)
+        )
         for args in trials:
             value = form.g(*args)
             if not _scalar_or_vec_zero(a, value, form.scalar):
@@ -420,69 +425,6 @@ def _elements_in_order(a: AlgebraTable) -> list[Element]:
     return list(itertools.product(a.field.enumerate(), repeat=a.dim))
 
 
-def _composition_polarized(a: AlgebraTable):
-    """First nonzero coefficient of n(xy) - n(x)n(y) in point order, or None.
-
-    Returns (i, k, j, l, coefficient) for the coefficient of x_i x_k y_j y_l,
-    the index pairs visited in point order with x outer (module docstring),
-    so the coefficient is the value at (point(i, k), point(j, l)). With n(u)
-    = u^T B u for the upper-triangular B of the form, the coefficient is
-    sum (e_a e_c)^T B (e_b e_d) - n_ik n_jl over the orderings (a, b) of
-    (i, k) and (c, d) of (j, l), n_ik the coefficient of x_i x_k in n(x).
-    Each term is read from the table entries and B; no element is multiplied.
-    """
-    f = a.field
-    zero = f.zero()
-    add, mul = f.add, f.mul
-    quad = a.quad
-    dim = a.dim
-    # B as sparse rows: u^T B v = sum_r sum_s u_r split[r][s] v_s
-    split = [{} for _ in range(dim)]
-    for i, d in enumerate(quad.diag):
-        if d:
-            split[i][i] = d
-    for (i, j), c in quad.polar.items():
-        split[i][j] = c
-    # nonzero coordinates of e_a e_c, and of e_a e_c pushed through B
-    coords = [[[(s, v) for s, v in enumerate(a.table[r][c]) if v]
-               for c in range(dim)] for r in range(dim)]
-    pushed = []
-    for r in range(dim):
-        row = []
-        for c in range(dim):
-            w: dict = {}
-            for t, u in coords[r][c]:
-                for s, m in split[t].items():
-                    w[s] = add(w[s], mul(u, m)) if s in w else mul(u, m)
-            row.append({s: v for s, v in w.items() if v})
-        pushed.append(row)
-    orders = {
-        (i, k): ((i, k),) if i == k else ((i, k), (k, i)) for i, k in _index_pairs(dim)
-    }
-    for (i, k), xo in orders.items():
-        n_ik = split[i].get(k)
-        for (j, l), yo in orders.items():
-            coeff = zero
-            for x1, x2 in xo:
-                for y1, y2 in yo:
-                    w = pushed[x1][y1]
-                    for s, v in coords[x2][y2]:
-                        ws = w.get(s)
-                        if ws is not None:
-                            coeff = add(coeff, mul(ws, v))
-            n_jl = split[j].get(l)
-            if n_ik is not None and n_jl is not None:
-                coeff = f.sub(coeff, mul(n_ik, n_jl))
-            if coeff:
-                return i, k, j, l, coeff
-    return None
-
-
-def _composition_value(a: AlgebraTable, x: Element, y: Element):
-    f = a.field
-    return f.sub(a.quad_eval(a.multiply(x, y)), f.mul(a.quad_eval(x), a.quad_eval(y)))
-
-
 def _element_count(a: AlgebraTable, strategy: str, what: str) -> Optional[int]:
     """The number of elements of a, or None over Q, where "exhaustive" is an error."""
     if strategy not in ("auto", "exhaustive", "sampled"):
@@ -493,42 +435,40 @@ def _element_count(a: AlgebraTable, strategy: str, what: str) -> Optional[int]:
     return None if card is None else card**a.dim
 
 
-def check_composition(
-    a: AlgebraTable,
-    strategy: str = "auto",
-    seed: int = 0,
-    samples: int = DEFAULT_SAMPLES,
-) -> Verdict:
-    """Check n(x*y) = n(x)*n(y).
+def _index_pair(point: Element) -> tuple:
+    """(i, k) for point(i, k): its first and last nonzero coordinates."""
+    nonzero = [i for i, v in enumerate(point) if v]
+    return nonzero[0], nonzero[-1]
 
-    "polarized" proves the polynomial identity from the basis (module
-    docstring) over any field, at (dim(dim+1)/2)^2 coefficient sums.
+
+def check_composition(a: AlgebraTable, strategy: str = "auto", seed: int = 0) -> Verdict:
+    """Check n(x*y) = n(x)*n(y), the catalog form "composition".
+
+    "polarized" is check_polarized_identity on that form: it proves the
+    polynomial identity over any field at (dim(dim+1)/2)^2 point pairs, and
+    the counterexample's value is the coefficient of x_i x_k y_j y_l, with
+    (i, k, j, l) the index pairs of its points (module docstring).
     "exhaustive" evaluates every pair of elements over a finite field of at
     most PAIR_CAP elements, by primescan.composition_scan over the prime
     field (restriction of scalars), and "auto" does so when the element count
-    permits; otherwise "auto" and "sampled" evaluate random pairs, which is
-    evidence rather than a certificate. The certificate string says which one
-    was obtained. "polarized" certifies the law as a polynomial identity, and
-    its first nonzero coefficient is the value at a pair of basis points, so
-    "polarized" and "exhaustive" agree, even over GF(2).
+    permits; otherwise "auto" and "sampled" run check_identity_direct's
+    sampled loop on the form, which is evidence rather than a certificate.
+    The certificate string says which one was obtained. A polarized value is
+    the value at a pair of basis points, so "polarized" and "exhaustive"
+    agree, even over GF(2).
     """
-    _require_quad(a)
+    (form,) = _identity_forms(a, "composition")
     if strategy == "polarized":
-        bad = _composition_polarized(a)
-        if bad is None:
-            return Verdict("composition", True, "polarized-basis")
-        i, k, j, l, coeff = bad
-        return Verdict(
-            "composition",
-            False,
-            "polarized-basis",
-            counterexample={
-                "args": (_point(a, i, k), _point(a, j, l)),
-                "value": coeff,
-                "indices": (i, k, j, l),
-                "coefficient": coeff,
-            },
-        )
+        v = check_polarized_identity(a, "composition")
+        if not v.holds:
+            args, value = v.counterexample["args"], v.counterexample["value"]
+            v.counterexample = {
+                "args": args,
+                "value": value,
+                "indices": _index_pair(args[0]) + _index_pair(args[1]),
+                "coefficient": value,
+            }
+        return v
     n_elems = _element_count(a, strategy, "composition")
     can_exhaust = n_elems is not None and n_elems <= PAIR_CAP
     if strategy == "exhaustive" and not can_exhaust:
@@ -538,18 +478,15 @@ def check_composition(
     if strategy != "sampled" and can_exhaust:
         from .primescan import composition_scan
 
-        bad, tag = composition_scan(a), "exhaustive"
-    else:
-        rng = random.Random(seed)
-        tag = f"sampled(seed={seed},n={samples})"
-        pairs = ((random_element(a, rng), random_element(a, rng)) for _ in range(samples))
-        bad = next((xy for xy in pairs if _composition_value(a, *xy)), None)
-    if bad is None:
-        return Verdict("composition", True, tag)
-    return Verdict(
-        "composition", False, tag,
-        counterexample={"args": bad, "value": _composition_value(a, *bad)},
-    )
+        bad = composition_scan(a)
+        v = Verdict("composition", bad is None, "exhaustive")
+        if bad is not None:
+            v.counterexample = {"args": bad, "value": form.g(*bad)}
+        return v
+    v = check_identity_direct(a, "composition", "sampled", seed)
+    if not v.holds:
+        v.counterexample = {k: v.counterexample[k] for k in ("args", "value")}
+    return v
 
 
 # --- norm recovery --------------------------------------------------------
@@ -673,7 +610,6 @@ def check_descending(
     kind: str,
     strategy: str = "auto",
     seed: int = 0,
-    samples: int = DEFAULT_SAMPLES,
     candidates: Optional[Sequence[tuple]] = None,
 ) -> Verdict:
     """Check descending flexibility or alternativity.
@@ -736,16 +672,17 @@ def check_descending(
             return Verdict(ident, True, "exhaustive")
 
     rng = random.Random(seed)
-    for _ in range(samples):
+    tag = f"sampled(seed={seed},n={DEFAULT_SAMPLES})"
+    for _ in range(DEFAULT_SAMPLES):
         x, y = random_element(a, rng), random_element(a, rng)
         bad = _pair_violation(a, kind, x, y)
         if bad:
-            return Verdict(ident, False, f"sampled(seed={seed},n={samples})", counterexample=bad)
+            return Verdict(ident, False, tag, counterexample=bad)
         z = random_element(a, rng)
         bad = _triple_violation(a, kind, x, y, z)
         if bad:
-            return Verdict(ident, False, f"sampled(seed={seed},n={samples})", counterexample=bad)
-    return Verdict(ident, True, f"sampled(seed={seed},n={samples})")
+            return Verdict(ident, False, tag, counterexample=bad)
+    return Verdict(ident, True, tag)
 
 
 def check_identity_direct(
@@ -753,13 +690,12 @@ def check_identity_direct(
     identity: str,
     strategy: str = "exhaustive",
     seed: int = 0,
-    samples: int = DEFAULT_SAMPLES,
 ) -> Verdict:
     """Pointwise evaluation of a catalog identity on element tuples.
 
     The oracle for the polarized certificates (exhaustive over small finite
-    fields) and the refutation-only sampled fallback; it proves nothing over
-    infinite fields. It shares each identity's one transcription, the form's
+    fields) and the refutation-only sampled fallback, check_composition's
+    included; it proves nothing over infinite fields. It shares each identity's one transcription, the form's
     g; what stays independent of check_polarized_identity is the algorithm:
     every element tuple against the basis-point argument.
     """
@@ -783,10 +719,10 @@ def check_identity_direct(
         )
     elif strategy == "sampled":
         rng = random.Random(seed)
-        tag = f"sampled(seed={seed},n={samples})"
+        tag = f"sampled(seed={seed},n={DEFAULT_SAMPLES})"
         trials = (
             (form, tuple(random_element(a, rng) for _ in range(nargs)))
-            for _ in range(samples)
+            for _ in range(DEFAULT_SAMPLES)
             for form, nargs in zip(forms, arities)
         )
     else:

@@ -303,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact construction, certification, and length computation "
         "for composition algebras.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    # not required: argparse would report a missing command before an
+    # unrecognized argument, so main reports the missing command itself
+    sub = p.add_subparsers(dest="command")
 
     c = sub.add_parser("construct", help="build an algebra and write its file")
     c.add_argument("--family", required=True, choices=FAMILIES)
@@ -351,6 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.command is None:
+            raise ParseError("complen: a command is required")
         return args.fn(args)
     except CostCapExceeded as e:
         print(

@@ -7,10 +7,13 @@ algebra with the twisted product, and the two-dimensional anisotropic family.
 
 Every constructor runs exact checks before returning and raises
 SelfCheckFailed on any violation, so a transcription or convention error
-cannot produce a usable object. The unital tower proves n(xy) = n(x)n(y) from
-its coefficients on the basis, over the rationals as over finite fields.
-Constructors also cache the descending certificates their closed-form
-identities justify.
+cannot produce a usable object. The unital tower proves n(xy) = n(x)n(y) by
+reading the law at basis points, like every other identity, over the
+rationals as over finite fields. Every symmetric table recovers its norm from
+the products: recover_norm proves the symmetric law and strict
+nondegeneracy once, and the pseudo-octonions' recovered norm must equal their
+trace form. Constructors also cache the descending certificates their
+closed-form identities justify.
 """
 
 from __future__ import annotations
@@ -317,12 +320,21 @@ def _table_from_rows(field: Field, rows, coeff: dict) -> list:
     return table
 
 
-def _finish_symmetric(a: AlgebraTable) -> AlgebraTable:
-    """Verify the symmetric law and form associativity; cache the certificate."""
-    _must_hold(check_polarized_identity(a, "symmetric"), a.name)
-    _must_hold(check_polarized_identity(a, "form-associativity"), a.name)
-    if not a.quad.is_strictly_nondegenerate():
-        raise SelfCheckFailed(f"{a.name}: norm is degenerate")
+def _finish_symmetric(
+    f: Field, labels, table, name: str, expect: Optional[QuadraticForm] = None
+) -> AlgebraTable:
+    """Recover the norm, prove form associativity, cache the certificate.
+
+    recover_norm proves the symmetric law and strict nondegeneracy of the
+    recovered form, so neither is proved again here. expect, when given, is
+    the norm the family is defined with, and the recovered norm must equal it.
+    """
+    dim = len(labels)
+    quad = recover_norm(AlgebraTable(f, dim, labels, table, name=name))
+    if expect is not None and quad != expect:
+        raise SelfCheckFailed(f"{name}: the recovered norm is not the defining one")
+    a = AlgebraTable(f, dim, labels, table, quad=quad, name=name)
+    _must_hold(check_polarized_identity(a, "form-associativity"), name)
     a.certificates["descending-flexible"] = "symmetric-law"
     return a
 
@@ -344,10 +356,7 @@ def make_okubo_isotropic(field: Field, alpha: Scalar, beta: Scalar) -> AlgebraTa
     }
     table = _table_from_rows(f, _ISO_ROWS, coeff)
     name = f"okubo-isotropic({f.format(alpha)},{f.format(beta)})"
-    probe = AlgebraTable(f, 8, _ISO_LABELS, table, name=name)
-    quad = recover_norm(probe)
-    out = AlgebraTable(f, 8, _ISO_LABELS, table, quad=quad, name=name)
-    return _finish_symmetric(out)
+    return _finish_symmetric(f, _ISO_LABELS, table, name)
 
 
 def make_okubo_idempotent(field: Field, beta: Scalar, gamma: Scalar) -> AlgebraTable:
@@ -365,10 +374,7 @@ def make_okubo_idempotent(field: Field, beta: Scalar, gamma: Scalar) -> AlgebraT
     }
     table = _table_from_rows(f, _IDEM_ROWS, coeff)
     name = f"okubo-idempotent({f.format(beta)},{f.format(gamma)})"
-    probe = AlgebraTable(f, 8, _IDEM_LABELS, table, name=name)
-    quad = recover_norm(probe)
-    out = AlgebraTable(f, 8, _IDEM_LABELS, table, quad=quad, name=name)
-    return _finish_symmetric(out)
+    return _finish_symmetric(f, _IDEM_LABELS, table, name)
 
 
 # --- trace-zero 3x3 matrices with the twisted product -----------------------
@@ -421,7 +427,8 @@ def make_pseudo_octonion(field: Field, mu: Optional[Scalar] = None) -> AlgebraTa
     """Trace-zero 3x3 matrices with x*y = mu xy + (1-mu) yx - tr(xy)/3.
 
     Requires characteristic != 2, 3 and 3*mu*(1-mu) = 1; with mu omitted the
-    smallest root of 3X^2 - 3X + 1 in the field is used.
+    smallest root of 3X^2 - 3X + 1 in the field is used. The norm recovered
+    from the products must equal the trace form n(x) = tr(x^2)/6.
     """
     f = field
     if f.characteristic() in (2, 3):
@@ -464,12 +471,10 @@ def make_pseudo_octonion(field: Field, mu: Optional[Scalar] = None) -> AlgebraTa
             c = f.mul(third, _mat_trace(f, _mat_mul(f, basis[i], basis[j])))
             if c:
                 polar[(i, j)] = c
-    quad = QuadraticForm(f, 8, diag, polar)
-    out = AlgebraTable(
-        f, 8, _SL3_LABELS, table, quad=quad,
-        name=f"pseudo-octonion({f.format(mu)})",
+    return _finish_symmetric(
+        f, _SL3_LABELS, table, f"pseudo-octonion({f.format(mu)})",
+        expect=QuadraticForm(f, 8, diag, polar),
     )
-    return _finish_symmetric(out)
 
 
 def make_two_dim_form(field: Field, lam: Scalar) -> AlgebraTable:
@@ -487,7 +492,4 @@ def make_two_dim_form(field: Field, lam: Scalar) -> AlgebraTable:
         [(o, z), (lam, f.neg(o))],
     ]
     name = f"two-dim-form({f.format(lam)})"
-    probe = AlgebraTable(f, 2, ("u", "v"), table, name=name)
-    quad = recover_norm(probe)
-    out = AlgebraTable(f, 2, ("u", "v"), table, quad=quad, name=name)
-    return _finish_symmetric(out)
+    return _finish_symmetric(f, ("u", "v"), table, name)

@@ -297,7 +297,7 @@ def _run_norm_recovery(build: Callable[[], AlgebraTable], seed: int) -> str:
     match = list(q.diag) == list(a.quad.diag) and dict(q.polar) == dict(a.quad.polar)
     nondeg = q.is_strictly_nondegenerate()
     checked = AlgebraTable(a.field, a.dim, a.labels, a.table, quad=q, name=a.name)
-    v = check_composition(checked, strategy="auto", seed=seed, samples=200)
+    v = check_composition(checked, strategy="auto", seed=seed)
     kind = "exhaustive" if v.certificate == "exhaustive" else "sampled"
     return f"match={match};nondegenerate={nondeg};composition={v.holds}:{kind}"
 

@@ -248,7 +248,7 @@ PINNED = [
      ("standard-products", False, "exhaustive", "III:(a*b)*a",
       ((0, 0, 0, 1), (0, 0, 0, 1)), (0, 0, 0, 2))),
     ("II-labelled-III-Q", "standard-products", "sampled",
-     ("standard-products", False, "sampled(seed=5,n=20)", "III:(a*b)*a",
+     ("standard-products", False, "sampled(seed=5,n=200)", "III:(a*b)*a",
       ((Fraction(-1, 3), Fraction(7), Fraction(5, 2), Fraction(-4)),
        (Fraction(-2), Fraction(3), Fraction(3), Fraction(9, 2))),
       (Fraction(-126), Fraction(-1780, 3), Fraction(-1691, 6), Fraction(336)))),
@@ -263,7 +263,7 @@ def test_pinned_counterexamples(case, identity, route, expected):
     if route == "polarized":
         v = check_polarized_identity(a, identity)
     elif route == "sampled":
-        v = check_identity_direct(a, identity, strategy="sampled", seed=5, samples=20)
+        v = check_identity_direct(a, identity, strategy="sampled", seed=5)
     else:
         v = check_identity_direct(a, identity, strategy="exhaustive")
     cx = v.counterexample
@@ -297,9 +297,9 @@ def test_direct_exhaustive_needs_finite_field_and_budget(monkeypatch):
 
 def test_direct_sampled_is_deterministic_per_seed():
     a = make_hurwitz_tower(Q, None, (Q.one(), Q.one()))
-    v1 = check_identity_direct(a, "flexible", strategy="sampled", seed=7, samples=20)
-    v2 = check_identity_direct(a, "flexible", strategy="sampled", seed=7, samples=20)
-    assert v1.holds and v2.holds and v1.certificate == v2.certificate == "sampled(seed=7,n=20)"
+    v1 = check_identity_direct(a, "flexible", strategy="sampled", seed=7)
+    v2 = check_identity_direct(a, "flexible", strategy="sampled", seed=7)
+    assert v1.holds and v2.holds and v1.certificate == v2.certificate == "sampled(seed=7,n=200)"
 
 
 # --- composition --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The composition law, the polarized proof and the numpy scans against Python loops."""
 
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -9,6 +10,7 @@ from complen.algebra import AlgebraTable, QuadraticForm
 from complen.checkers import (
     _elements_in_order,
     check_composition,
+    check_identity_direct,
     find_idempotents,
     find_isotropic,
 )
@@ -133,19 +135,88 @@ def _point(a: AlgebraTable, i: int, k: int):
     return a.basis_element(i) if i == k else a.add(a.basis_element(i), a.basis_element(k))
 
 
+def _coefficient_reader(a: AlgebraTable):
+    """First nonzero coefficient of n(xy) - n(x)n(y) in point order, or None.
+
+    A reference that reads the table and the form and multiplies no element.
+    Returns (i, k, j, l, c) for the coefficient c of x_i x_k y_j y_l; the
+    index pairs run (i, i) for every i, then (i, k) for i < k, x outer. With
+    n(u) = u^T B u for the upper-triangular B of the form, c is the sum of
+    (e_a e_c)^T B (e_b e_d) over the orderings (a, b) of (i, k) and (c, d) of
+    (j, l), minus n_ik n_jl, n_ik the coefficient of x_i x_k in n(x).
+    """
+    f = a.field
+    dim = a.dim
+    split = [{} for _ in range(dim)]  # u^T B v = sum_r sum_s u_r split[r][s] v_s
+    for i, d in enumerate(a.quad.diag):
+        if d:
+            split[i][i] = d
+    for (i, j), c in a.quad.polar.items():
+        split[i][j] = c
+    coords = [[[(s, v) for s, v in enumerate(a.table[r][c]) if v]
+               for c in range(dim)] for r in range(dim)]
+    pushed = []  # the coordinates of (e_r e_c)^T B
+    for r in range(dim):
+        row = []
+        for c in range(dim):
+            w: dict = {}
+            for t, u in coords[r][c]:
+                for s, m in split[t].items():
+                    w[s] = f.add(w[s], f.mul(u, m)) if s in w else f.mul(u, m)
+            row.append(w)
+        pushed.append(row)
+    pairs = [(i, i) for i in range(dim)] + list(itertools.combinations(range(dim), 2))
+    orders = {(i, k): ((i, k),) if i == k else ((i, k), (k, i)) for i, k in pairs}
+    for (i, k), xo in orders.items():
+        for (j, l), yo in orders.items():
+            coeff = f.zero()
+            for x1, x2 in xo:
+                for y1, y2 in yo:
+                    w = pushed[x1][y1]
+                    for s, v in coords[x2][y2]:
+                        if s in w:
+                            coeff = f.add(coeff, f.mul(w[s], v))
+            if k in split[i] and l in split[j]:
+                coeff = f.sub(coeff, f.mul(split[i][k], split[j][l]))
+            if coeff:
+                return i, k, j, l, coeff
+    return None
+
+
 @pytest.mark.parametrize("build", [b for _, b in FINITE + QFAMS],
                          ids=[n for n, _ in FINITE + QFAMS])
 def test_polarized_counterexample_is_the_coefficient(build):
     # the first nonzero coefficient in point order is the value at its points
-    for b in _perturbed(build()):
+    a = build()
+    assert _coefficient_reader(a) is None
+    for b in _perturbed(a):
         v = check_composition(b, strategy="polarized")
         assert not v.holds
         cx = v.counterexample
-        i, k, j, l = cx["indices"]
-        assert i <= k and j <= l
+        i, k, j, l, coeff = _coefficient_reader(b)
+        assert cx["indices"] == (i, k, j, l)
         assert cx["args"] == (_point(b, i, k), _point(b, j, l))
-        assert cx["value"] == cx["coefficient"]
+        assert cx["value"] == cx["coefficient"] == coeff
         _check_counterexample(b, v)
+
+
+SMALL = {
+    "K1-F2": lambda: make_quadratic_etale(F2, F2.one()),
+    "K1-F3": lambda: make_quadratic_etale(F3, F3.one()),
+    "quaternion-F2": lambda: _tower(F2, 4),
+}
+
+
+@pytest.mark.parametrize("build", SMALL.values(), ids=SMALL.keys())
+def test_direct_exhaustive_composition_agrees_with_polarized(build):
+    a = build()
+    for b in [a] + _perturbed(a):
+        d = check_identity_direct(b, "composition", "exhaustive")
+        assert d.holds == check_composition(b, strategy="polarized").holds == (b is a)
+        if not d.holds:
+            # the first failing pair in element order, as the numpy scan finds it
+            assert d.counterexample["args"] == check_composition(
+                b, strategy="exhaustive").counterexample["args"]
 
 
 def test_polarized_rejects_the_dim16_double():

@@ -2,8 +2,11 @@
 
 import pytest
 
+import complen.checkers as checkers
+from complen.algebra import QuadraticForm
 from complen.checkers import check_polarized_identity, find_idempotents, find_isotropic
 from complen.constructors import (
+    _finish_symmetric,
     cayley_dickson_double,
     make_base_algebra,
     make_hurwitz_tower,
@@ -20,6 +23,7 @@ from complen.errors import (
     MissingUnit,
     MuNotASolution,
     ReducibleCubic,
+    SelfCheckFailed,
     UnknownFamily,
     ZeroParameter,
 )
@@ -187,6 +191,28 @@ def test_symmetric_table_parameter_validation():
         make_okubo_idempotent(F3, F3.one(), F3.one())
 
 
+SYMMETRIC_BUILDS = {
+    "okubo-isotropic": lambda: make_okubo_isotropic(F5, F5.one(), F5.from_int(2)),
+    "okubo-idempotent": lambda: make_okubo_idempotent(F5, F5.from_int(2), F5.one()),
+    "pseudo-octonion": lambda: make_pseudo_octonion(F7),
+    "two-dim-form": lambda: make_two_dim_form(F5, F5.one()),
+}
+
+
+@pytest.mark.parametrize("build", SYMMETRIC_BUILDS.values(), ids=SYMMETRIC_BUILDS.keys())
+def test_symmetric_constructors_prove_the_symmetric_law_once(build, monkeypatch):
+    seen = []
+    real = checkers._identity_forms
+
+    def spy(a, identity):
+        seen.append(identity)
+        return real(a, identity)
+
+    monkeypatch.setattr(checkers, "_identity_forms", spy)
+    build()
+    assert seen.count("symmetric") == 1
+
+
 # --- pseudo-octonion ---------------------------------------------------------
 
 
@@ -204,6 +230,15 @@ def test_pseudo_octonion_explicit_mu_checked():
         make_pseudo_octonion(F7, F7.from_int(3))
     with pytest.raises(MuNotASolution):
         make_pseudo_octonion(Q)
+
+
+def test_pseudo_octonion_norm_must_be_the_trace_form():
+    a = make_pseudo_octonion(F7)
+    diag = list(a.quad.diag)
+    diag[0] = F7.add(diag[0], F7.one())
+    wrong = QuadraticForm(F7, 8, diag, a.quad.polar)
+    with pytest.raises(SelfCheckFailed, match="recovered norm"):
+        _finish_symmetric(F7, a.labels, a.table, a.name, expect=wrong)
 
 
 def test_pseudo_octonion_characteristic_guard():

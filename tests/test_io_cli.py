@@ -363,6 +363,18 @@ def test_cli_usage_errors_are_json_errors(capsys, argv, named):
     assert doc["error"] == "ParseError" and named in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    ((("--bogus",), "--bogus"), ((), "a command is required")),
+    ids=("unknown-flag", "no-arguments"),
+)
+def test_cli_without_a_command_is_a_json_error(capsys, argv, named):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and named in doc["message"]
+
+
 @pytest.mark.parametrize("params", ("1,,1", "1,1,", ",1"))
 def test_cli_empty_params_token_is_parse_error(tmp_path, capsys, params):
     code, out, err = _run(capsys, "construct", "--family", "hurwitz", "--field", "F3",
