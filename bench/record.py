@@ -160,7 +160,13 @@ def verify_paper(root: Path) -> dict:
     t = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True, text=True)
     wall = time.perf_counter() - t
-    doc = json.loads(proc.stdout)
+    try:
+        doc = json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        raise SystemExit(
+            f"record: verify-paper in {root} printed no JSON (exit {proc.returncode}); "
+            f"stderr ends: {proc.stderr.strip()[-2000:]}"
+        ) from None
     statuses = [c["status"] for c in doc["cases"]]
     return {
         "exit": proc.returncode,

@@ -386,8 +386,17 @@ def _point(a: AlgebraTable, i: int, k: int) -> Element:
     return e if i == k else a.add(e, a.basis_element(k))
 
 
-def _scalar_or_vec_zero(a: AlgebraTable, v, scalar: bool) -> bool:
-    return not v if scalar else a.is_zero(v)
+def _form_failure(a: AlgebraTable, form: _Form, args: tuple) -> Optional[dict]:
+    """The counterexample dict when form's value at args is nonzero, else None."""
+    value = form.g(*args)
+    zero = not value if form.scalar else a.is_zero(value)
+    return None if zero else {"form": form.name, "args": args, "value": value}
+
+
+def _first_failure(identity: str, certificate: str, failures: Iterable[Optional[dict]]) -> Verdict:
+    """The verdict on the first counterexample of failures, or a pass when none."""
+    bad = next(filter(None, failures), None)
+    return Verdict(identity, bad is None, certificate, counterexample=bad)
 
 
 def check_polarized_identity(a: AlgebraTable, identity: str) -> Verdict:
@@ -400,22 +409,13 @@ def check_polarized_identity(a: AlgebraTable, identity: str) -> Verdict:
     """
     basis = [a.basis_element(i) for i in range(a.dim)]
     points = [_point(a, i, k) for i, k in _index_pairs(a.dim)]
-    for form in _identity_forms(a, identity):
-        trials = (
-            (*xs, *rest)
-            for rest in itertools.product(basis, repeat=form.arity - form.quadratic)
-            for xs in itertools.product(points, repeat=form.quadratic)
-        )
-        for args in trials:
-            value = form.g(*args)
-            if not _scalar_or_vec_zero(a, value, form.scalar):
-                return Verdict(
-                    identity,
-                    False,
-                    "polarized-basis",
-                    counterexample={"form": form.name, "args": args, "value": value},
-                )
-    return Verdict(identity, True, "polarized-basis")
+    failures = (
+        _form_failure(a, form, (*xs, *rest))
+        for form in _identity_forms(a, identity)
+        for rest in itertools.product(basis, repeat=form.arity - form.quadratic)
+        for xs in itertools.product(points, repeat=form.quadratic)
+    )
+    return _first_failure(identity, "polarized-basis", failures)
 
 
 # --- composition law ------------------------------------------------------
@@ -472,9 +472,9 @@ def check_composition(a: AlgebraTable, strategy: str = "auto", seed: int = 0) ->
     n_elems = _element_count(a, strategy, "composition")
     can_exhaust = n_elems is not None and n_elems <= PAIR_CAP
     if strategy == "exhaustive" and not can_exhaust:
-        raise CostCapExceeded(
-            f"exhaustive composition check needs {n_elems}^2 pairs", estimate=n_elems
-        )
+        pairs = n_elems * n_elems
+        raise CostCapExceeded(f"exhaustive composition check needs {pairs} pairs, "
+                              f"over PAIR_CAP^2 = {PAIR_CAP**2}", estimate=pairs)
     if strategy != "sampled" and can_exhaust:
         from .primescan import composition_scan
 
@@ -561,48 +561,90 @@ def _span_with_unit(a: AlgebraTable, vectors: Iterable[Element]) -> Subspace:
     return s
 
 
-def _pair_violation(a: AlgebraTable, kind: str, x: Element, y: Element):
-    xx = a.multiply(x, x)
-    xy = a.multiply(x, y)
-    yx = a.multiply(y, x)
-    target = _span_with_unit(a, [x, y, xx, xy, yx])
-    if kind == "flexible":
-        probes = [("(ab)a", a.multiply(xy, x)), ("a(ba)", a.multiply(x, yx))]
+def _violation(a: AlgebraTable, kind: str, args: Sequence[Element]) -> Optional[dict]:
+    """The first descending condition that a pair or a triple violates, or None.
+
+    A pair (a, b) must keep (ab)a and a(ba) (flexible), or (ba)a and a(ab)
+    (alternative), in the span of e, a, b, aa, ab, ba; a triple keeps the
+    linearized words in the span of e, its letters and their products.
+    """
+    m, add = a.multiply, a.add
+    args = tuple(args)
+    if len(args) == 2:
+        x, y = args
+        xy, yx = m(x, y), m(y, x)
+        words = [x, y, m(x, x), xy, yx]
+        if kind == "flexible":
+            probes = [("(ab)a", m(xy, x)), ("a(ba)", m(x, yx))]
+        else:
+            probes = [("(ba)a", m(yx, x)), ("a(ab)", m(x, xy))]
     else:
-        probes = [("(ba)a", a.multiply(yx, x)), ("a(ab)", a.multiply(x, xy))]
-    for name, v in probes:
-        if not target.contains(v):
-            return {"condition": name, "args": (x, y), "value": v}
-    return None
-
-
-def _triple_violation(a: AlgebraTable, kind: str, x: Element, y: Element, z: Element):
-    words = [
-        x,
-        y,
-        z,
-        a.multiply(x, y),
-        a.multiply(y, x),
-        a.multiply(z, y),
-        a.multiply(y, z),
-        a.multiply(x, z),
-        a.multiply(z, x),
-    ]
+        x, y, z = args
+        xy, yx, zy, yz, xz, zx = m(x, y), m(y, x), m(z, y), m(y, z), m(x, z), m(z, x)
+        words = [x, y, z, xy, yx, zy, yz, xz, zx]
+        if kind == "flexible":
+            probes = [("(ab)c+(cb)a", add(m(xy, z), m(zy, x))),
+                      ("a(bc)+c(ba)", add(m(x, yz), m(z, yx)))]
+        else:
+            probes = [("(ab)c+(ac)b", add(m(xy, z), m(xz, y))),
+                      ("a(bc)+b(ac)", add(m(x, yz), m(y, xz)))]
     target = _span_with_unit(a, words)
-    if kind == "flexible":
-        probes = [
-            ("(ab)c+(cb)a", a.add(a.multiply(a.multiply(x, y), z), a.multiply(a.multiply(z, y), x))),
-            ("a(bc)+c(ba)", a.add(a.multiply(x, a.multiply(y, z)), a.multiply(z, a.multiply(y, x)))),
-        ]
-    else:
-        probes = [
-            ("(ab)c+(ac)b", a.add(a.multiply(a.multiply(x, y), z), a.multiply(a.multiply(x, z), y))),
-            ("a(bc)+b(ac)", a.add(a.multiply(x, a.multiply(y, z)), a.multiply(y, a.multiply(x, z)))),
-        ]
     for name, v in probes:
         if not target.contains(v):
-            return {"condition": name, "args": (x, y, z), "value": v}
+            return {"condition": name, "args": args, "value": v}
     return None
+
+
+def _enumerate_descending(a: AlgebraTable, kind: str, required: bool = False) -> Optional[Verdict]:
+    """Every pair, then every triple, when the q^(3 dim) triples fit within
+    cost_cap(); a pass is cached as "exhaustive". Over the cap (or over Q)
+    this returns None, or raises CostCapExceeded when required."""
+    card, cap = a.field.cardinality(), cost_cap()
+    if card is None or card ** (3 * a.dim) > cap:
+        if required:
+            triples = card ** (3 * a.dim)
+            raise CostCapExceeded(
+                f"descending check needs {triples} triples, over the cost cap {cap}",
+                estimate=triples,
+            )
+        return None
+    ident = f"descending-{kind}"
+    elems = _elements_in_order(a)
+    trials = itertools.chain(
+        itertools.product(elems, repeat=2), itertools.product(elems, repeat=3)
+    )
+    v = _first_failure(ident, "exhaustive", (_violation(a, kind, t) for t in trials))
+    if v.holds:
+        a.certificates[ident] = "exhaustive"
+    return v
+
+
+def _descending_ladder(a: AlgebraTable, kinds: Sequence[str]) -> dict:
+    """{kind: Verdict, or None where no route applies} from the proof routes.
+
+    Routes, cheapest first: the cached certificate; the standard closed
+    forms, which prove both kinds at once and run only when a requested kind
+    is uncached and a.quad is set; the symmetric law (flexible only);
+    _enumerate_descending. Each proof is cached with its route.
+    """
+    if a.quad is not None and any(f"descending-{k}" not in a.certificates for k in kinds):
+        try:
+            if check_polarized_identity(a, "standard-products").holds:
+                for ident in DESCENDING:
+                    a.certificates.setdefault(ident, "closed-forms")
+        except (MissingUnit, MissingQuadraticForm):
+            pass  # no unit and no twist metadata: the closed forms do not apply
+    decided = {}
+    for kind in kinds:
+        ident = f"descending-{kind}"
+        if ident not in a.certificates and kind == "flexible" and a.quad is not None:
+            if check_polarized_identity(a, "symmetric").holds:
+                a.certificates[ident] = "symmetric-law"
+        if ident in a.certificates:
+            decided[kind] = Verdict(ident, True, a.certificates[ident])
+        else:
+            decided[kind] = _enumerate_descending(a, kind)
+    return decided
 
 
 def check_descending(
@@ -614,75 +656,35 @@ def check_descending(
 ) -> Verdict:
     """Check descending flexibility or alternativity.
 
-    Positive certificates come from the cache (the certificate is the route
-    that earned it: "closed-forms", "symmetric-law" or "exhaustive"), from the
-    symmetric law (flexible only), or from exhaustive enumeration of every
-    pair and triple when their count is within cost_cap(); the last two are
-    cached with their route. Everything else is refutation-oriented sampling
-    whose positive outcome proves nothing. Supplied candidates (pairs or
-    triples) are tried first, and a violation among them is returned at once.
+    Supplied candidates (pairs or triples) are tried first, and a violation
+    among them is returned at once. "auto" then runs the proof ladder of
+    acquire_descending_certificates for this kind, whose certificate names
+    the route ("closed-forms", "symmetric-law" or "exhaustive"), and samples
+    where no route applies. "exhaustive" is the enumeration alone and raises
+    CostCapExceeded over the cap; "sampled" only samples. Sampling is
+    refutation-oriented: its pass proves nothing.
     """
     if kind not in ("flexible", "alternative"):
         raise UnknownIdentity(f"descending kind must be flexible/alternative, not {kind!r}")
-    n_elems = _element_count(a, strategy, "descending")
+    _element_count(a, strategy, "descending")  # rejects bad strategies and exhaustive over Q
     ident = f"descending-{kind}"
-
-    for cand in candidates or ():
-        if len(cand) == 2:
-            bad = _pair_violation(a, kind, *cand)
-        else:
-            bad = _triple_violation(a, kind, *cand)
-        if bad:
-            return Verdict(ident, False, "candidate", counterexample=bad)
-
-    if strategy != "exhaustive":
-        if ident in a.certificates:
-            return Verdict(ident, True, a.certificates[ident])
-        if kind == "flexible":
-            sym = check_polarized_identity(a, "symmetric") if a.quad is not None else None
-            if sym is not None and sym.holds:
-                a.certificates[ident] = "symmetric-law"
-                return Verdict(ident, True, "symmetric-law")
-
-    cap = cost_cap()
-    pairs_ok = n_elems is not None and n_elems * n_elems <= cap
-    triples_ok = n_elems is not None and n_elems**3 <= cap
-    if strategy == "exhaustive" and not (pairs_ok and triples_ok):
-        triples = n_elems**3
-        raise CostCapExceeded(
-            f"descending check needs {triples} triples, over the cost cap {cap}",
-            estimate=triples,
-        )
-
-    if strategy in ("auto", "exhaustive") and pairs_ok:
-        elems = _elements_in_order(a)
-        for x in elems:
-            for y in elems:
-                bad = _pair_violation(a, kind, x, y)
-                if bad:
-                    return Verdict(ident, False, "exhaustive", counterexample=bad)
-        if triples_ok:
-            for x in elems:
-                for y in elems:
-                    for z in elems:
-                        bad = _triple_violation(a, kind, x, y, z)
-                        if bad:
-                            return Verdict(ident, False, "exhaustive", counterexample=bad)
-            a.certificates[ident] = "exhaustive"
-            return Verdict(ident, True, "exhaustive")
-
+    v = _first_failure(ident, "candidate", (_violation(a, kind, c) for c in candidates or ()))
+    if not v.holds:
+        return v
+    if strategy == "exhaustive":
+        return _enumerate_descending(a, kind, required=True)
+    v = _descending_ladder(a, [kind])[kind] if strategy == "auto" else None
+    if v is not None:
+        return v
     rng = random.Random(seed)
-    tag = f"sampled(seed={seed},n={DEFAULT_SAMPLES})"
-    for _ in range(DEFAULT_SAMPLES):
-        x, y = random_element(a, rng), random_element(a, rng)
-        bad = _pair_violation(a, kind, x, y)
-        if bad:
-            return Verdict(ident, False, tag, counterexample=bad)
-        z = random_element(a, rng)
-        bad = _triple_violation(a, kind, x, y, z)
-        if bad:
-            return Verdict(ident, False, tag, counterexample=bad)
-    return Verdict(ident, True, tag)
+
+    def samples():
+        for _ in range(DEFAULT_SAMPLES):
+            x, y = random_element(a, rng), random_element(a, rng)
+            yield _violation(a, kind, (x, y))
+            yield _violation(a, kind, (x, y, random_element(a, rng)))
+
+    return _first_failure(ident, f"sampled(seed={seed},n={DEFAULT_SAMPLES})", samples())
 
 
 def check_identity_direct(
@@ -727,50 +729,17 @@ def check_identity_direct(
         )
     else:
         raise UnknownIdentity(f"unknown strategy {strategy!r}")
-    for form, args in trials:
-        v = form.g(*args)
-        if not _scalar_or_vec_zero(a, v, form.scalar):
-            return Verdict(
-                identity,
-                False,
-                tag,
-                counterexample={"form": form.name, "args": args, "value": v},
-            )
-    return Verdict(identity, True, tag)
+    return _first_failure(identity, tag, (_form_failure(a, form, args) for form, args in trials))
 
 
 def acquire_descending_certificates(a: AlgebraTable) -> set:
-    """Run the cheap proof routes and cache whatever they certify.
+    """Run check_descending's proof ladder for both kinds; return the names certified.
 
-    Routes, cheapest first: the already-cached certificates, the standard
-    closed forms (both kinds at once), the symmetric law (flexible), and
-    exhaustive enumeration when the q^(3 dim) triples are within cost_cap();
-    each is cached with its route. Over the cap the route is skipped, and the
-    returned names show what was earned.
-    Sampling never appears here because a sampled pass certifies nothing.
-    Returns the names certified.
+    The routes are those of "auto" without the sampling, since a sampled pass
+    certifies nothing; each proof is cached with its route.
     """
-    want = set(DESCENDING)
-    if not want <= a.certificates.keys() and a.quad is not None:
-        try:
-            v = check_polarized_identity(a, "standard-products")
-        except (MissingUnit, MissingQuadraticForm):
-            v = None
-        if v is not None and v.holds:
-            for ident in DESCENDING:
-                a.certificates.setdefault(ident, "closed-forms")
-    for kind in ("flexible", "alternative"):
-        ident = f"descending-{kind}"
-        if ident in a.certificates:
-            continue
-        if kind == "flexible" and a.quad is not None:
-            if check_polarized_identity(a, "symmetric").holds:
-                a.certificates[ident] = "symmetric-law"
-                continue
-        card = a.field.cardinality()
-        if card is not None and card ** (3 * a.dim) <= cost_cap():
-            check_descending(a, kind, strategy="exhaustive")
-    return want & a.certificates.keys()
+    _descending_ladder(a, ("flexible", "alternative"))
+    return set(DESCENDING) & a.certificates.keys()
 
 
 # --- element searches -------------------------------------------------------

@@ -232,8 +232,6 @@ def _cmd_check(args) -> int:
         doc = _verdict_json(a, v, args.seed)
     elif what in ("descending-flexible", "descending-alternative"):
         kind = what.split("-", 1)[1]
-        if args.strategy == "auto":
-            acquire_descending_certificates(a)
         v = check_descending(a, kind, strategy=args.strategy, seed=args.seed)
         doc = _verdict_json(a, v, args.seed)
     elif what in ("idempotents", "isotropic"):

@@ -464,6 +464,34 @@ def test_acquire_certificates_on_twist():
     assert "descending-flexible" in got and "descending-alternative" in got
 
 
+def test_auto_earns_the_closed_forms_itself():
+    # before enumeration: the closed forms prove both kinds and cache both
+    k = make_quadratic_etale(F3, F3.one())
+    for a in (k, standard_twist(k, "II")):
+        a.certificates.clear()
+        v = check_descending(a, "flexible")
+        assert v.holds and v.certificate == "closed-forms"
+        assert a.certificates == dict.fromkeys(
+            ("descending-flexible", "descending-alternative"), "closed-forms")
+
+
+def test_sampled_strategy_always_samples():
+    # the cached closed-forms route is not consulted
+    a = make_hurwitz_tower(F3, None, (F3.one(),))
+    v = check_descending(a, "flexible", strategy="sampled")
+    assert v.holds and v.certificate == "sampled(seed=0,n=200)"
+
+
+def test_auto_samples_when_only_the_pairs_fit(monkeypatch):
+    # 8^2 pairs fit a cap of 100, 8^3 triples do not: no pair enumeration runs
+    monkeypatch.setenv("COMPLEN_COST_CAP", "100")
+    a = _random_table(F2, 3, False, 1)
+    pair = (a.basis_element(1),) * 2  # a pair that violates the law
+    assert check_descending(a, "flexible", candidates=[pair]).certificate == "candidate"
+    v = check_descending(a, "flexible")
+    assert not v.holds and v.certificate == "sampled(seed=0,n=200)"
+
+
 # --- element scans ---------------------------------------------------------------
 
 

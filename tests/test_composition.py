@@ -343,7 +343,7 @@ def test_auto_proves_the_gf9_quaternions_exhaustively():
 def test_exhaustive_over_the_gf16_quaternions_is_capped():
     with pytest.raises(CostCapExceeded) as e:
         check_composition(_quaternions(GF16), strategy="exhaustive")
-    assert e.value.estimate == 65536
+    assert e.value.estimate == 65536**2
 
 
 def test_auto_route_unchanged():

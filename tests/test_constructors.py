@@ -1,5 +1,7 @@
 """Family constructors: towers, twists, symmetric tables, parameter checks."""
 
+import random
+
 import pytest
 
 import complen.checkers as checkers
@@ -34,6 +36,7 @@ F3 = field_make("F3")
 F5 = field_make("F5")
 F7 = field_make("F7")
 Q = field_make("Q")
+GF4 = field_make("F2^2:1,1,1")
 
 
 # --- Hurwitz tower -----------------------------------------------------------
@@ -89,6 +92,24 @@ def test_dim16_tower_is_flexible_and_quadratic_but_not_composition_certified():
     assert check_polarized_identity(a, "quadratic").holds
     assert check_polarized_identity(a, "flexible").holds
     assert not check_polarized_identity(a, "alternative").holds
+
+
+@pytest.mark.parametrize("field", (F2, F5, Q, GF4), ids=("F2", "F5", "Q", "GF4"))
+def test_tower_levels_satisfy_the_laws_derived_from_the_battery(field):
+    # the constructors prove only "quadratic" and "standard-products"; the
+    # laws derived from those are read here at basis points, level by level
+    rng = random.Random(15)
+    if field is Q:
+        params = [Q.from_int(n) for n in (-5, -3, -2, -1, 2, 3, 7)]
+    else:  # F2 has no nonzero non-unit scalar: K(1) and doubling by 1
+        params = [c for c in field.enumerate() if c and c != field.one()] or [field.one()]
+    a = make_quadratic_etale(field, rng.choice(params))
+    while True:
+        for name in ("flexible", "alternative", "regular-involution", "two-product"):
+            assert check_polarized_identity(a, name).holds, (a.name, name)
+        if a.dim == 8:
+            break
+        a = cayley_dickson_double(a, rng.choice(params))
 
 
 # --- standard twists ---------------------------------------------------------

@@ -34,6 +34,7 @@ from complen.iofmt import (
 )
 
 F2 = field_make("F2")
+F3 = field_make("F3")
 F5 = field_make("F5")
 Q = field_make("Q")
 
@@ -241,6 +242,22 @@ def test_cli_prints_certificate_routes(tmp_path, capsys):
     assert json.loads(out)["certificates"] == {
         "descending-alternative": "closed-forms", "descending-flexible": "closed-forms",
     }
+
+
+def test_cli_descending_check_prints_the_proof_route(tmp_path, capsys):
+    # a loaded file carries no certificate: the check earns its own
+    quat, iso = str(tmp_path / "quat.json"), str(tmp_path / "iso.json")
+    save_algebra(make_hurwitz_tower(F3, None, (F3.one(),)), quat)
+    save_algebra(make_okubo_isotropic(F3, F3.one(), F3.from_int(2)), iso)
+    for path, what, route in (
+        (quat, "descending-flexible", "closed-forms"),
+        (quat, "descending-alternative", "closed-forms"),
+        (iso, "descending-flexible", "symmetric-law"),
+    ):
+        code, out, _ = _run(capsys, "check", "--algebra", path, "--what", what)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["holds"] is True and doc["certificate"] == route
 
 
 def test_cli_length_set_general(tmp_path, capsys):
