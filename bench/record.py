@@ -24,9 +24,13 @@ traced runs. Then it times `complen verify-paper --jobs 1 --format json`
 REPEATS times per side, in alternating pairs ordered as the seeds are, and
 keeps every row (status, expected, measured) apart from its seconds, so two
 BENCH files show whether the rows moved; every run of a side must give the
-same rows. Each side's `verify_paper` holds the median `wall_s` and the runs
-with their seconds per case. With `--tier1` the tier-1 pytest run is timed
-the same way, under `tier1`. It counts the lines of every module in
+same rows. Each run records its wall time `wall_s` and its CPU time `cpu_s`
+(user + sys of the child process and everything it waited for, read with
+`resource.getrusage(RUSAGE_CHILDREN)` before and after); CPU time leaves out
+the time lost to other processes on the host. Each side's `verify_paper`
+holds the median `wall_s` and `cpu_s` and the runs with their seconds per
+case. With `--tier1` the tier-1 pytest run is timed the same way, under
+`tier1`. It counts the lines of every module in
 `src/complen/`.
 
 The head's results sit at the top level of the file, as in a file without a
@@ -34,7 +38,7 @@ base. With `--base`, `base` holds the same keys for the base commit, and
 `pairs` gives, for each workload and each end-to-end metric of
 `BENCHMARK.json`, both sides' medians and quartiles and the number of pairs
 the head won (ties count for neither side); `suite_pairs` gives the same for
-the `wall_s` of verify-paper and tier-1. The file is written next to this
+the `wall_s` and `cpu_s` of verify-paper and tier-1. The file is written next to this
 script's checkout root. Standard library only.
 """
 
@@ -45,6 +49,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -54,6 +59,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 REPEATS = 3  # verify-paper and tier-1 runs per side
+SUITE_METRICS = ("wall_s", "cpu_s")  # recorded for each verify-paper and tier-1 run
 
 
 def _env(root: Path) -> dict:
@@ -155,11 +161,20 @@ def compare(base_runs: list, head_runs: list, metrics: list) -> dict:
     return out
 
 
-def verify_paper(root: Path) -> dict:
-    cmd = [sys.executable, "-m", "complen", "verify-paper", "--jobs", "1", "--format", "json"]
+def timed(cmd: list, root: Path) -> tuple:
+    """(completed process, wall seconds, child CPU seconds) of cmd run in root."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True, text=True)
     wall = time.perf_counter() - t
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+    return proc, round(wall, 2), round(cpu, 2)
+
+
+def verify_paper(root: Path) -> dict:
+    cmd = [sys.executable, "-m", "complen", "verify-paper", "--jobs", "1", "--format", "json"]
+    proc, wall, cpu = timed(cmd, root)
     try:
         doc = json.loads(proc.stdout)
     except json.JSONDecodeError:
@@ -170,7 +185,8 @@ def verify_paper(root: Path) -> dict:
     statuses = [c["status"] for c in doc["cases"]]
     return {
         "exit": proc.returncode,
-        "wall_s": round(wall, 2),
+        "wall_s": wall,
+        "cpu_s": cpu,
         "counts": {s: statuses.count(s) for s in sorted(set(statuses))},
         "seconds": {c["id"]: c["seconds"] for c in doc["cases"]},
         "rows": {c["id"]: [c["status"], c["expected"], c["measured"]] for c in doc["cases"]},
@@ -180,12 +196,11 @@ def verify_paper(root: Path) -> dict:
 def tier1(root: Path) -> dict:
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
            "-p", "no:cacheprovider"]
-    t = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True, text=True)
-    wall = time.perf_counter() - t
+    proc, wall, cpu = timed(cmd, root)
     last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {k: int(v) for v, k in re.findall(r"(\d+) (passed|failed|errors?|skipped)", last)}
-    return {"exit": proc.returncode, "wall_s": round(wall, 2), "summary": last, "counts": counts}
+    return {"exit": proc.returncode, "wall_s": wall, "cpu_s": cpu, "summary": last,
+            "counts": counts}
 
 
 def src_lines(root: Path) -> dict:
@@ -230,7 +245,7 @@ def measure(sides: dict, seeds: list, with_tier1: bool) -> dict:
         runs = repeated(sides, key, run)
         for side, side_runs in runs.items():
             entry = out[side][key] = {
-                "wall_s": statistics.median(r["wall_s"] for r in side_runs),
+                **{m: statistics.median(r[m] for r in side_runs) for m in SUITE_METRICS},
                 "counts": side_runs[0]["counts"],
             }
             if key == "verify_paper":
@@ -240,8 +255,10 @@ def measure(sides: dict, seeds: list, with_tier1: bool) -> dict:
                 entry["rows"] = rows
             entry["runs"] = side_runs
         if "base" in sides:
-            walls = [(b["wall_s"], h["wall_s"]) for b, h in zip(runs["base"], runs["head"])]
-            suite_pairs[key] = _pair_stats(walls)
+            suite_pairs[key] = {
+                m: _pair_stats([(b[m], h[m]) for b, h in zip(runs["base"], runs["head"])])
+                for m in SUITE_METRICS
+            }
     if pairs:
         out["pairs"] = pairs
         out["suite_pairs"] = suite_pairs

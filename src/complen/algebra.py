@@ -145,7 +145,7 @@ class AlgebraTable:
         self.certificates: dict[str, str] = {}
         self._unit_solved = unit is not None
         # metadata set by standard_twist so checkers can use the parent's
-        # unit/trace; never serialized
+        # unit/trace; algebra files keep it as a hint under "twist"
         self.twist_type: Optional[str] = None
         self.parent_unit: Optional[Element] = None
 
@@ -248,13 +248,18 @@ def find_unit(a: AlgebraTable) -> Optional[Element]:
             rows.append(tuple(a.table[j][i][k] for i in range(a.dim)))
             rhs.append(one if j == k else zero)
     sol = solve_linear(f, rows, rhs)
-    if sol is None:
+    if sol is None or unit_law_failure(a, sol) is not None:
         return None
+    return sol
+
+
+def unit_law_failure(a: AlgebraTable, e: Element) -> Optional[int]:
+    """The first basis index j with e*b_j != b_j or b_j*e != b_j, or None."""
     for j in range(a.dim):
         b = a.basis_element(j)
-        if a.multiply(sol, b) != b or a.multiply(b, sol) != b:
-            return None
-    return sol
+        if a.multiply(e, b) != b or a.multiply(b, e) != b:
+            return j
+    return None
 
 
 def product_span(a: AlgebraTable, u: Subspace, v: Subspace) -> Subspace:

@@ -282,9 +282,7 @@ def _cmd_length_algebra(args) -> int:
 def _cmd_verify_paper(args) -> int:
     from .suite import run_suite
 
-    return run_suite(
-        filter_glob=args.filter, jobs=args.jobs, seed=args.seed, fmt=args.format
-    )
+    return run_suite(filter_glob=args.filter, jobs=args.jobs, fmt=args.format)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -342,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify-paper", help="run the bundled theorem/example suite")
     vp.add_argument("--filter", default=None, help="glob over case ids")
     vp.add_argument("--jobs", type=int, default=1)
-    vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--format", default="tsv", choices=("tsv", "json"))
     vp.set_defaults(fn=_cmd_verify_paper)
     return p

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import AlgebraTable, Element, QuadraticForm
+from .algebra import AlgebraTable, Element, QuadraticForm, unit_law_failure
 from .checkers import (
     DESCENDING,
     Verdict,
@@ -63,7 +63,7 @@ def _certify_hurwitz(a: AlgebraTable) -> None:
       regular involution   x conj(x) - n(x)e = -Q(x) = conj(x) x - n(x)e
       two-product I        its form is Q(x+y) - Q(x) - Q(y)
     These use only that t is linear and e a two-sided unit (F and K(mu) are
-    written with e0 as one; every double runs _verify_unit), so each holds as
+    written with e0 as one; every double checks its unit law), so each holds as
     a polynomial identity in every characteristic. The a*a coefficients of the
     closed forms are 0 or t(b), never depending on a: that grants both
     descending certificates.
@@ -106,14 +106,6 @@ def make_quadratic_etale(field: Field, mu: Scalar) -> AlgebraTable:
     _must_hold(check_composition(a, strategy="polarized"), a.name)
     _certify_hurwitz(a)
     return a
-
-
-def _verify_unit(a: AlgebraTable) -> None:
-    e = a.unit
-    for j in range(a.dim):
-        bj = a.basis_element(j)
-        if a.multiply(e, bj) != bj or a.multiply(bj, e) != bj:
-            raise SelfCheckFailed(f"{a.name}: unit fails on basis vector {j}")
 
 
 def _verify_involution(a: AlgebraTable) -> None:
@@ -185,7 +177,9 @@ def cayley_dickson_double(a: AlgebraTable, alpha: Scalar) -> AlgebraTable:
         f, dim2, labels, table, unit=lo(e), quad=quad,
         name=f"double({a.name},{f.format(alpha)})",
     )
-    _verify_unit(out)
+    j = unit_law_failure(out, out.unit)
+    if j is not None:
+        raise SelfCheckFailed(f"{out.name}: unit fails on basis vector {j}")
     _verify_involution(out)
     if dim2 <= 8:
         _must_hold(check_composition(out, strategy="polarized"), out.name)

@@ -1,7 +1,10 @@
 """Algebra files: a canonical JSON layout for structure-constant tables.
 
 The document is a single object with keys name, field, dim, labels, mul and
-optionally unit and quad. Every scalar travels as a string in the field's own
+optionally unit, quad and twist. A table that standard_twist built keeps its
+type and parent unit under twist, {"type": "IV", "parent_unit": [...]}: a
+hint that lets the checkers try the standard closed forms again, never a
+certificate (none is written). Every scalar travels as a string in the field's own
 textual form, so files stay exact over the rationals and over extension
 fields alike. Dumps are canonical (sorted keys, fixed indentation, polar
 triples sorted), which makes load -> save -> load the identity on bytes.
@@ -11,11 +14,12 @@ from __future__ import annotations
 
 import json
 
-from .algebra import AlgebraTable, QuadraticForm
+from .algebra import AlgebraTable, QuadraticForm, unit_law_failure
 from .errors import InvariantViolation, ParseError
 from .fields import Field, FieldSpec, field_make
 
-_TOP_KEYS = {"name", "field", "dim", "labels", "mul", "unit", "quad"}
+_TOP_KEYS = {"name", "field", "dim", "labels", "mul", "unit", "quad", "twist"}
+_TWIST_TYPES = ("I", "II", "III", "IV")
 
 
 def _scalar_list(f: Field, items, what: str, expect: int) -> tuple:
@@ -51,6 +55,11 @@ def algebra_to_dict(a: AlgebraTable) -> dict:
                 [i, j, f.format(v)]
                 for (i, j), v in sorted(a.quad.polar.items())
             ],
+        }
+    if a.twist_type is not None:
+        doc["twist"] = {
+            "type": a.twist_type,
+            "parent_unit": [f.format(c) for c in a.parent_unit],
         }
     return doc
 
@@ -127,12 +136,19 @@ def algebra_from_dict(doc) -> AlgebraTable:
         f, dim, tuple(labels), tuple(table), unit=unit, quad=quad, name=name
     )
     if unit is not None:
-        for i in range(dim):
-            b = a.basis_element(i)
-            if a.multiply(unit, b) != b or a.multiply(b, unit) != b:
-                raise InvariantViolation(
-                    f"declared unit fails the unit law on basis vector {labels[i]}"
-                )
+        j = unit_law_failure(a, unit)
+        if j is not None:
+            raise InvariantViolation(
+                f"declared unit fails the unit law on basis vector {labels[j]}"
+            )
+    if "twist" in doc:
+        tw = doc["twist"]
+        if not isinstance(tw, dict) or set(tw) != {"type", "parent_unit"}:
+            raise ParseError("twist must be an object with keys type and parent_unit")
+        if tw["type"] not in _TWIST_TYPES:
+            raise ParseError(f"twist.type must be one of {'/'.join(_TWIST_TYPES)}")
+        a.twist_type = tw["type"]
+        a.parent_unit = _scalar_list(f, tw["parent_unit"], "twist.parent_unit", dim)
     return a
 
 

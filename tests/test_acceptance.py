@@ -104,7 +104,7 @@ def idempotent_witness():
 
 @pytest.fixture(scope="module")
 def standard_grid():
-    return [run_case(c, seed=0) for c in select_cases("standard-*")]
+    return [run_case(c) for c in select_cases("standard-*")]
 
 
 # --- criteria -------------------------------------------------------------------
@@ -345,7 +345,7 @@ def test_criterion_8_difference_sequence_laws(
 
 
 def test_criterion_9_exceptional_skip_and_two_dim_length():
-    out = run_case(_case("okubo-exceptional-length3"), seed=0)
+    out = run_case(_case("okubo-exceptional-length3"))
     assert out.status == "SKIP"
     assert out.expected == "l=3"
     assert out.measured.startswith("skip: ")

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 import complen
 from complen.algebra import AlgebraTable, QuadraticForm
 from complen.cli import main, parse_vector_set
+from complen.checkers import acquire_descending_certificates
 from complen.constructors import (
     make_hurwitz_tower,
     make_okubo_isotropic,
     make_two_dim_form,
+    standard_twist,
 )
 from complen.errors import ComplenError, InvariantViolation, ParseError
 from complen.fields import field_make
@@ -42,21 +44,31 @@ Q = field_make("Q")
 # --- file format ---------------------------------------------------------------
 
 
+def _quaternion_twist(f, ttype):
+    # dim 4: K(1) doubled once in characteristic 2, F doubled twice elsewhere
+    mu = f.one() if f.characteristic() == 2 else None
+    return standard_twist(make_hurwitz_tower(f, mu, (f.one(),) * (1 if mu else 2)), ttype)
+
+
 def test_roundtrip_is_byte_identical(tmp_path):
     for a in (
         make_hurwitz_tower(Q, None, (Q.one(), Q.from_int(-2))),
         make_okubo_isotropic(F5, F5.from_int(2), F5.from_int(3)),
         make_two_dim_form(F5, F5.one()),
+        _quaternion_twist(F3, "IV"),
     ):
         p = tmp_path / "alg.json"
         save_algebra(a, str(p))
         first = dump_algebra(load_algebra(str(p)))
+        assert first == p.read_text()
         assert dump_algebra(parse_algebra(first)) == first
         b = load_algebra(str(p))
         assert b.table == a.table
         assert b.quad == a.quad
         assert b.unit_element() == a.unit_element()
         assert b.labels == a.labels
+        assert (b.twist_type, b.parent_unit) == (a.twist_type, a.parent_unit)
+        assert ('"twist"' in first) == (a.twist_type is not None)
 
 
 def test_dump_does_not_depend_on_the_rational_encoding():
@@ -108,6 +120,11 @@ def test_missing_and_malformed_fields_rejected():
         lambda d: d.__setitem__("labels", ["u"]),
         lambda d: d["mul"][0].pop(),
         lambda d: d.__setitem__("quad", {"diag": good["quad"]["diag"]}),
+        lambda d: d.__setitem__("twist", "IV"),
+        lambda d: d.__setitem__("twist", {"type": "V", "parent_unit": ["1", "0"]}),
+        lambda d: d.__setitem__("twist", {"type": "IV", "parent_unit": ["1"]}),
+        lambda d: d.__setitem__("twist", {"type": "IV", "parent_unit": [1, 0]}),
+        lambda d: d.__setitem__("twist", {"type": "IV"}),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)
@@ -132,6 +149,40 @@ def test_false_unit_claim_rejected():
     doc["unit"] = ["1"] + ["0"] * 7
     with pytest.raises(InvariantViolation):
         algebra_from_dict(doc)
+
+
+@pytest.mark.parametrize("ttype", ("I", "II", "III", "IV"))
+@pytest.mark.parametrize("field", ("F2", "F3", "Q"))
+def test_twist_file_earns_the_certificates_of_the_table_it_saved(tmp_path, field, ttype):
+    a = _quaternion_twist(field_make(field), ttype)
+    path = tmp_path / "t.json"
+    save_algebra(a, str(path))
+    b = load_algebra(str(path))
+    assert (b.twist_type, b.parent_unit) == (ttype, a.parent_unit)
+    assert b.certificates == {}
+    acquire_descending_certificates(b)
+    assert b.certificates == a.certificates == dict.fromkeys(
+        ("descending-flexible", "descending-alternative"), "closed-forms"
+    )
+
+
+@pytest.mark.parametrize(
+    "forge",
+    (
+        lambda tw: tw.__setitem__("type", "I"),
+        lambda tw: tw.__setitem__("type", "III"),
+        lambda tw: tw.__setitem__("type", "IV"),
+        lambda tw: tw["parent_unit"].__setitem__(1, "1"),
+    ),
+    ids=("type-I", "type-III", "type-IV", "perturbed-unit"),
+)
+def test_forged_twist_claim_earns_no_closed_forms(monkeypatch, forge):
+    doc = algebra_to_dict(_quaternion_twist(F3, "II"))
+    forge(doc["twist"])
+    b = algebra_from_dict(doc)
+    monkeypatch.setenv("COMPLEN_COST_CAP", "10")  # keep the enumeration off
+    acquire_descending_certificates(b)
+    assert "closed-forms" not in b.certificates.values()
 
 
 # --- vector-set grammar ----------------------------------------------------------
@@ -369,8 +420,9 @@ def test_cli_exhaustive_checks_honour_the_cost_cap(tmp_path, capsys, monkeypatch
           "--out", "k.json", "--bogus"), "--bogus"),
         (("construct", "--family", "nope", "--field", "F2", "--out", "k.json"), "nope"),
         (("length-set", "--algebra", "k.json"), "--set"),
+        (("verify-paper", "--seed", "1"), "--seed"),
     ),
-    ids=("unknown-flag", "bad-family", "missing-required"),
+    ids=("unknown-flag", "bad-family", "missing-required", "verify-paper-seed"),
 )
 def test_cli_usage_errors_are_json_errors(capsys, argv, named):
     # argparse would print usage text and exit with status 2, the cost-cap code
