@@ -30,16 +30,15 @@ same rows. Each run records its wall time `wall_s` and its CPU time `cpu_s`
 the time lost to other processes on the host. Each side's `verify_paper`
 holds the median `wall_s` and `cpu_s` and the runs with their seconds per
 case. With `--tier1` the tier-1 pytest run is timed the same way, under
-`tier1`. It counts the lines of every module in
-`src/complen/`.
+`tier1`. It counts the lines of every module in `src/complen/`.
 
 The head's results sit at the top level of the file, as in a file without a
 base. With `--base`, `base` holds the same keys for the base commit, and
 `pairs` gives, for each workload and each end-to-end metric of
 `BENCHMARK.json`, both sides' medians and quartiles and the number of pairs
 the head won (ties count for neither side); `suite_pairs` gives the same for
-the `wall_s` and `cpu_s` of verify-paper and tier-1. The file is written next to this
-script's checkout root. Standard library only.
+the `wall_s` and `cpu_s` of verify-paper and tier-1. The file is written
+next to this script's checkout root. Standard library only.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ The document is a single object with keys name, field, dim, labels, mul and
 optionally unit, quad and twist. A table that standard_twist built keeps its
 type and parent unit under twist, {"type": "IV", "parent_unit": [...]}: a
 hint that lets the checkers try the standard closed forms again, never a
-certificate (none is written). Every scalar travels as a string in the field's own
-textual form, so files stay exact over the rationals and over extension
-fields alike. Dumps are canonical (sorted keys, fixed indentation, polar
+certificate (none is written). Every scalar travels as a string in the
+field's own textual form, so files stay exact over the rationals and over
+extension fields alike. Dumps are canonical (sorted keys, fixed indentation, polar
 triples sorted), which makes load -> save -> load the identity on bytes.
 """
 
