@@ -15,12 +15,13 @@ For each workload that the measured commit's `BENCHMARK.json` declares, and
 for seeds 1 to `--seeds` (3 by default), it runs that commit's
 `perfbench/run.py` for the declared `run_seconds` in a subprocess and keeps
 its `metric` lines, `wrong` lines and result object; the summary holds each
-metric's median, minimum and maximum over the seeds. One more run per
-workload and side, seed 1 with `--seconds 0 --trace 1`, gives the
-per-layer metrics (field operations, inserts, span chains, per-layer
-seconds) under `workloads.<w>.layers`, so the file shows where the time
-went; tracing slows that run, so its seconds compare only with other
-traced runs. Then it times `complen verify-paper --jobs 1 --format json`
+metric's median, quartiles, minimum and maximum over the seeds. Traced
+runs with `--seconds 0 --trace 1`, seeds 1 to TRACED_SEEDS per workload
+and side in alternating pairs, give the per-layer metrics (field
+operations, inserts, span chains, per-layer seconds, census rates); their
+summary in the same form sits under `workloads.<w>.layers`, so the file
+shows where the time went; tracing slows those runs, so their seconds
+compare only with other traced runs. Then it times `complen verify-paper --jobs 1 --format json`
 REPEATS times per side, in alternating pairs ordered as the seeds are, and
 keeps every row (status, expected, measured) apart from its seconds, so two
 BENCH files show whether the rows moved; every run of a side must give the
@@ -58,6 +59,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 REPEATS = 3  # verify-paper and tier-1 runs per side
+TRACED_SEEDS = 5  # traced perfbench runs per workload and side
 SUITE_METRICS = ("wall_s", "cpu_s")  # recorded for each verify-paper and tier-1 run
 
 
@@ -111,8 +113,12 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int =
     return run
 
 
+def _quartiles(values: list) -> list:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
 def summarize(runs: list) -> dict:
-    """Median, min and max over the seeds of every metric the runs share."""
+    """Median, quartiles, min and max over the seeds of every metric the runs share."""
     ok = [r for r in runs if "metrics" in r]
     names = set.intersection(*(set(r["metrics"]) for r in ok)) if ok else set()
     out = {}
@@ -120,15 +126,17 @@ def summarize(runs: list) -> dict:
         values = [r["metrics"][name]["value"] for r in ok]
         out[name] = {
             "median": statistics.median(values),
+            "quartiles": _quartiles(values),
             "min": min(values),
             "max": max(values),
             "unit": ok[0]["metrics"][name]["unit"],
         }
-    return {"correct": all(r.get("result", {}).get("correct") for r in runs), "metrics": out}
-
-
-def _quartiles(values: list) -> list:
-    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    errors = [r["error"] for r in runs if "error" in r]
+    return {
+        "correct": all(r.get("result", {}).get("correct") for r in runs),
+        "metrics": out,
+        **({"errors": errors} if errors else {}),
+    }
 
 
 def _pair_stats(pairs: list, lower: bool = True) -> dict:
@@ -208,6 +216,16 @@ def src_lines(root: Path) -> dict:
     return {"total": sum(per.values()), "modules": per}
 
 
+def alternating(sides: dict, rounds, label: str, run) -> dict:
+    """run(root, r) on every side for each r in rounds, the base first for odd r."""
+    out = {side: [] for side in sides}
+    for r in rounds:
+        for side in sorted(sides, reverse=r % 2 == 0):
+            print(f"record: {label} {r} {side}", file=sys.stderr, flush=True)
+            out[side].append(run(sides[side][1], r))
+    return out
+
+
 def measure(sides: dict, seeds: list, with_tier1: bool) -> dict:
     """Results per side ("head", and "base" when given) of one recording.
 
@@ -223,25 +241,23 @@ def measure(sides: dict, seeds: list, with_tier1: bool) -> dict:
     }
     pairs = {}
     for w in (w["name"] for w in bench["workloads"]):
-        runs = {side: [] for side in sides}
-        for seed in seeds:
-            for side in sorted(sides, reverse=seed % 2 == 0):
-                print(f"record: {w} seed {seed} {side}", file=sys.stderr, flush=True)
-                runs[side].append(perfbench(sides[side][1], w, seed, seconds))
+        runs = alternating(sides, seeds, f"{w} seed",
+                           lambda root, seed: perfbench(root, w, seed, seconds))
+        traced = alternating(sides, range(1, TRACED_SEEDS + 1), f"{w} layers seed",
+                             lambda root, seed: perfbench(root, w, seed, 0, trace=1))
         for side in sides:
-            print(f"record: {w} layers {side}", file=sys.stderr, flush=True)
-            traced = perfbench(sides[side][1], w, 1, 0, trace=1)
             out[side]["workloads"][w] = {
                 "summary": summarize(runs[side]),
                 "runs": runs[side],
-                "layers": traced.get("metrics") or {"error": traced.get("error")},
+                "layers": summarize(traced[side]),
             }
         if "base" in sides:
             pairs[w] = compare(runs["base"], runs["head"], bench["end_to_end"])
     suites = {"verify_paper": verify_paper, **({"tier1": tier1} if with_tier1 else {})}
     suite_pairs = {}
     for key, run in suites.items():
-        runs = repeated(sides, key, run)
+        runs = alternating(sides, range(1, REPEATS + 1), f"{key} run",
+                           lambda root, _: run(root))
         for side, side_runs in runs.items():
             entry = out[side][key] = {
                 **{m: statistics.median(r[m] for r in side_runs) for m in SUITE_METRICS},
@@ -265,16 +281,6 @@ def measure(sides: dict, seeds: list, with_tier1: bool) -> dict:
             out["base"]["verify_paper"]["rows"] == out["head"]["verify_paper"]["rows"]
         )
     return out
-
-
-def repeated(sides: dict, key: str, run) -> dict:
-    """REPEATS runs of run(root) per side, the base first in odd rounds."""
-    runs = {side: [] for side in sides}
-    for r in range(1, REPEATS + 1):
-        for side in sorted(sides, reverse=r % 2 == 0):
-            print(f"record: {key} run {r} {side}", file=sys.stderr, flush=True)
-            runs[side].append(run(sides[side][1]))
-    return runs
 
 
 def main(argv=None) -> int:

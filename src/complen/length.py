@@ -20,16 +20,20 @@ chain is stable there.
 The length search is one loop of three parts. A source yields weighted
 items in a fixed order: every nonzero subspace with weight 1 (as Subspace
 objects, or over GF(2) as bitmask rows), seeded random ones with weight 1,
-or for a unital algebra the subspaces U of a hyperplane H complementing the
-unit e. The quotient is exact because both lanes start from Lin_0 = <e> and
+for a unital algebra the subspaces U of a hyperplane H complementing the
+unit e, or over GF(2) without a unit the first subspace of each orbit of a
+few proved automorphisms, weighted by the orbit's size (gf2orbits.py). The
+quotient is exact because both lanes start from Lin_0 = <e> and
 Lin_m*e = e*Lin_m = Lin_m, so S and S + <e> have the same chain; U stands
-for the 1 + q^dim U nonzero S with S + <e> = <e> + U (1 for U = 0). A lane
-evaluates each item: lin_spans, or over GF(2) the same recursion on bitmask
-rows with product lookup tables. The loop itself is the one accumulator: it
-adds each weight to the census and to the covered count, keeps the witness,
-and builds the SearchResult. Under the quotient the witness, the first
-maximal subspace in enumeration order, comes from a walk through one
-dimension afterwards.
+for the 1 + q^dim U nonzero S with S + <e> = <e> + U (1 for U = 0). The
+orbits are exact because an automorphism g maps Lin_k(S) onto Lin_k(gS). A
+lane evaluates each item: lin_spans, or over GF(2) the same recursion on
+bitmask rows with product lookup tables. The loop itself is the one
+accumulator: it adds each weight to the census and to the covered count,
+checks that the weights of an exhaustive search cover every nonzero
+subspace, keeps the witness, and builds the SearchResult. Under the quotient
+the witness, the first maximal subspace in enumeration order, comes from a
+walk through one dimension afterwards.
 """
 
 from __future__ import annotations
@@ -42,7 +46,13 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import AlgebraTable, Element
 from .checkers import DESCENDING, descending_kinds, validate_report
-from .errors import CostCapExceeded, InfiniteField, ModeUnjustified, ParseError
+from .errors import (
+    CostCapExceeded,
+    InfiniteField,
+    InvariantViolation,
+    ModeUnjustified,
+    ParseError,
+)
 from .fields import Field, cost_cap
 from .linalg import Subspace, gaussian_binomial
 
@@ -241,12 +251,11 @@ def _random_subspace(field: Field, ambient: int, rng: random.Random) -> Subspace
     return _echelon_form(field, ambient, pivots, cells, values)
 
 
-def _gf2_subspaces(columns: Sequence[int], k: int) -> Iterator[tuple]:
-    """Every k-dimensional subspace on the given coordinates of GF(2)^n as
-    bitmask rows (bit i is coordinate i), in the order of enumerate_subspaces."""
+def _gf2_patterns(columns: Sequence[int], k: int) -> Iterator[tuple]:
+    """(pivots, fills) of every k-row echelon pattern on the given coordinates
+    of GF(2)^n, in the order of _echelon_patterns: fills[r] lists the bitmask
+    values of row r (bit i is coordinate i), its last free cell fastest."""
     for pivots, cells in _echelon_patterns(columns, k):
-        # each row's fills, its last cell fastest; the product then runs
-        # the last row fastest, which is the last cell of the whole form
         fills = []
         for r, p in enumerate(pivots):
             cols = [c for row, c in cells if row == r]
@@ -254,6 +263,14 @@ def _gf2_subspaces(columns: Sequence[int], k: int) -> Iterator[tuple]:
                 sum((b << c for b, c in zip(bits, cols)), 1 << p)
                 for bits in itertools.product((0, 1), repeat=len(cols))
             ])
+        yield pivots, fills
+
+
+def _gf2_subspaces(columns: Sequence[int], k: int) -> Iterator[tuple]:
+    """Every k-dimensional subspace on the given coordinates of GF(2)^n as
+    bitmask rows, in the order of enumerate_subspaces."""
+    # the product runs the last row fastest, which is the last cell of the form
+    for _, fills in _gf2_patterns(columns, k):
         yield from itertools.product(*fills)
 
 
@@ -286,8 +303,9 @@ def _exhaustive_source(a: AlgebraTable, subspaces) -> Iterator[tuple]:
 #
 # A lane evaluates one kind of item. evaluate(item) gives the trimmed difference
 # sequence of a generating item and None otherwise; subspaces(columns, k) yields
-# the k-dimensional items on those coordinates in enumeration order; and
-# as_subspace(item) turns the witness item into a Subspace.
+# the k-dimensional items on those coordinates in enumeration order;
+# as_subspace(item) turns the witness item into a Subspace; and the GF(2) lane
+# keeps its product table prod[x][y] in products for the automorphism search.
 
 
 @dataclass(frozen=True)
@@ -296,6 +314,7 @@ class _Lane:
     evaluate: Callable
     subspaces: Callable
     as_subspace: Callable
+    products: Optional[list] = None
 
 
 def _span_lane(a: AlgebraTable) -> _Lane:
@@ -393,10 +412,14 @@ def _gf2_lane(a: AlgebraTable) -> _Lane:
         rows = [tuple(a.field.from_int(m >> i & 1) for i in range(dim)) for m in s_rows]
         return Subspace.span(a.field, dim, rows)
 
-    return _Lane("gf2-bitmask", evaluate, _gf2_subspaces, as_subspace)
+    return _Lane("gf2-bitmask", evaluate, _gf2_subspaces, as_subspace, prod)
 
 
 # --- the search loop ---------------------------------------------------------------
+
+# the least census that takes the orbit source: the GF(2) lane covers 10^4
+# subspaces in about the 0.1 s that loading numpy and the orbit module takes
+ORBIT_FLOOR = 10_000
 
 
 def _validate_census(a: AlgebraTable, census: Counter) -> list:
@@ -431,20 +454,29 @@ def length_of_algebra(
     subspace weight 1. A unital algebra is searched over A/<e>: S and
     S + <e> have the same chain, since both lanes start from Lin_0 = <e> and
     Lin_m*e = Lin_m, so one item U stands for every S with S + <e> = <e> + U
-    (see _exhaustive_source for the weight 1 + q^dim U). ``stats`` names the
-    lane and counts the items it evaluated. Every lane runs the general
-    recursion (``gf2-bitmask`` over F2, ``span:general`` elsewhere and in
-    random mode); certificates only choose the laws ``violations`` checks.
+    (see _exhaustive_source for the weight 1 + q^dim U). An exhaustive
+    GF(2) search without a unit over at least ORBIT_FLOOR subspaces first
+    looks for automorphisms (``stats["automorphisms"]`` counts the proved
+    maps it uses); when it finds some, the items are the first subspace of
+    each orbit, weighted by the orbit's size (see gf2orbits), else every
+    subspace. An exhaustive search whose weights do not sum to the number of
+    nonzero subspaces raises InvariantViolation. ``stats`` names the lane and
+    counts the items it evaluated. Every lane runs the general recursion
+    (``gf2-bitmask`` over F2, ``span:general`` elsewhere and in random mode);
+    certificates only choose the laws ``violations`` checks.
 
     The witness is the first subspace of maximal length in enumeration
-    order. Under the quotient, let t be the least dimension of a maximal
-    <e> + U (the first maximal U has dimension t - 1). A subspace of
-    dimension below t - 1 spans less than t with e, so the witness is the
+    order. An orbit's first subspace comes before the rest of its orbit, and
+    the orbit source yields them in enumeration order, so the first maximal
+    item is the witness. Under the quotient, let t be the least dimension of
+    a maximal <e> + U (the first maximal U has dimension t - 1). A subspace
+    of dimension below t - 1 spans less than t with e, so the witness is the
     first maximal subspace of dimension max(t - 1, 1), found by a walk
     through that dimension alone.
     """
     f = a.field
     quotient = False
+    extra = {}
     if mode == "exhaustive":
         if not f.is_finite():
             raise InfiniteField("exhaustive search needs a finite field")
@@ -458,6 +490,13 @@ def length_of_algebra(
         lane = _gf2_lane(a) if f.cardinality() == 2 else _span_lane(a)
         source = _exhaustive_source(a, lane.subspaces)
         quotient = a.is_unital()
+        if lane.products is not None and not quotient and total >= ORBIT_FLOOR:
+            from . import gf2orbits
+
+            autos = gf2orbits.find_automorphisms(lane.products, a.dim)
+            extra["automorphisms"] = len(autos)
+            if autos:
+                source = gf2orbits.orbit_source(a.dim, autos)
     elif mode == "random":
         if budget < 1:
             raise ParseError(f"random search needs a budget of at least 1, got {budget}")
@@ -479,6 +518,10 @@ def length_of_algebra(
         census[d] += weight
         if len(d) - 1 > best_len:
             best_len, best = len(d) - 1, item
+    if mode == "exhaustive" and enumerated != total:
+        raise InvariantViolation(
+            f"the search covered {enumerated} of the {total} nonzero subspaces"
+        )
     if quotient and best is not None:
         # the witness walk: best is the first maximal U, of dimension t - 1
         for s in lane.subspaces(range(a.dim), max(lane.as_subspace(best).dim, 1)):
@@ -488,6 +531,7 @@ def length_of_algebra(
                 break
     stats = {
         "lane": lane.name,
+        **extra,
         "evaluated": evaluated,
         "generating": sum(census.values()),
         "d_census": dict(census),

@@ -11,8 +11,9 @@ checkers._elements_in_order are its coordinates' coefficient vectors
 concatenated, row r of element_grid(p, m), and a row decodes to scalars by
 reading its digits k at a time.
 
-This is the package's only numpy code; checkers imports it when a scan runs,
-so importing the package needs neither this module nor numpy.
+checkers imports this module when a scan runs, as length imports gf2orbits,
+the other numpy module, when an orbit census runs; so importing the package
+needs neither module nor numpy.
 """
 
 from __future__ import annotations

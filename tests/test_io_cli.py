@@ -539,15 +539,18 @@ def test_python_dash_m_complen_runs_the_cli():
 
 
 def test_import_leaves_numpy_out():
-    # the scans import numpy lazily; importing the package must not
+    # the scans and the orbit census import numpy lazily; importing the package must not
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, complen; print('numpy' in sys.modules, 'complen.primescan' in sys.modules)"
+    code = (
+        "import sys, complen; "
+        "print(*(m in sys.modules for m in ('numpy', 'complen.primescan', 'complen.gf2orbits')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 def test_public_surface_is_exactly_what_init_binds():

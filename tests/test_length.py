@@ -20,10 +20,18 @@ from complen.constructors import (
     make_quadratic_etale,
     standard_twist,
 )
-from complen.errors import CostCapExceeded, InfiniteField, ModeUnjustified, ParseError
+from complen import gf2orbits
+from complen.errors import (
+    CostCapExceeded,
+    InfiniteField,
+    InvariantViolation,
+    ModeUnjustified,
+    ParseError,
+)
 from complen.fields import field_make
 from complen.iofmt import dump_algebra
 from complen.length import (
+    ORBIT_FLOOR,
     _exhaustive_source,
     _gf2_lane,
     _gf2_subspaces,
@@ -565,3 +573,154 @@ def test_gf2_lane_matches_general_spans_on_dim8_samples(name, cleared):
     for _ in range(300):
         rows = tuple(rng.randrange(1, 256) for _ in range(rng.randint(1, 4)))
         assert lane.evaluate(rows) == _general_d(a, lane.as_subspace(rows).basis), (name, rows)
+
+
+# --- the orbit census over GF(2) ---------------------------------------------------
+
+
+def _search(lane, source):
+    """The search loop over one source: (census, generating, enumerated, best
+    length, witness rows) and the number of items."""
+    census, enumerated, items, best, witness = Counter(), 0, 0, -1, None
+    for rows, weight in source:
+        items += 1
+        enumerated += weight
+        d = lane.evaluate(rows)
+        if d is not None:
+            census[d] += weight
+            if len(d) - 1 > best:
+                best, witness = len(d) - 1, rows
+    return (dict(census), sum(census.values()), enumerated, best, witness), items
+
+
+NON_UNITAL_F2 = sorted(name for name, make in SMALL_F2.items() if not make().is_unital())
+
+
+@pytest.mark.parametrize("name", NON_UNITAL_F2)
+def test_orbit_source_matches_the_plain_source(name):
+    a = SMALL_F2[name]()
+    lane = _gf2_lane(a)
+    plain, items = _search(lane, _exhaustive_source(a, lane.subspaces))
+    assert items == count_subspaces(F2, a.dim, range(1, a.dim + 1))
+    # the identity numbers every image as the subspace itself: one orbit each
+    identity = [1 << i for i in range(a.dim)]
+    assert _search(lane, gf2orbits.orbit_source(a.dim, [identity])) == (plain, items)
+    autos = gf2orbits.find_automorphisms(lane.products, a.dim)
+    assert _search(lane, gf2orbits.orbit_source(a.dim, autos))[0] == plain
+
+
+def _census_of(text):
+    return {tuple(map(int, d.split())): int(c) for d, c in (x.split(":") for x in text.split(","))}
+
+
+OKUBO_F2_CENSUS = _census_of(
+    "0 2 3 2 1:2592,0 2 4 2:6624,0 3 3 2:1440,0 3 4 1:8208,0 3 5:85968,0 4 3 1:504,"
+    "0 4 4:199992,0 5 3:97146,0 6 2:10795,0 7 1:255,0 8:1"
+)
+OCTONION_F2_TWIST_WITNESS = [
+    ["1", "0", "0", "0", "0", "0", "0", "1"],
+    ["0", "1", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "1", "0", "0", "0", "0", "0"],
+]
+# recorded from the lane that evaluates every subspace: (l, generating,
+# census, witness, orbits evaluated)
+DIM8_ORBIT_PINS = {
+    "okubo-isotropic-F2": (4, 413525, OKUBO_F2_CENSUS, [
+        ["1", "0", "0", "0", "0", "0", "0", "0"],
+        ["0", "1", "0", "0", "0", "0", "0", "1"],
+    ], 2158),
+    "okubo-idempotent-F2": (4, 413525, OKUBO_F2_CENSUS, [
+        ["1", "0", "0", "0", "0", "0", "0", "0"],
+        ["0", "1", "0", "0", "0", "1", "0", "1"],
+    ], 2158),
+    "octonion-F2-II": (3, 305516, _census_of(
+        "0 3 3 2:576,0 3 4 1:36288,0 4 3 1:4752,0 4 4:159600,0 5 3:93312,0 6 2:10732,"
+        "0 7 1:255,0 8:1"
+    ), OCTONION_F2_TWIST_WITNESS, 328),
+    "octonion-F2-IV": (3, 305516, _census_of(
+        "0 3 3 2:576,0 3 4 1:36288,0 4 3 1:4608,0 4 4:159744,0 5 3:93312,0 6 2:10732,"
+        "0 7 1:255,0 8:1"
+    ), OCTONION_F2_TWIST_WITNESS, 235),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIM8_ORBIT_PINS))
+def test_dim8_orbit_census_is_pinned(name):
+    best, generating, census, witness, orbits = DIM8_ORBIT_PINS[name]
+    res = length_of_algebra(DIM8_F2[name](), mode="exhaustive")
+    assert (res.best_length, res.enumerated, res.stats["generating"]) == (best, 417198, generating)
+    assert res.stats["d_census"] == census
+    assert res.as_dict()["witness"] == witness
+    assert res.stats["violations"] == []
+    assert res.stats["lane"] == "gf2-bitmask"
+    assert (res.stats["automorphisms"], res.stats["evaluated"]) == (3, orbits)
+
+
+def test_dropping_an_automorphism_leaves_the_census():
+    a = DIM8_F2["okubo-isotropic-F2"]()
+    lane = _gf2_lane(a)
+    autos = gf2orbits.find_automorphisms(lane.products, a.dim)
+    full, items = _search(lane, gf2orbits.orbit_source(a.dim, autos))
+    assert items == 2158
+    for drop in range(len(autos)):
+        fewer = autos[:drop] + autos[drop + 1:]
+        assert _search(lane, gf2orbits.orbit_source(a.dim, fewer))[0] == full
+
+
+@pytest.mark.parametrize("name", ("quaternion-F2-II", "quaternion-F2-III", "quaternion-F2-IV"))
+def test_automorphism_proof_rejects_perturbed_products_and_singular_maps(name):
+    a = SMALL_F2[name]()
+    n, prod = a.dim, _gf2_lane(a).products
+    autos = gf2orbits.find_automorphisms(prod, n)
+    assert len(autos) == 3
+    assert all(gf2orbits.is_automorphism(prod, n, phi) for phi in autos)
+    for phi in autos:
+        # phi moves coordinate i: (phi x)_i != x_i for a basis vector x. Then
+        # phi preserves no table that differs from a's in e_i e_j alone, since
+        # it would map that difference d to x_i y_j phi(d) = (phi x)_i (phi y)_j d
+        i = next(i for i in range(n) if any((phi[m] >> i & 1) != (m == i) for m in range(n)))
+        for j in range(n):
+            table = [list(row) for row in a.table]
+            table[i][j] = (F2.add(table[i][j][0], F2.one()),) + table[i][j][1:]
+            b = AlgebraTable(F2, n, a.labels, table)
+            assert not gf2orbits.is_automorphism(_gf2_lane(b).products, n, phi)
+    # the zero map respects every product; only the rank test rejects it
+    assert not gf2orbits.is_automorphism(prod, n, [0] * n)
+    assert not gf2orbits.is_automorphism(prod, n, [autos[0][0]] * n)
+
+
+def test_tables_without_automorphisms_take_the_plain_source():
+    assert gf2orbits.find_automorphisms(_gf2_lane(DIM8_F2["sparse-8"]()).products, 8) == []
+    res = length_of_algebra(DIM8_F2["dense-8"](), mode="exhaustive")
+    assert res.stats["automorphisms"] == 0
+    assert res.stats["evaluated"] == res.enumerated == 417198
+
+
+def test_small_censuses_skip_the_automorphism_search():
+    # below ORBIT_FLOOR subspaces the plain lane costs less than loading numpy
+    a = SMALL_F2["sparse-5"]()
+    assert count_subspaces(F2, 5, range(1, 6)) < ORBIT_FLOOR
+    res = length_of_algebra(a, mode="exhaustive")
+    assert "automorphisms" not in res.stats
+    assert res.stats["evaluated"] == res.enumerated == 373
+
+
+@pytest.mark.parametrize("orbits", (False, True), ids=("plain", "orbits"))
+def test_weights_that_miss_a_subspace_break_the_invariant(monkeypatch, orbits):
+    import complen.length as length
+
+    a = SMALL_F2["quaternion-F2-II"]()
+    if orbits:
+        # a census this small takes the plain source unless the floor drops
+        monkeypatch.setattr(length, "ORBIT_FLOOR", 0)
+    owner, name = (gf2orbits, "orbit_source") if orbits else (length, "_exhaustive_source")
+    source = getattr(owner, name)
+    res = length_of_algebra(a, mode="exhaustive")
+    assert res.stats["evaluated"] == (21 if orbits else 66)
+
+    def short(*args):
+        return itertools.islice(source(*args), res.stats["evaluated"] - 1)
+
+    monkeypatch.setattr(owner, name, short)
+    with pytest.raises(InvariantViolation):
+        length_of_algebra(a, mode="exhaustive")
