@@ -6,17 +6,8 @@ is a sum over the orbits of any group of automorphisms, each orbit weighted
 by its size (isomorph rejection: B. D. McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998; A. Kerber, Applied Finite Group
 Actions, Springer 1999). A smaller group gives more orbits, never a wrong
-count.
-
-Vectors are bitmasks (bit i is coordinate i) and prod[x][y] is the product
-table of the GF(2) lane in length.py. find_automorphisms looks for a few
-automorphisms by closing graphs: the graph {(x, g(x))} of an automorphism is
-a subalgebra of A x A, so it fixes the image of one generator of A at a time,
-closes the span of the pairs under products, and drops a choice as soon as
-the span is no longer the graph of an injective map. Its choices are
-deterministic and it stops after CLOSURE_BUDGET closures with what it has.
-Every map it returns is proved on all dim^2 basis products and shown to be
-invertible.
+count. The automorphisms come from gf2autos.find_automorphisms, as lists of
+basis images; vectors are bitmasks (bit i is coordinate i).
 
 orbit_source numbers the k-dimensional subspaces in enumeration order (the
 order of length._gf2_subspaces) and keeps one int32 label per subspace. For
@@ -26,153 +17,23 @@ arithmetic (a table keyed by pivot set and row), and joins each subspace with
 its image in a union-find whose root is the smallest number of its set. So
 the representative of an orbit is its first subspace in enumeration order,
 and the representatives come out in that order: the first maximal one is the
-search's witness. This module and numpy load only when such a census runs.
+search's witness. Memory grows with the largest Gaussian binomial [n, k]_2,
+4 bytes a subspace: 0.8 MB at dim 8, 13 MB at dim 9 (3 309 747 subspaces of
+dimension 4 and of dimension 5), besides a number table of 4^n int32. This
+module and numpy load only when such a census has automorphisms to use.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
+from .gf2autos import _apply
 from .length import _gf2_patterns
 
-# maps searched for: on the isotropic Okubo table over F2 the first two found
-# leave 17 657 orbits, three leave 2 158, and each costs one pass of images
-AUTOMORPHISMS = 3
-# graph closures before the search keeps what it has; the dim-8 tables of the
-# tests need at most 205, and 4 000 bound a fruitless search to about 0.2 s
-CLOSURE_BUDGET = 4000
 CHUNK = 2048  # subspaces per streamed block of images; peak memory grows with it
-
-
-# --- the automorphism search --------------------------------------------------------
-
-
-def _apply(phi: Sequence[int], x: int) -> int:
-    """phi(x) for the linear map with phi[i] the image of basis vector i."""
-    out, i = 0, 0
-    while x:
-        if x & 1:
-            out ^= phi[i]
-        x >>= 1
-        i += 1
-    return out
-
-
-def _reduce(red: dict, v: int) -> int:
-    """v reduced by the echelon red, whose rows are keyed by their top bit."""
-    while v and v.bit_length() in red:
-        v ^= red[v.bit_length()]
-    return v
-
-
-def _closure_dim(prod, gens: Sequence[int]) -> int:
-    """The dimension of the subalgebra that gens generate."""
-    red, queue = {}, list(gens)
-    while queue:
-        v = _reduce(red, queue.pop())
-        if v:
-            red[v.bit_length()] = v
-            queue += [prod[v][b] for b in red.values()] + [prod[b][v] for b in red.values()]
-    return len(red)
-
-
-def _generators(prod, n: int) -> list:
-    """Elements that generate A, each the first to enlarge the subalgebra most."""
-    gens, dim = [], 0
-    while dim < n:
-        dim, first = max((_closure_dim(prod, gens + [x]), -x) for x in range(1, 1 << n))
-        gens.append(-first)
-    return gens
-
-
-def is_automorphism(prod, n: int, phi: Sequence[int]) -> bool:
-    """Whether the linear map with basis images phi is an invertible
-    homomorphism: phi(e_i e_j) = phi(e_i) phi(e_j) for every i and j."""
-    red = {}
-    for v in phi:
-        v = _reduce(red, v)
-        if not v:
-            return False
-        red[v.bit_length()] = v
-    return all(
-        _apply(phi, prod[1 << i][1 << j]) == prod[phi[i]][phi[j]]
-        for i in range(n)
-        for j in range(n)
-    )
-
-
-class _Spent(Exception):
-    pass
-
-
-def find_automorphisms(prod, n: int, want: int = AUTOMORPHISMS,
-                       budget: int = CLOSURE_BUDGET) -> list:
-    """Up to want proved automorphisms other than the identity, as lists of
-    basis images; fewer when budget graph closures find no more.
-
-    A pair (x, u) is the bitmask x << n | u, so the graph's echelon, keyed by
-    top bit, has a row for each dimension of its projection on x as long as
-    no pair (0, u) with u nonzero lies in it, that is, while it is a map.
-    """
-    gens = _generators(prod, n)
-    low = (1 << n) - 1
-    rng = random.Random(0)
-    spent = 0
-
-    def close(state, x: int, u: int):
-        """The closure of the graph state plus (x, u) under products, or None
-        once it is not the graph of an injective map. state: the echelons of
-        the graph and of its images."""
-        nonlocal spent
-        spent += 1
-        if spent > budget:
-            raise _Spent
-        graph, images = dict(state[0]), dict(state[1])
-        queue = [x << n | u]
-        while queue:
-            v = _reduce(graph, queue.pop())
-            if not v:
-                continue
-            w = _reduce(images, v & low)
-            if v <= low or not w:
-                return None  # 0 -> nonzero is no map; nonzero -> 0 is not injective
-            graph[v.bit_length()] = v
-            images[w.bit_length()] = w
-            vx, vu = v >> n, v & low
-            for b in graph.values():
-                bx, bu = b >> n, b & low
-                queue.append(prod[vx][bx] << n | prod[vu][bu])
-                queue.append(prod[bx][vx] << n | prod[bu][vu])
-        return graph, images
-
-    found = []
-
-    def dfs(level: int, state) -> bool:
-        if level == len(gens):
-            # the graph's row for x = e_i reduces e_i to its image
-            phi = [_reduce(state[0], 1 << n + i) for i in range(n)]
-            if phi in found or phi == [1 << i for i in range(n)]:
-                return False
-            found.append(phi)
-            return True
-        order = list(range(1, 1 << n))
-        rng.shuffle(order)
-        for u in order:
-            nxt = close(state, gens[level], u)
-            if nxt is not None and dfs(level + 1, nxt):
-                return True
-        return False
-
-    try:
-        while len(found) < want and dfs(0, ({}, {})):
-            pass
-    except _Spent:
-        pass
-    return [phi for phi in found if is_automorphism(prod, n, phi)]
 
 
 # --- the orbit pass -----------------------------------------------------------------
@@ -281,8 +142,11 @@ def orbit_source(n: int, autos: list) -> Iterator[tuple]:
     for of_k in patterns:
         label = _orbit_labels(n, autos, of_k, number)
         for offset, size, _, fills, shifts in of_k:
-            block = label[offset:offset + size]
-            for s in np.flatnonzero(block < 0).tolist():
-                rows = tuple(f[s >> t & len(f) - 1] for f, t in zip(fills, shifts))
-                yield rows, -int(block[s])
-        del label, block
+            for start in range(0, size, CHUNK):
+                block = label[offset + start:offset + min(start + CHUNK, size)]
+                for s in np.flatnonzero(block < 0).tolist():
+                    weight = -int(block[s])
+                    s += start
+                    rows = tuple(f[s >> t & len(f) - 1] for f, t in zip(fills, shifts))
+                    yield rows, weight
+        del label, block  # a view keeps the whole array alive

@@ -22,14 +22,14 @@ items in a fixed order: every nonzero subspace with weight 1 (as Subspace
 objects, or over GF(2) as bitmask rows), seeded random ones with weight 1,
 for a unital algebra the subspaces U of a hyperplane H complementing the
 unit e, or over GF(2) without a unit the first subspace of each orbit of a
-few proved automorphisms, weighted by the orbit's size (gf2orbits.py). The
-quotient is exact because both lanes start from Lin_0 = <e> and
-Lin_m*e = e*Lin_m = Lin_m, so S and S + <e> have the same chain; U stands
-for the 1 + q^dim U nonzero S with S + <e> = <e> + U (1 for U = 0). The
-orbits are exact because an automorphism g maps Lin_k(S) onto Lin_k(gS). A
-lane evaluates each item: lin_spans, or over GF(2) the same recursion on
-bitmask rows with product lookup tables. The loop itself is the one
-accumulator: it adds each weight to the census and to the covered count,
+few proved automorphisms (gf2autos.py), weighted by the orbit's size
+(gf2orbits.py). The quotient is exact because both lanes start from
+Lin_0 = <e> and Lin_m*e = e*Lin_m = Lin_m, so S and S + <e> have the same
+chain; U stands for the 1 + q^dim U nonzero S with S + <e> = <e> + U (1 for
+U = 0). The orbits are exact because an automorphism g maps Lin_k(S) onto
+Lin_k(gS). A lane evaluates each item: lin_spans, or over GF(2) the same
+recursion on bitmask rows with product lookup tables. The loop itself is
+the one accumulator: it adds each weight to the census and to the covered count,
 checks that the weights of an exhaustive search cover every nonzero
 subspace, keeps the witness, and builds the SearchResult. Under the quotient
 the witness, the first maximal subspace in enumeration order, comes from a
@@ -456,10 +456,10 @@ def length_of_algebra(
     Lin_m*e = Lin_m, so one item U stands for every S with S + <e> = <e> + U
     (see _exhaustive_source for the weight 1 + q^dim U). An exhaustive
     GF(2) search without a unit over at least ORBIT_FLOOR subspaces first
-    looks for automorphisms (``stats["automorphisms"]`` counts the proved
-    maps it uses); when it finds some, the items are the first subspace of
-    each orbit, weighted by the orbit's size (see gf2orbits), else every
-    subspace. An exhaustive search whose weights do not sum to the number of
+    looks for automorphisms (see gf2autos; ``stats["automorphisms"]`` counts
+    the proved maps it uses); when it finds some, the items are the first
+    subspace of each orbit, weighted by the orbit's size (see gf2orbits),
+    else every subspace. An exhaustive search whose weights do not sum to the number of
     nonzero subspaces raises InvariantViolation. ``stats`` names the lane and
     counts the items it evaluated. Every lane runs the general recursion
     (``gf2-bitmask`` over F2, ``span:general`` elsewhere and in random mode);
@@ -491,11 +491,13 @@ def length_of_algebra(
         source = _exhaustive_source(a, lane.subspaces)
         quotient = a.is_unital()
         if lane.products is not None and not quotient and total >= ORBIT_FLOOR:
-            from . import gf2orbits
+            from .gf2autos import find_automorphisms
 
-            autos = gf2orbits.find_automorphisms(lane.products, a.dim)
+            autos = find_automorphisms(lane.products, a.dim)
             extra["automorphisms"] = len(autos)
             if autos:
+                from . import gf2orbits
+
                 source = gf2orbits.orbit_source(a.dim, autos)
     elif mode == "random":
         if budget < 1:

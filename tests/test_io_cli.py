@@ -544,13 +544,39 @@ def test_import_leaves_numpy_out():
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, complen; "
-        "print(*(m in sys.modules for m in ('numpy', 'complen.primescan', 'complen.gf2orbits')))"
+        "print(*(m in sys.modules for m in "
+        "('numpy', 'complen.primescan', 'complen.gf2autos', 'complen.gf2orbits')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "False"]
+    assert proc.stdout.split() == ["False"] * 4
+
+
+def test_census_without_automorphisms_leaves_numpy_out():
+    # the automorphism search is plain Python; numpy loads only for maps to use
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import random, sys\n"
+        "import complen.length as length\n"
+        "from complen.algebra import AlgebraTable\n"
+        "from complen.fields import field_make\n"
+        "F2, rng = field_make('F2'), random.Random(4)\n"
+        "table = [[tuple(F2.from_int(int(rng.random() < 0.1)) for _ in range(5))\n"
+        "          for _ in range(5)] for _ in range(5)]\n"
+        "length.ORBIT_FLOOR = 0\n"
+        "res = length.length_of_algebra(AlgebraTable(F2, 5, list('abcde'), table), "
+        "mode='exhaustive')\n"
+        "print(res.stats['automorphisms'], res.stats['evaluated'], "
+        "*(m in sys.modules for m in ('complen.gf2autos', 'complen.gf2orbits', 'numpy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "373", "True", "False", "False"]
 
 
 def test_public_surface_is_exactly_what_init_binds():

@@ -20,7 +20,7 @@ from complen.constructors import (
     make_quadratic_etale,
     standard_twist,
 )
-from complen import gf2orbits
+from complen import gf2autos, gf2orbits
 from complen.errors import (
     CostCapExceeded,
     InfiniteField,
@@ -605,7 +605,7 @@ def test_orbit_source_matches_the_plain_source(name):
     # the identity numbers every image as the subspace itself: one orbit each
     identity = [1 << i for i in range(a.dim)]
     assert _search(lane, gf2orbits.orbit_source(a.dim, [identity])) == (plain, items)
-    autos = gf2orbits.find_automorphisms(lane.products, a.dim)
+    autos = gf2autos.find_automorphisms(lane.products, a.dim)
     assert _search(lane, gf2orbits.orbit_source(a.dim, autos))[0] == plain
 
 
@@ -659,7 +659,7 @@ def test_dim8_orbit_census_is_pinned(name):
 def test_dropping_an_automorphism_leaves_the_census():
     a = DIM8_F2["okubo-isotropic-F2"]()
     lane = _gf2_lane(a)
-    autos = gf2orbits.find_automorphisms(lane.products, a.dim)
+    autos = gf2autos.find_automorphisms(lane.products, a.dim)
     full, items = _search(lane, gf2orbits.orbit_source(a.dim, autos))
     assert items == 2158
     for drop in range(len(autos)):
@@ -671,9 +671,9 @@ def test_dropping_an_automorphism_leaves_the_census():
 def test_automorphism_proof_rejects_perturbed_products_and_singular_maps(name):
     a = SMALL_F2[name]()
     n, prod = a.dim, _gf2_lane(a).products
-    autos = gf2orbits.find_automorphisms(prod, n)
+    autos = gf2autos.find_automorphisms(prod, n)
     assert len(autos) == 3
-    assert all(gf2orbits.is_automorphism(prod, n, phi) for phi in autos)
+    assert all(gf2autos.is_automorphism(prod, n, phi) for phi in autos)
     for phi in autos:
         # phi moves coordinate i: (phi x)_i != x_i for a basis vector x. Then
         # phi preserves no table that differs from a's in e_i e_j alone, since
@@ -683,17 +683,22 @@ def test_automorphism_proof_rejects_perturbed_products_and_singular_maps(name):
             table = [list(row) for row in a.table]
             table[i][j] = (F2.add(table[i][j][0], F2.one()),) + table[i][j][1:]
             b = AlgebraTable(F2, n, a.labels, table)
-            assert not gf2orbits.is_automorphism(_gf2_lane(b).products, n, phi)
+            assert not gf2autos.is_automorphism(_gf2_lane(b).products, n, phi)
     # the zero map respects every product; only the rank test rejects it
-    assert not gf2orbits.is_automorphism(prod, n, [0] * n)
-    assert not gf2orbits.is_automorphism(prod, n, [autos[0][0]] * n)
+    assert not gf2autos.is_automorphism(prod, n, [0] * n)
+    assert not gf2autos.is_automorphism(prod, n, [autos[0][0]] * n)
 
 
-def test_tables_without_automorphisms_take_the_plain_source():
-    assert gf2orbits.find_automorphisms(_gf2_lane(DIM8_F2["sparse-8"]()).products, 8) == []
-    res = length_of_algebra(DIM8_F2["dense-8"](), mode="exhaustive")
+def test_tables_without_automorphisms_take_the_plain_source(monkeypatch):
+    import complen.length as length
+
+    for a in (DIM8_F2["sparse-8"](), DIM8_F2["dense-8"](), SMALL_F2["sparse-5"]()):
+        assert gf2autos.find_automorphisms(_gf2_lane(a).products, a.dim) == []
+    # sparse-5 is below the floor; without it the search runs and finds nothing
+    monkeypatch.setattr(length, "ORBIT_FLOOR", 0)
+    res = length_of_algebra(SMALL_F2["sparse-5"](), mode="exhaustive")
     assert res.stats["automorphisms"] == 0
-    assert res.stats["evaluated"] == res.enumerated == 417198
+    assert res.stats["evaluated"] == res.enumerated == 373
 
 
 def test_small_censuses_skip_the_automorphism_search():
