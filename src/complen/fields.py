@@ -38,12 +38,16 @@ DEFAULT_COST_CAP = 10**7  # work units of an exhaustive search; COMPLEN_COST_CAP
 def cost_cap() -> int:
     """The cap every exhaustive search prices itself against: subspaces in the
     length search, element tuples in direct identity evaluation, and pairs
-    and triples in descending checks and certificate acquisition."""
+    and triples in descending checks and certificate acquisition. It is a
+    non-negative integer; any other COMPLEN_COST_CAP raises ParseError."""
     raw = os.environ.get("COMPLEN_COST_CAP", str(DEFAULT_COST_CAP))
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ParseError(f"COMPLEN_COST_CAP must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ParseError(f"COMPLEN_COST_CAP must not be negative, got {raw!r}")
+    return cap
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

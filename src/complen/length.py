@@ -19,7 +19,8 @@ chain is stable there.
 
 The length search is one loop of three parts. A source yields weighted
 items in a fixed order: every nonzero subspace with weight 1 (as Subspace
-objects, or over GF(2) as bitmask rows), seeded random ones with weight 1,
+objects, over GF(2) as bitmask rows, over an odd prime field as tuples of
+residues), seeded random ones with weight 1,
 for a unital algebra the subspaces U of a hyperplane H complementing the
 unit e, or over GF(2) without a unit the first subspace of each orbit of a
 few proved automorphisms (gf2autos.py), weighted by the orbit's size
@@ -27,8 +28,10 @@ few proved automorphisms (gf2autos.py), weighted by the orbit's size
 Lin_0 = <e> and Lin_m*e = e*Lin_m = Lin_m, so S and S + <e> have the same
 chain; U stands for the 1 + q^dim U nonzero S with S + <e> = <e> + U (1 for
 U = 0). The orbits are exact because an automorphism g maps Lin_k(S) onto
-Lin_k(gS). A lane evaluates each item: lin_spans, or over GF(2) the same
-recursion on bitmask rows with product lookup tables. The loop itself is
+Lin_k(gS). A lane evaluates each item: lin_spans ("span:general"), or the
+same recursion over GF(2) on bitmask rows with product lookup tables
+("gf2-bitmask"), or over an odd prime field GF(p) on residue rows with
+integer products reduced mod p in the echelon ("gfp-int"). The loop itself is
 the one accumulator: it adds each weight to the census and to the covered count,
 checks that the weights of an exhaustive search cover every nonzero
 subspace, keeps the witness, and builds the SearchResult. Under the quotient
@@ -251,19 +254,32 @@ def _random_subspace(field: Field, ambient: int, rng: random.Random) -> Subspace
     return _echelon_form(field, ambient, pivots, cells, values)
 
 
-def _gf2_patterns(columns: Sequence[int], k: int) -> Iterator[tuple]:
+def _row_fills(columns: Sequence[int], k: int, q: int, encode: Callable) -> Iterator[tuple]:
     """(pivots, fills) of every k-row echelon pattern on the given coordinates
-    of GF(2)^n, in the order of _echelon_patterns: fills[r] lists the bitmask
-    values of row r (bit i is coordinate i), its last free cell fastest."""
+    of GF(q)^n, q prime, in the order of _echelon_patterns: fills[r] lists
+    encode(pivot, cells) for every filling of row r's free cells by the
+    residues 0..q-1, its last free cell fastest; cells pairs each free column
+    with its value."""
     for pivots, cells in _echelon_patterns(columns, k):
         fills = []
         for r, p in enumerate(pivots):
             cols = [c for row, c in cells if row == r]
             fills.append([
-                sum((b << c for b, c in zip(bits, cols)), 1 << p)
-                for bits in itertools.product((0, 1), repeat=len(cols))
+                encode(p, zip(cols, values))
+                for values in itertools.product(range(q), repeat=len(cols))
             ])
         yield pivots, fills
+
+
+def _mask_row(p: int, cells) -> int:
+    return sum((b << c for c, b in cells), 1 << p)
+
+
+def _gf2_patterns(columns: Sequence[int], k: int) -> Iterator[tuple]:
+    """(pivots, fills) of every k-row echelon pattern on the given coordinates
+    of GF(2)^n, in the order of _echelon_patterns: fills[r] lists the bitmask
+    values of row r (bit i is coordinate i), its last free cell fastest."""
+    return _row_fills(columns, k, 2, _mask_row)
 
 
 def _gf2_subspaces(columns: Sequence[int], k: int) -> Iterator[tuple]:
@@ -306,6 +322,8 @@ def _exhaustive_source(a: AlgebraTable, subspaces) -> Iterator[tuple]:
 # the k-dimensional items on those coordinates in enumeration order;
 # as_subspace(item) turns the witness item into a Subspace; and the GF(2) lane
 # keeps its product table prod[x][y] in products for the automorphism search.
+# span:general takes Subspace items, gf2-bitmask bitmask rows over F2, and
+# gfp-int tuples of residues over an odd prime field.
 
 
 @dataclass(frozen=True)
@@ -315,6 +333,27 @@ class _Lane:
     subspaces: Callable
     as_subspace: Callable
     products: Optional[list] = None
+
+
+def _chain_d(dim: int, d0: int, first: list, red: list, level: Callable):
+    """The recursion of _general_spans on a lane's echelon red, which holds
+    Lin_0 (d0 rows) and the rows first that S added: the trimmed difference
+    sequence, or None when the chain stops short of dim.
+
+    level(red, new, k, room) inserts the products of the rows first added at
+    levels i and k - i (new[i] and new[k - i]) into red and returns the rows
+    it added, stopping at room rows. d[k] counts the rows first added at
+    level k, so the span's rank is sum(d).
+    """
+    d = [d0, len(first)]
+    new, last = {1: first}, 1 if first else 0
+    while sum(d) < dim and len(d) <= 2 * last:
+        k = len(d)
+        fresh = level(red, new, k, dim - sum(d))
+        if fresh:
+            new[k], last = fresh, k
+        d.append(len(fresh))
+    return _trim(d) if sum(d) == dim else None
 
 
 def _span_lane(a: AlgebraTable) -> _Lane:
@@ -396,23 +435,96 @@ def _gf2_lane(a: AlgebraTable) -> _Lane:
                     first.append(v)
                     break
                 v ^= w
-        # d[k] rows were first added at level k; new[k] holds them for the
-        # levels that added rows, and the span's rank is sum(d)
-        d = [d0, len(first)]
-        new, last = {1: first}, 1 if first else 0
-        while sum(d) < dim and len(d) <= 2 * last:
-            k = len(d)
-            fresh = level(red, new, k, dim - sum(d))
-            if fresh:
-                new[k], last = fresh, k
-            d.append(len(fresh))
-        return _trim(d) if sum(d) == dim else None
+        return _chain_d(dim, d0, first, red, level)
 
     def as_subspace(s_rows: tuple) -> Subspace:
         rows = [tuple(a.field.from_int(m >> i & 1) for i in range(dim)) for m in s_rows]
         return Subspace.span(a.field, dim, rows)
 
     return _Lane("gf2-bitmask", evaluate, _gf2_subspaces, as_subspace, prod)
+
+
+def _gfp_lane(a: AlgebraTable) -> _Lane:
+    """Rows of residues over a prime field GF(p), p odd, with integer products.
+
+    The recursion of _general_spans on tuples of ints, as _gf2_lane runs it on
+    bitmasks: a product sums the nonzero structure constants
+    e_i*e_j = sum c_k e_k in plain ints and leaves the reduction mod p to the
+    echelon, whose row at pivot k is reduced mod p and 1 at k.
+    """
+    dim, p = a.dim, a.field.characteristic()
+    # consts[i] lists (j, k, c) for the nonzero structure constants of e_i:
+    # e_i*e_j = sum c e_k; grouped by i, this measured faster than one flat
+    # list of (i, j, ((k, c), ...)) on the F5 and F7 twists
+    consts = [
+        [(j, k, c) for j, v in enumerate(row) for k, c in enumerate(v) if c]
+        for row in a.table
+    ]
+
+    def multiply(x, y) -> list:
+        v = [0] * dim
+        for i, xi in enumerate(x):
+            if xi:
+                for j, k, c in consts[i]:
+                    yj = y[j]
+                    if yj:
+                        v[k] += xi * yj * c
+        return v
+
+    def insert(red: list, v) -> Optional[tuple]:
+        """Reduce v by the echelon red and store what is left: the new row,
+        or None when v lies in the span."""
+        for k in range(dim):
+            c = v[k] % p
+            if c:
+                w = red[k]
+                if w is None:
+                    c = pow(c, -1, p)
+                    red[k] = w = tuple([x * c % p for x in v])
+                    return w
+                v = [x - c * y for x, y in zip(v, w)]
+        return None
+
+    red0 = [None] * dim
+    e = a.unit_element()
+    if e is not None:
+        insert(red0, e)
+    d0 = int(e is not None)
+
+    def level(red: list, new: dict, k: int, room: int) -> list:
+        """The rows level k adds to the echelon red, stopping at room rows."""
+        fresh = []
+        for i, xs in new.items():
+            ys = new.get(k - i, ())
+            for x in xs:
+                for y in ys:
+                    w = insert(red, multiply(x, y))
+                    if w is not None:
+                        fresh.append(w)
+                        if len(fresh) == room:
+                            return fresh
+        return fresh
+
+    def evaluate(s_rows: tuple):
+        red = red0.copy()
+        first = [w for w in (insert(red, v) for v in s_rows) if w is not None]
+        return _chain_d(dim, d0, first, red, level)
+
+    def residue_row(piv: int, cells) -> tuple:
+        row = [0] * dim
+        row[piv] = 1
+        for c, x in cells:
+            row[c] = x
+        return tuple(row)
+
+    def subspaces(columns, k):
+        for _, fills in _row_fills(columns, k, p, residue_row):
+            yield from itertools.product(*fills)
+
+    def as_subspace(s_rows: tuple) -> Subspace:
+        return Subspace.span(a.field, dim, s_rows)
+
+    return _Lane("gfp-int", evaluate, subspaces, as_subspace)
 
 
 # --- the search loop ---------------------------------------------------------------
@@ -462,8 +574,9 @@ def length_of_algebra(
     else every subspace. An exhaustive search whose weights do not sum to the number of
     nonzero subspaces raises InvariantViolation. ``stats`` names the lane and
     counts the items it evaluated. Every lane runs the general recursion
-    (``gf2-bitmask`` over F2, ``span:general`` elsewhere and in random mode);
-    certificates only choose the laws ``violations`` checks.
+    (``gf2-bitmask`` over F2, ``gfp-int`` over an odd prime field,
+    ``span:general`` over extension fields and in random mode); certificates
+    only choose the laws ``violations`` checks.
 
     The witness is the first subspace of maximal length in enumeration
     order. An orbit's first subspace comes before the rest of its orbit, and
@@ -487,7 +600,12 @@ def length_of_algebra(
                 f"enumeration of {total} subspaces exceeds the cost cap {cap}",
                 estimate=total,
             )
-        lane = _gf2_lane(a) if f.cardinality() == 2 else _span_lane(a)
+        q = f.cardinality()
+        lane = (
+            _gf2_lane(a) if q == 2
+            else _gfp_lane(a) if q == f.characteristic()
+            else _span_lane(a)
+        )
         source = _exhaustive_source(a, lane.subspaces)
         quotient = a.is_unital()
         if lane.products is not None and not quotient and total >= ORBIT_FLOOR:

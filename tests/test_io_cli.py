@@ -392,11 +392,22 @@ def test_cli_bad_cost_cap_is_json_error(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "k.json")
     _run(capsys, "construct", "--family", "hurwitz", "--field", "F2",
          "--params", "1", "--out", path)
-    monkeypatch.setenv("COMPLEN_COST_CAP", "abc")
+    for raw in ("abc", "-5"):
+        monkeypatch.setenv("COMPLEN_COST_CAP", raw)
+        code, out, err = _run(capsys, "length-algebra", "--algebra", path)
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ParseError" and "COMPLEN_COST_CAP" in doc["message"]
+
+
+def test_cli_zero_cost_cap_is_a_cap(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "k.json")
+    _run(capsys, "construct", "--family", "hurwitz", "--field", "F2",
+         "--params", "1", "--out", path)
+    monkeypatch.setenv("COMPLEN_COST_CAP", "0")
     code, out, err = _run(capsys, "length-algebra", "--algebra", path)
-    assert code == 1 and out == ""
-    doc = json.loads(err)
-    assert doc["error"] == "ParseError" and "COMPLEN_COST_CAP" in doc["message"]
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "CostCapExceeded"
 
 
 @pytest.mark.parametrize("what,estimate", (("descending-flexible", 729), ("flexible", 81)))

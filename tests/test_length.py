@@ -34,6 +34,7 @@ from complen.length import (
     ORBIT_FLOOR,
     _exhaustive_source,
     _gf2_lane,
+    _gfp_lane,
     _gf2_subspaces,
     count_subspaces,
     enumerate_subspaces,
@@ -425,7 +426,9 @@ def test_unit_quotient_matches_every_subspace(name):
     # one item per subspace of the hyperplane, the zero subspace included
     q = a.field.cardinality()
     assert res.stats["evaluated"] == count_subspaces(a.field, a.dim - 1, range(a.dim))
-    assert res.stats["lane"] == ("gf2-bitmask" if q == 2 else "span:general")
+    assert res.stats["lane"] == (
+        "gf2-bitmask" if q == 2 else "gfp-int" if q == a.field.characteristic() else "span:general"
+    )
 
 
 def test_non_unital_search_evaluates_every_subspace():
@@ -433,7 +436,7 @@ def test_non_unital_search_evaluates_every_subspace():
     for twist in ("II", "IV"):
         res = length_of_algebra(standard_twist(q, twist), mode="exhaustive")
         assert res.stats["evaluated"] == res.enumerated == 211
-        assert res.stats["lane"] == "span:general"
+        assert res.stats["lane"] == "gfp-int"
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9))
@@ -491,16 +494,20 @@ def test_certificate_free_gf2_octonion_census_is_pinned():
 # --- the GF(2) bitmask lane against lin_spans --------------------------------------
 
 
-def _random_f2_table(n, seed, density):
-    """A seeded F2 table without certificates: each coordinate of each basis
-    product is 1 with probability density."""
+def _random_table(f, n, seed, density):
+    """A seeded table over a prime field without certificates: each coordinate
+    of each basis product is nonzero with probability density, and then a
+    uniform nonzero residue (1 over F2, with no draw for it)."""
     rng = random.Random(seed)
+    q = f.cardinality()
 
-    def vec():
-        return tuple(F2.from_int(int(rng.random() < density)) for _ in range(n))
+    def entry():
+        if rng.random() >= density:
+            return f.zero()
+        return f.one() if q == 2 else f.from_int(rng.randrange(1, q))
 
-    table = [[vec() for _ in range(n)] for _ in range(n)]
-    return AlgebraTable(F2, n, [f"e{i}" for i in range(n)], table, name=f"random-{seed}")
+    table = [[tuple(entry() for _ in range(n)) for _ in range(n)] for _ in range(n)]
+    return AlgebraTable(f, n, [f"e{i}" for i in range(n)], table, name=f"random-{seed}")
 
 
 # sparse-4 and sparse-5 have generating subspaces whose chain stalls at a level
@@ -523,9 +530,9 @@ SMALL_F2 = {
         for t in ("II", "III", "IV")
     },
     "squares-4": lambda: _squares_table(4)[0],
-    "sparse-4": lambda: _random_f2_table(4, 2, 0.1),
-    "sparse-5": lambda: _random_f2_table(5, 4, 0.1),
-    **{f"dense-4-{seed}": (lambda seed=seed: _random_f2_table(4, seed, 0.5)) for seed in range(3)},
+    "sparse-4": lambda: _random_table(F2, 4, 2, 0.1),
+    "sparse-5": lambda: _random_table(F2, 5, 4, 0.1),
+    **{f"dense-4-{seed}": (lambda seed=seed: _random_table(F2, 4, seed, 0.5)) for seed in range(3)},
 }
 
 
@@ -551,14 +558,83 @@ def test_gf2_lane_matches_general_spans_on_every_subspace(name, cleared):
         assert inner_plateaus
 
 
+# --- the GF(p) integer lane against lin_spans ---------------------------------------
+
+
+def _zero_table(f, n):
+    zero = (f.zero(),) * n
+    return AlgebraTable(f, n, [f"e{i}" for i in range(n)], [[zero] * n for _ in range(n)])
+
+
+# sparse-F3-3, sparse-F3-4, sparse-F5-3 and sparse-F5-4 have generating
+# subspaces whose chain stalls at a level and grows again later
+SMALL_FP = {
+    **{
+        f"quaternion-F{p}": (lambda f=f: make_hurwitz_tower(f, None, (f.one(), f.one())))
+        for p, f in ((3, F3), (5, F5))
+    },
+    **{
+        f"quaternion-F{p}-{t}": (
+            lambda f=f, t=t: standard_twist(make_hurwitz_tower(f, None, (f.one(), f.one())), t)
+        )
+        for p, f in ((3, F3), (5, F5))
+        for t in ("II", "III", "IV")
+    },
+    "quaternion-F3-unit-e3": UNITAL["quaternion-F3-unit-e3"],
+    "zero-F3": lambda: _zero_table(F3, 3),
+    "sparse-F3-3": lambda: _random_table(F3, 3, 4, 0.15),
+    "sparse-F3-4": lambda: _random_table(F3, 4, 1, 0.1),
+    "sparse-F5-3": lambda: _random_table(F5, 3, 4, 0.15),
+    "sparse-F5-4": lambda: _random_table(F5, 4, 1, 0.1),
+    "dense-F3-4": lambda: _random_table(F3, 4, 0, 0.5),
+    "dense-F5-3": lambda: _random_table(F5, 3, 0, 0.5),
+}
+
+
+@pytest.mark.parametrize("cleared", (False, True), ids=("as-built", "certificates-cleared"))
+@pytest.mark.parametrize("name", sorted(SMALL_FP))
+def test_gfp_lane_matches_general_spans_on_every_subspace(name, cleared):
+    a = SMALL_FP[name]()
+    if cleared:
+        a.certificates.clear()
+    lane = _gfp_lane(a)
+    inner_plateaus = 0
+    for k in range(1, a.dim + 1):
+        subs = list(lane.subspaces(range(a.dim), k))
+        # the items are the forms of enumerate_subspaces, in its order
+        assert [lane.as_subspace(rows).rows for rows in subs] == [
+            sub.rows for sub in enumerate_subspaces(a.field, a.dim, k)
+        ]
+        for rows in subs:
+            d = lane.evaluate(rows)
+            assert d == _general_d(a, rows), (name, rows)
+            inner_plateaus += d is not None and 0 in d[1:]
+    if name.startswith("sparse"):
+        assert inner_plateaus
+
+
+@pytest.mark.parametrize("p", (5, 7))
+@pytest.mark.parametrize("twist", ("II", "IV"))
+def test_prime_field_twists_match_the_reference_search(p, twist):
+    f = field_make(f"F{p}")
+    a = standard_twist(make_hurwitz_tower(f, None, (f.one(), f.one())), twist)
+    res = length_of_algebra(a, mode="exhaustive")
+    census, enumerated, best, witness = _reference_search(a)
+    assert res.stats["d_census"] == census
+    assert res.enumerated == res.stats["evaluated"] == enumerated
+    assert res.best_length == best
+    assert res.witness.rows == witness
+    assert res.stats["lane"] == "gfp-int"
+
+
 DIM8_F2 = {
     "octonion-F2": lambda: _tower(F2, "I"),
     "octonion-F2-II": lambda: standard_twist(_tower(F2, "I"), "II"),
     "octonion-F2-IV": lambda: standard_twist(_tower(F2, "I"), "IV"),
     "okubo-isotropic-F2": lambda: make_okubo_isotropic(F2, F2.one(), F2.one()),
     "okubo-idempotent-F2": lambda: make_okubo_idempotent(F2, F2.one(), F2.one()),
-    "sparse-8": lambda: _random_f2_table(8, 0, 0.1),
-    "dense-8": lambda: _random_f2_table(8, 0, 0.5),
+    "sparse-8": lambda: _random_table(F2, 8, 0, 0.1),
+    "dense-8": lambda: _random_table(F2, 8, 0, 0.5),
 }
 
 
