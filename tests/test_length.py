@@ -34,8 +34,8 @@ from complen.length import (
     ORBIT_FLOOR,
     _exhaustive_source,
     _gf2_lane,
-    _gfp_lane,
     _gf2_subspaces,
+    _gfp_lane,
     count_subspaces,
     enumerate_subspaces,
     length_of_algebra,
