@@ -31,7 +31,7 @@ same rows. Each run records its wall time `wall_s` and its CPU time `cpu_s`
 the time lost to other processes on the host. Each side's `verify_paper`
 holds the median `wall_s` and `cpu_s` and the runs with their seconds per
 case. With `--tier1` the tier-1 pytest run is timed the same way, under
-`tier1`. It counts the lines of every module in `src/complen/`.
+`tier1`. It counts the lines and bytes of every module in `src/complen/`.
 
 The head's results sit at the top level of the file, as in a file without a
 base. With `--base`, `base` holds the same keys for the base commit, and
@@ -211,9 +211,13 @@ def tier1(root: Path) -> dict:
 
 
 def src_lines(root: Path) -> dict:
+    """Lines and bytes of every module: without a bytecode cache each process
+    compiles its imports, so their bytes show in setup_s and peak_rss_mb."""
     files = sorted((root / "src" / "complen").glob("*.py"))
     per = {f.name: sum(1 for _ in f.open()) for f in files}
-    return {"total": sum(per.values()), "modules": per}
+    size = {f.name: f.stat().st_size for f in files}
+    return {"total": sum(per.values()), "modules": per,
+            "total_bytes": sum(size.values()), "module_bytes": size}
 
 
 def alternating(sides: dict, rounds, label: str, run) -> dict:

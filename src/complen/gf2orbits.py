@@ -10,9 +10,9 @@ count. The automorphisms come from gf2autos.find_automorphisms, as lists of
 basis images; vectors are bitmasks (bit i is coordinate i).
 
 orbit_source numbers the k-dimensional subspaces in enumeration order (the
-order of length._gf2_subspaces) and keeps one int32 label per subspace. For
-each automorphism it streams the subspaces in chunks of CHUNK, maps their
-rows, reduces the images to echelon form and finds their numbers by
+order of length._forms) and keeps one int32 label per subspace. For each
+automorphism it streams the subspaces in chunks of CHUNK, maps their rows,
+reduces the images to echelon form and finds their numbers by
 arithmetic (a table keyed by pivot set and row), and joins each subspace with
 its image in a union-find whose root is the smallest number of its set. So
 the representative of an orbit is its first subspace in enumeration order,
@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .gf2autos import _apply
-from .length import _gf2_patterns
+from .length import _mask_row, _row_fills
 
 CHUNK = 2048  # subspaces per streamed block of images; peak memory grows with it
 
@@ -41,11 +41,11 @@ CHUNK = 2048  # subspaces per streamed block of images; peak memory grows with i
 
 def _patterns(n: int, k: int) -> list:
     """(offset, size, pivot mask, fills, shifts) of every k-row echelon
-    pattern, in enumeration order (fills as in length._gf2_patterns). A form's
-    number is its pattern's offset plus its rows' fill indices packed, row
-    r's shifted left by shifts[r], the last row lowest."""
+    pattern in enumeration order, fills from length._row_fills on bitmasks.
+    A form's number is its pattern's offset plus its rows' fill indices
+    packed, row r's shifted left by shifts[r], the last row lowest."""
     out, offset = [], 0
-    for pivots, fills in _gf2_patterns(range(n), k):
+    for pivots, fills in _row_fills(range(n), k, 2, _mask_row):
         widths = [len(f).bit_length() - 1 for f in fills]
         shifts = [sum(widths[r + 1:]) for r in range(k)]
         size = 1 << sum(widths)

@@ -18,29 +18,32 @@ level that added rows: past 2L one factor of every pair is empty, and the
 chain is stable there.
 
 The length search is one loop of three parts. A source yields weighted
-items in a fixed order: every nonzero subspace with weight 1 (as Subspace
-objects, over GF(2) as bitmask rows, over an odd prime field as tuples of
-residues), seeded random ones with weight 1,
-for a unital algebra the subspaces U of a hyperplane H complementing the
-unit e, or over GF(2) without a unit the first subspace of each orbit of a
-few proved automorphisms (gf2autos.py), weighted by the orbit's size
-(gf2orbits.py). The quotient is exact because both lanes start from
-Lin_0 = <e> and Lin_m*e = e*Lin_m = Lin_m, so S and S + <e> have the same
-chain; U stands for the 1 + q^dim U nonzero S with S + <e> = <e> + U (1 for
-U = 0). The orbits are exact because an automorphism g maps Lin_k(S) onto
-Lin_k(gS). A lane evaluates each item: lin_spans ("span:general"), or the
-same recursion over GF(2) on bitmask rows with product lookup tables
-("gf2-bitmask"), or over an odd prime field GF(p) on residue rows with
-integer products reduced mod p in the echelon ("gfp-int"). The loop itself is
-the one accumulator: it adds each weight to the census and to the covered count,
-checks that the weights of an exhaustive search cover every nonzero
-subspace, keeps the witness, and builds the SearchResult. Under the quotient
-the witness, the first maximal subspace in enumeration order, comes from a
-walk through one dimension afterwards.
+items in a fixed order: every nonzero subspace with weight 1, seeded random
+ones with weight 1, for a unital algebra the subspaces U of a hyperplane H
+complementing the unit e, or over GF(2) without a unit the first subspace of
+each orbit of a few proved automorphisms (gf2autos.py), weighted by the
+orbit's size (gf2orbits.py). An item is the tuple of a subspace's reduced
+echelon rows, bitmasks over GF(2) and tuples of scalars otherwise; one
+generator, _row_fills, makes the forms in that order for the sources, the
+orbit pass and enumerate_subspaces. The quotient is exact because every lane
+starts from Lin_0 = <e> and Lin_m*e = e*Lin_m = Lin_m, so S and S + <e> have
+the same chain; U stands for the 1 + q^dim U nonzero S with
+S + <e> = <e> + U (1 for U = 0). The orbits are exact because an
+automorphism g maps Lin_k(S) onto Lin_k(gS). A lane evaluates each item:
+lin_spans ("span:general"), or the same recursion over GF(2) on bitmask rows
+with product lookup tables ("gf2-bitmask"), or over an odd prime field GF(p)
+on residue rows with integer products reduced mod p in the echelon
+("gfp-int"). The loop itself is the one accumulator: it adds each weight to
+the census and to the covered count, checks that the weights of an
+exhaustive search cover every nonzero subspace, keeps the witness, and
+builds the SearchResult. Under the quotient the witness, the first maximal
+subspace in enumeration order, comes from a walk through one dimension
+afterwards.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -206,60 +209,12 @@ def _echelon_patterns(columns: Sequence[int], k: int) -> Iterator[tuple]:
         yield pivots, cells
 
 
-def _echelon_form(field: Field, ambient: int, pivots: tuple, cells: list, values) -> Subspace:
-    rows = [[field.zero()] * ambient for _ in pivots]
-    for r, p in enumerate(pivots):
-        rows[r][p] = field.one()
-    for (r, c), x in zip(cells, values):
-        rows[r][c] = x
-    return Subspace(field, ambient, tuple(map(tuple, rows)), pivots)
-
-
-def enumerate_subspaces(
-    field: Field, ambient: int, k: int, columns: Optional[Sequence[int]] = None
-) -> Iterator[Subspace]:
-    """All k-dimensional subspaces, each exactly once, in a fixed order.
-
-    Order: pivot-column combinations lexicographically, then the free cells
-    running through the field's enumeration order, the last cell fastest.
-    Rows come out directly in reduced echelon form. With columns given (in
-    increasing order), only the subspaces of the coordinate subspace on
-    those columns, in the order of enumerate_subspaces(field, len(columns),
-    k) with zeros inserted. k = 0 gives the zero subspace.
-    """
-    if not field.is_finite():
-        raise InfiniteField("subspace enumeration needs a finite field")
-    elems = list(field.enumerate())
-    for pivots, cells in _echelon_patterns(range(ambient) if columns is None else columns, k):
-        for fill in itertools.product(elems, repeat=len(cells)):
-            yield _echelon_form(field, ambient, pivots, cells, fill)
-
-
-def _random_subspace(field: Field, ambient: int, rng: random.Random) -> Subspace:
-    """Uniform dimension, then a uniform reduced echelon form of that dimension.
-
-    Finite fields: pivot sets weighted by how many echelon forms they carry,
-    free entries uniform. Rationals: uniform pivot set, small integer entries.
-    """
-    k = rng.randint(1, ambient)
-    patterns = list(_echelon_patterns(range(ambient), k))
-    if field.is_finite():
-        q = field.cardinality()
-        pivots, cells = rng.choices(patterns, weights=[q ** len(c) for _, c in patterns])[0]
-        elems = list(field.enumerate())
-        values = [elems[rng.randrange(q)] for _ in cells]
-    else:
-        pivots, cells = patterns[rng.randrange(len(patterns))]
-        values = [field.from_int(rng.randint(-3, 3)) for _ in cells]
-    return _echelon_form(field, ambient, pivots, cells, values)
-
-
 def _row_fills(columns: Sequence[int], k: int, q: int, encode: Callable) -> Iterator[tuple]:
     """(pivots, fills) of every k-row echelon pattern on the given coordinates
-    of GF(q)^n, q prime, in the order of _echelon_patterns: fills[r] lists
+    of GF(q)^n, in the order of _echelon_patterns: fills[r] lists
     encode(pivot, cells) for every filling of row r's free cells by the
-    residues 0..q-1, its last free cell fastest; cells pairs each free column
-    with its value."""
+    scalars 0..q-1, its last free cell fastest; cells pairs each free column
+    with its value. The one generator of reduced echelon forms."""
     for pivots, cells in _echelon_patterns(columns, k):
         fills = []
         for r, p in enumerate(pivots):
@@ -271,30 +226,70 @@ def _row_fills(columns: Sequence[int], k: int, q: int, encode: Callable) -> Iter
         yield pivots, fills
 
 
-def _mask_row(p: int, cells) -> int:
-    return sum((b << c for c, b in cells), 1 << p)
-
-
-def _gf2_patterns(columns: Sequence[int], k: int) -> Iterator[tuple]:
-    """(pivots, fills) of every k-row echelon pattern on the given coordinates
-    of GF(2)^n, in the order of _echelon_patterns: fills[r] lists the bitmask
-    values of row r (bit i is coordinate i), its last free cell fastest."""
-    return _row_fills(columns, k, 2, _mask_row)
-
-
-def _gf2_subspaces(columns: Sequence[int], k: int) -> Iterator[tuple]:
-    """Every k-dimensional subspace on the given coordinates of GF(2)^n as
-    bitmask rows, in the order of enumerate_subspaces."""
+def _forms(columns: Sequence[int], k: int, q: int, encode: Callable) -> Iterator[tuple]:
+    """Every k-dimensional subspace on the given coordinates of GF(q)^n as
+    the tuple of its encoded reduced echelon rows, in enumeration order."""
     # the product runs the last row fastest, which is the last cell of the form
-    for _, fills in _gf2_patterns(columns, k):
+    for _, fills in _row_fills(columns, k, q, encode):
         yield from itertools.product(*fills)
 
 
-def _exhaustive_source(a: AlgebraTable, subspaces) -> Iterator[tuple]:
+def _mask_row(p: int, cells) -> int:
+    """encode over GF(2): the row as a bitmask, bit i coordinate i."""
+    return sum((b << c for c, b in cells), 1 << p)
+
+
+def _scalar_row(field: Field, ambient: int, p: int, cells) -> tuple:
+    """encode over any field: the row as a tuple of scalars, one at p."""
+    row = [0] * ambient
+    row[p] = field.one()
+    for c, x in cells:
+        row[c] = x
+    return tuple(row)
+
+
+def enumerate_subspaces(field: Field, ambient: int, k: int) -> Iterator[Subspace]:
+    """All k-dimensional subspaces, each exactly once, in a fixed order.
+
+    Order: pivot-column combinations lexicographically, then the free cells
+    running through the field's enumeration order, the last cell fastest.
+    Rows come out directly in reduced echelon form. k = 0 gives the zero
+    subspace.
+    """
+    if not field.is_finite():
+        raise InfiniteField("subspace enumeration needs a finite field")
+    encode = functools.partial(_scalar_row, field, ambient)
+    for rows in _forms(range(ambient), k, field.cardinality(), encode):
+        pivots = tuple(next(c for c, x in enumerate(row) if x) for row in rows)
+        yield Subspace(field, ambient, rows, pivots)
+
+
+def _random_subspace(field: Field, ambient: int, rng: random.Random) -> tuple:
+    """Uniform dimension, then the rows of a uniform reduced echelon form.
+
+    Finite fields: pivot sets weighted by how many echelon forms they carry,
+    free entries uniform. Rationals: uniform pivot set, small integer entries.
+    """
+    k = rng.randint(1, ambient)
+    patterns = list(_echelon_patterns(range(ambient), k))
+    if field.is_finite():
+        q = field.cardinality()
+        pivots, cells = rng.choices(patterns, weights=[q ** len(c) for _, c in patterns])[0]
+        values = [rng.randrange(q) for _ in cells]
+    else:
+        pivots, cells = patterns[rng.randrange(len(patterns))]
+        values = [field.from_int(rng.randint(-3, 3)) for _ in cells]
+    return tuple(
+        _scalar_row(field, ambient, p, [(c, x) for (row, c), x in zip(cells, values) if row == r])
+        for r, p in enumerate(pivots)
+    )
+
+
+def _exhaustive_source(a: AlgebraTable, forms) -> Iterator[tuple]:
     """(item, weight) pairs in enumeration order; the weights count the
     nonzero subspaces each item stands for and sum to all of them.
 
-    subspaces(columns, k) yields a lane's items. Without a unit every
+    forms(columns, k) yields a lane's items. Without a unit every
     nonzero subspace is an item of weight 1. With a unit e, p its first
     nonzero coordinate, the items are the subspaces U of the hyperplane
     H = {x_p = 0}, the zero subspace included: T = <e> + U is every
@@ -306,31 +301,31 @@ def _exhaustive_source(a: AlgebraTable, subspaces) -> Iterator[tuple]:
     e = a.unit_element()
     if e is None:
         for k in range(1, n + 1):
-            yield from zip(subspaces(range(n), k), itertools.repeat(1))
+            yield from zip(forms(range(n), k), itertools.repeat(1))
         return
     p = next(i for i, x in enumerate(e) if x)
     hyperplane = [c for c in range(n) if c != p]
     q = a.field.cardinality()
     for k in range(n):
-        yield from zip(subspaces(hyperplane, k), itertools.repeat(1 + q**k if k else 1))
+        yield from zip(forms(hyperplane, k), itertools.repeat(1 + q**k if k else 1))
 
 
 # --- evaluator lanes -------------------------------------------------------------
 #
 # A lane evaluates one kind of item. evaluate(item) gives the trimmed difference
-# sequence of a generating item and None otherwise; subspaces(columns, k) yields
-# the k-dimensional items on those coordinates in enumeration order;
-# as_subspace(item) turns the witness item into a Subspace; and the GF(2) lane
-# keeps its product table prod[x][y] in products for the automorphism search.
-# span:general takes Subspace items, gf2-bitmask bitmask rows over F2, and
-# gfp-int tuples of residues over an odd prime field.
+# sequence of a generating item and None otherwise; encode is the row encoder
+# that _forms(columns, k, q, encode) builds the lane's items with, an item being
+# the tuple of its rows; as_subspace(item) turns the witness item into a
+# Subspace; and the GF(2) lane keeps its product table prod[x][y] in products
+# for the automorphism search. gf2-bitmask takes bitmask rows over F2, and
+# span:general and gfp-int tuples of scalars (residues over a prime field).
 
 
 @dataclass(frozen=True)
 class _Lane:
     name: str
     evaluate: Callable
-    subspaces: Callable
+    encode: Callable
     as_subspace: Callable
     products: Optional[list] = None
 
@@ -357,16 +352,14 @@ def _chain_d(dim: int, d0: int, first: list, red: list, level: Callable):
 
 
 def _span_lane(a: AlgebraTable) -> _Lane:
-    """Subspace items through lin_spans in general mode."""
+    """Rows of scalars through lin_spans in general mode."""
 
-    def evaluate(sub: Subspace):
-        rep = lin_spans(a, sub.basis, mode="general")
+    def evaluate(rows: tuple):
+        rep = lin_spans(a, rows, mode="general")
         return rep.d if rep.generating else None
 
-    def subspaces(columns, k):
-        return enumerate_subspaces(a.field, a.dim, k, columns)
-
-    return _Lane("span:general", evaluate, subspaces, lambda sub: sub)
+    return _Lane("span:general", evaluate, functools.partial(_scalar_row, a.field, a.dim),
+                 functools.partial(Subspace.span, a.field, a.dim))
 
 
 def _gf2_lane(a: AlgebraTable) -> _Lane:
@@ -441,7 +434,7 @@ def _gf2_lane(a: AlgebraTable) -> _Lane:
         rows = [tuple(a.field.from_int(m >> i & 1) for i in range(dim)) for m in s_rows]
         return Subspace.span(a.field, dim, rows)
 
-    return _Lane("gf2-bitmask", evaluate, _gf2_subspaces, as_subspace, prod)
+    return _Lane("gf2-bitmask", evaluate, _mask_row, as_subspace, prod)
 
 
 def _gfp_lane(a: AlgebraTable) -> _Lane:
@@ -510,21 +503,8 @@ def _gfp_lane(a: AlgebraTable) -> _Lane:
         first = [w for w in (insert(red, v) for v in s_rows) if w is not None]
         return _chain_d(dim, d0, first, red, level)
 
-    def residue_row(piv: int, cells) -> tuple:
-        row = [0] * dim
-        row[piv] = 1
-        for c, x in cells:
-            row[c] = x
-        return tuple(row)
-
-    def subspaces(columns, k):
-        for _, fills in _row_fills(columns, k, p, residue_row):
-            yield from itertools.product(*fills)
-
-    def as_subspace(s_rows: tuple) -> Subspace:
-        return Subspace.span(a.field, dim, s_rows)
-
-    return _Lane("gfp-int", evaluate, subspaces, as_subspace)
+    return _Lane("gfp-int", evaluate, functools.partial(_scalar_row, a.field, dim),
+                 functools.partial(Subspace.span, a.field, dim))
 
 
 # --- the search loop ---------------------------------------------------------------
@@ -606,7 +586,7 @@ def length_of_algebra(
             else _gfp_lane(a) if q == f.characteristic()
             else _span_lane(a)
         )
-        source = _exhaustive_source(a, lane.subspaces)
+        source = _exhaustive_source(a, functools.partial(_forms, q=q, encode=lane.encode))
         quotient = a.is_unital()
         if lane.products is not None and not quotient and total >= ORBIT_FLOOR:
             from .gf2autos import find_automorphisms
@@ -644,7 +624,7 @@ def length_of_algebra(
         )
     if quotient and best is not None:
         # the witness walk: best is the first maximal U, of dimension t - 1
-        for s in lane.subspaces(range(a.dim), max(lane.as_subspace(best).dim, 1)):
+        for s in _forms(range(a.dim), max(len(best), 1), q, lane.encode):
             d = lane.evaluate(s)
             if d is not None and len(d) - 1 == best_len:
                 best = s

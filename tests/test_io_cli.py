@@ -550,19 +550,22 @@ def test_python_dash_m_complen_runs_the_cli():
 
 
 def test_import_leaves_numpy_out():
-    # the scans and the orbit census import numpy lazily; importing the package must not
+    # the scans and the orbit census import numpy lazily; importing the package must not.
+    # Nor may it load the command line or the suite: every module imported at start-up
+    # is compiled afresh by each process that caches no bytecode
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, complen; "
         "print(*(m in sys.modules for m in "
-        "('numpy', 'complen.primescan', 'complen.gf2autos', 'complen.gf2orbits')))"
+        "('numpy', 'complen.primescan', 'complen.gf2autos', 'complen.gf2orbits', "
+        "'complen.cli', 'complen.suite')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"] * 4
+    assert proc.stdout.split() == ["False"] * 6
 
 
 def test_census_without_automorphisms_leaves_numpy_out():

@@ -33,9 +33,10 @@ from complen.iofmt import dump_algebra
 from complen.length import (
     ORBIT_FLOOR,
     _exhaustive_source,
+    _forms,
     _gf2_lane,
-    _gf2_subspaces,
     _gfp_lane,
+    _mask_row,
     count_subspaces,
     enumerate_subspaces,
     length_of_algebra,
@@ -228,13 +229,11 @@ def test_random_search_needs_a_positive_budget():
 
 
 def test_gf2_fast_lane_matches_generic_lane():
-    from complen.length import enumerate_subspaces
-
     q = make_hurwitz_tower(F2, F2.one(), (F2.one(),))
     for a in (q, standard_twist(q, "II"), standard_twist(q, "IV")):
         fast = length_of_algebra(a, mode="exhaustive")
-        # the generic lane is what non-GF(2) fields use; force it by re-running
-        # the same census through per-subspace reports
+        # the same census the way span:general runs it: every subspace through
+        # its own lin_spans report
         census = {}
         best = 0
         witness = None
@@ -256,23 +255,53 @@ def test_gf2_fast_lane_matches_generic_lane():
 
 
 def test_gf2_source_runs_in_enumeration_order():
-    from complen.length import _gf2_subspaces, enumerate_subspaces
-
     for n in range(1, 6):
         for k in range(n + 1):
             masks = [
                 tuple(tuple(F2.from_int(m >> i & 1) for i in range(n)) for m in rows)
-                for rows in _gf2_subspaces(range(n), k)
+                for rows in _forms(range(n), k, 2, _mask_row)
             ]
             assert masks == [s.rows for s in enumerate_subspaces(F2, n, k)]
         # on a coordinate subspace: the same forms with a zero column inserted
         for k in range(n):
-            masks = list(_gf2_subspaces([c for c in range(n) if c != 1], k))
+            masks = list(_forms([c for c in range(n) if c != 1], k, 2, _mask_row))
             rows = [
                 tuple(m & 1 | (m >> 1) << 2 for m in sub)
-                for sub in _gf2_subspaces(range(n - 1), k)
+                for sub in _forms(range(n - 1), k, 2, _mask_row)
             ]
             assert masks == rows
+
+
+# written out by hand: pivot sets lexicographically, then the free cells
+# through 0..q-1 in row-major order, the last cell fastest
+LINES_F3_2 = [((1, 0),), ((1, 1),), ((1, 2),), ((0, 1),)]
+LINES_F2_3 = [
+    ((1, 0, 0),), ((1, 0, 1),), ((1, 1, 0),), ((1, 1, 1),), ((0, 1, 0),), ((0, 1, 1),),
+    ((0, 0, 1),),
+]
+PLANES_F2_3 = [
+    ((1, 0, 0), (0, 1, 0)),
+    ((1, 0, 0), (0, 1, 1)),
+    ((1, 0, 1), (0, 1, 0)),
+    ((1, 0, 1), (0, 1, 1)),
+    ((1, 0, 0), (0, 0, 1)),
+    ((1, 1, 0), (0, 0, 1)),
+    ((0, 1, 0), (0, 0, 1)),
+]
+
+
+def test_enumeration_order_is_pinned():
+    assert [s.rows for s in enumerate_subspaces(F3, 2, 1)] == LINES_F3_2
+    assert [s.pivots for s in enumerate_subspaces(F3, 2, 1)] == [(0,)] * 3 + [(1,)]
+    for k, forms in ((1, LINES_F2_3), (2, PLANES_F2_3)):
+        assert [s.rows for s in enumerate_subspaces(F2, 3, k)] == forms
+        masks = [tuple(sum(x << i for i, x in enumerate(r)) for r in s) for s in forms]
+        assert list(_forms(range(3), k, 2, _mask_row)) == masks
+    # a lane's items on the plane x_1 = 0 of F3^3, as the unit quotient walks
+    # a hyperplane: the same lines with a zero middle coordinate
+    assert list(_forms([0, 2], 1, 3, _gfp_lane(_zero_table(F3, 3)).encode)) == [
+        ((r[0], 0, r[1]),) for (r,) in LINES_F3_2
+    ]
 
 
 def test_uncertified_census_runs_every_general_chain_to_its_end():
@@ -550,7 +579,7 @@ def test_gf2_lane_matches_general_spans_on_every_subspace(name, cleared):
     lane = _gf2_lane(a)
     inner_plateaus = 0
     for k in range(1, a.dim + 1):
-        for rows in _gf2_subspaces(range(a.dim), k):
+        for rows in _forms(range(a.dim), k, 2, lane.encode):
             d = lane.evaluate(rows)
             assert d == _general_d(a, lane.as_subspace(rows).basis), (name, rows)
             inner_plateaus += d is not None and 0 in d[1:]
@@ -600,7 +629,7 @@ def test_gfp_lane_matches_general_spans_on_every_subspace(name, cleared):
     lane = _gfp_lane(a)
     inner_plateaus = 0
     for k in range(1, a.dim + 1):
-        subs = list(lane.subspaces(range(a.dim), k))
+        subs = list(_forms(range(a.dim), k, a.field.cardinality(), lane.encode))
         # the items are the forms of enumerate_subspaces, in its order
         assert [lane.as_subspace(rows).rows for rows in subs] == [
             sub.rows for sub in enumerate_subspaces(a.field, a.dim, k)
@@ -676,7 +705,8 @@ NON_UNITAL_F2 = sorted(name for name, make in SMALL_F2.items() if not make().is_
 def test_orbit_source_matches_the_plain_source(name):
     a = SMALL_F2[name]()
     lane = _gf2_lane(a)
-    plain, items = _search(lane, _exhaustive_source(a, lane.subspaces))
+    forms = functools.partial(_forms, q=2, encode=lane.encode)
+    plain, items = _search(lane, _exhaustive_source(a, forms))
     assert items == count_subspaces(F2, a.dim, range(1, a.dim + 1))
     # the identity numbers every image as the subspace itself: one orbit each
     identity = [1 << i for i in range(a.dim)]

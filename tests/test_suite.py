@@ -1,6 +1,8 @@
 """The bundled verification suite: case registry and runner mechanics."""
 
-from complen.suite import SuiteCase, all_cases, run_case, select_cases
+import json
+
+from complen.suite import SuiteCase, all_cases, run_case, run_suite, select_cases
 
 CHEAP_CASE = "standard-F3-I-dim1"
 
@@ -75,6 +77,22 @@ def test_run_case_mismatch_is_fail():
     case = SuiteCase("synthetic-mismatch", "l=9", "derived", lambda: "l=1")
     out = run_case(case)
     assert out.status == "FAIL" and out.measured == "l=1"
+
+
+def test_process_pool_prints_the_same_rows(capsys):
+    # --jobs 2 runs the cases by id in worker processes (_outcome_by_id)
+    rows = {}
+    for jobs in (1, 2):
+        assert run_suite("standard-F3-*-dim[12]", jobs=jobs, fmt="json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        rows[jobs] = [(c["id"], c["status"], c["expected"], c["measured"]) for c in doc["cases"]]
+    assert rows[2] == rows[1]
+    assert [(i, status) for i, status, _, _ in rows[1]] == [
+        ("standard-F3-I-dim1", "PASS"),
+        ("standard-F3-I-dim2", "PASS"),
+        ("standard-F3-II-dim2", "PASS"),
+        ("standard-F3-IV-dim2", "PASS"),
+    ]
 
 
 # The verify-paper contract: every (id, provenance, expected) triple, in
