@@ -9,8 +9,8 @@ the span is no longer the graph of an injective map. Its choices are
 deterministic and it stops after CLOSURE_BUDGET closures with what it has.
 Every map it returns is proved on all dim^2 basis products and shown to be
 invertible. The search is plain Python: length imports this module for an
-exhaustive GF(2) census without a unit, and gf2orbits, with numpy, only when
-the search finds a map.
+exhaustive GF(2) census of at least length.ORBIT_FLOOR items, with a unit
+or without, and gf2orbits, with numpy, only when the search finds a map.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import random
 from typing import Sequence
 
 # maps searched for: on the isotropic Okubo table over F2 the first two found
-# leave 17 657 orbits, three leave 2 158, and each costs one pass of images
+# leave 17 657 orbits, three leave 2 158; on the F2 octonions, over the unit
+# quotient, one leaves 9 812 items and two or three 56. Each map costs one
+# pass of images
 AUTOMORPHISMS = 3
 # graph closures before the search keeps what it has; the dim-8 tables of the
 # tests need at most 205 to find three maps, and the whole budget takes

@@ -9,14 +9,22 @@ Actions, Springer 1999). A smaller group gives more orbits, never a wrong
 count. The automorphisms come from gf2autos.find_automorphisms, as lists of
 basis images; vectors are bitmasks (bit i is coordinate i).
 
-orbit_source numbers the k-dimensional subspaces in enumeration order (the
-order of length._forms) and keeps one int32 label per subspace. For each
-automorphism it streams the subspaces in chunks of CHUNK, maps their rows,
-reduces the images to echelon form and finds their numbers by
-arithmetic (a table keyed by pivot set and row), and joins each subspace with
-its image in a union-find whose root is the smallest number of its set. So
-the representative of an orbit is its first subspace in enumeration order,
-and the representatives come out in that order: the first maximal one is the
+orbit_forms(columns, k, n, autos) is a forms for length._exhaustive_source:
+it yields (rows, orbit size) for the first subspace of each orbit among the
+k-dimensional subspaces on the given columns of GF(2)^n, in enumeration
+order (the order of length._forms), so one call covers one dimension. The
+maps must permute those subspaces: automorphisms on every column, and over
+a unital table the maps that length reduces modulo the unit, on a
+hyperplane. It numbers the subspaces in enumeration order and keeps one
+int32 label per subspace. For each map it streams all echelon patterns of
+the dimension as one index space in blocks of CHUNK numbers (a block finds
+each number's pattern by binary search over the patterns' offsets and reads
+row r from row r's fills of every pattern, concatenated), maps the rows,
+reduces the images to echelon form and finds their numbers by arithmetic (a
+table keyed by pivot set and row), and joins each subspace with its image
+in a union-find whose root is the smallest number of its set. So the
+representative of an orbit is its first subspace in enumeration order, and
+the representatives come out in that order: the first maximal one is the
 search's witness. Memory grows with the largest Gaussian binomial [n, k]_2,
 4 bytes a subspace: 0.8 MB at dim 8, 13 MB at dim 9 (3 309 747 subspaces of
 dimension 4 and of dimension 5), besides a number table of 4^n int32. This
@@ -25,7 +33,6 @@ module and numpy load only when such a census has automorphisms to use.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
 import numpy as np
@@ -39,31 +46,47 @@ CHUNK = 2048  # subspaces per streamed block of images; peak memory grows with i
 # --- the orbit pass -----------------------------------------------------------------
 
 
-def _patterns(n: int, k: int) -> list:
-    """(offset, size, pivot mask, fills, shifts) of every k-row echelon
-    pattern in enumeration order, fills from length._row_fills on bitmasks.
-    A form's number is its pattern's offset plus its rows' fill indices
-    packed, row r's shifted left by shifts[r], the last row lowest."""
-    out, offset = [], 0
-    for pivots, fills in _row_fills(range(n), k, 2, _mask_row):
-        widths = [len(f).bit_length() - 1 for f in fills]
-        shifts = [sum(widths[r + 1:]) for r in range(k)]
-        size = 1 << sum(widths)
-        out.append((offset, size, sum(1 << p for p in pivots), fills, shifts))
-        offset += size
-    return out
+def _patterns(columns, k: int) -> tuple:
+    """(offsets, masks, rows) of the k-row echelon patterns on columns, in
+    enumeration order, from length._row_fills on bitmasks, as arrays over
+    the patterns. A form of pattern j has number offsets[j] plus its rows'
+    fill indices packed, row r's shifted left by shift[j], the last row
+    lowest; offsets[-1] counts the forms and masks[j] is the pivot mask.
+    rows[r] is (fills, base, shift, width): row r's fills of every pattern
+    concatenated, pattern j's width[j] of them from base[j]."""
+    offsets, masks, rows = [0], [], [([], [], [], []) for _ in range(k)]
+    for pivots, fills in _row_fills(columns, k, 2, _mask_row):
+        masks.append(sum(1 << p for p in pivots))
+        shift = 0
+        for (cat, base, shifts, widths), fill in reversed(list(zip(rows, fills))):
+            base.append(len(cat))
+            shifts.append(shift)
+            widths.append(len(fill))
+            cat += fill
+            shift += len(fill).bit_length() - 1
+        offsets.append(offsets[-1] + (1 << shift))
+    return np.array(offsets), np.array(masks), [tuple(map(np.array, row)) for row in rows]
 
 
-def _number_table(n: int, patterns: list):
+def _rows_at(s, offsets, rows, tables) -> list:
+    """Row r of the forms numbered s, read from tables[r], which runs along
+    row r's concatenated fills."""
+    j = np.searchsorted(offsets, s, side="right") - 1
+    local = s - offsets[j]
+    return [
+        t[base[j] + (local >> shift[j] & width[j] - 1)]
+        for t, (_, base, shift, width) in zip(tables, rows)
+    ]
+
+
+def _number_table(n: int, offsets, masks, rows):
     """number[pivot mask << n | row]: the share of a reduced echelon row in the
-    number of its form, its pattern's offset included in the first row's;
-    patterns[k - 1] holds the k-row patterns."""
+    number of its form, its pattern's offset included in the first row's."""
     number = np.zeros(1 << 2 * n, dtype=np.int32)
-    for offset, _, mask, fills, shifts in itertools.chain(*patterns):
-        for r, (fill, shift) in enumerate(zip(fills, shifts)):
-            share = np.arange(len(fill), dtype=np.int32) << shift
-            share += offset if r == 0 else 0
-            number[np.array(fill) | mask << n] = share
+    for r, (fills, base, shift, width) in enumerate(rows):
+        j = np.repeat(np.arange(len(masks)), width)
+        share = (np.arange(len(fills)) - base[j]) << shift[j]
+        number[fills | masks[j] << n] = share + offsets[j] if r == 0 else share
     return number
 
 
@@ -108,20 +131,19 @@ def _echelon(rows: list):
     return mask
 
 
-def _orbit_labels(n: int, autos: list, patterns: list, number):
+def _orbit_labels(n: int, autos: list, offsets, rows, number):
     """label[s] < 0 for the first subspace s of an orbit, minus the orbit's
     size, and the number of that first subspace for every other s."""
-    total = patterns[-1][0] + patterns[-1][1]
+    total = int(offsets[-1])
     label = np.arange(total, dtype=np.int32)
     for phi in autos:
         image = np.array([_apply(phi, x) for x in range(1 << n)], dtype=np.int64)
-        for offset, size, _, fills, shifts in patterns:
-            tables = [image[fill] for fill in fills]
-            for start in range(0, size, CHUNK):
-                local = np.arange(start, min(start + CHUNK, size), dtype=np.int64)
-                rows = [t[local >> s & len(t) - 1] for t, s in zip(tables, shifts)]
-                pivots = _echelon(rows) << n
-                _join(label, local + offset, sum(number[pivots | r] for r in rows))
+        tables = [image[fills] for fills, *_ in rows]
+        for start in range(0, total, CHUNK):
+            s = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+            mapped = _rows_at(s, offsets, rows, tables)
+            pivots = _echelon(mapped) << n
+            _join(label, s, sum(number[pivots | r] for r in mapped))
     # roots point at themselves; turn each into minus its set's size
     for start in range(0, total, CHUNK):
         _find(label, np.arange(start, min(start + CHUNK, total)))
@@ -134,19 +156,18 @@ def _orbit_labels(n: int, autos: list, patterns: list, number):
     return label
 
 
-def orbit_source(n: int, autos: list) -> Iterator[tuple]:
-    """(rows, orbit size) of the first subspace of each orbit, dimension 1 to
-    n, in enumeration order; the sizes of one dimension sum to its count."""
-    patterns = [_patterns(n, k) for k in range(1, n + 1)]
-    number = _number_table(n, patterns)
-    for of_k in patterns:
-        label = _orbit_labels(n, autos, of_k, number)
-        for offset, size, _, fills, shifts in of_k:
-            for start in range(0, size, CHUNK):
-                block = label[offset + start:offset + min(start + CHUNK, size)]
-                for s in np.flatnonzero(block < 0).tolist():
-                    weight = -int(block[s])
-                    s += start
-                    rows = tuple(f[s >> t & len(f) - 1] for f, t in zip(fills, shifts))
-                    yield rows, weight
-        del label, block  # a view keeps the whole array alive
+def orbit_forms(columns, k: int, n: int, autos: list) -> Iterator[tuple]:
+    """(rows, orbit size) of the first subspace of each orbit of the maps
+    autos among the k-dimensional subspaces on the given columns of GF(2)^n,
+    in enumeration order; the sizes sum to the number of those subspaces."""
+    if k == 0:
+        yield (), 1  # the zero subspace, fixed by every map
+        return
+    offsets, masks, rows = _patterns(columns, k)
+    label = _orbit_labels(n, autos, offsets, rows, _number_table(n, offsets, masks, rows))
+    fills = [f for f, *_ in rows]
+    for start in range(0, len(label), CHUNK):
+        block = label[start:start + CHUNK]
+        first = np.flatnonzero(block < 0)
+        reps = _rows_at(first + start, offsets, rows, fills)
+        yield from zip(zip(*(r.tolist() for r in reps)), (-block[first]).tolist())

@@ -18,18 +18,23 @@ level that added rows: past 2L one factor of every pair is empty, and the
 chain is stable there.
 
 The length search is one loop of three parts. A source yields weighted
-items in a fixed order: every nonzero subspace with weight 1, seeded random
-ones with weight 1, for a unital algebra the subspaces U of a hyperplane H
-complementing the unit e, or over GF(2) without a unit the first subspace of
-each orbit of a few proved automorphisms (gf2autos.py), weighted by the
-orbit's size (gf2orbits.py). An item is the tuple of a subspace's reduced
-echelon rows, bitmasks over GF(2) and tuples of scalars otherwise; one
-generator, _row_fills, makes the forms in that order for the sources, the
-orbit pass and enumerate_subspaces. The quotient is exact because every lane
-starts from Lin_0 = <e> and Lin_m*e = e*Lin_m = Lin_m, so S and S + <e> have
-the same chain; U stands for the 1 + q^dim U nonzero S with
+items in a fixed order: seeded random subspaces with weight 1, or the one
+exhaustive source, which covers every nonzero subspace, or for a unital
+algebra the subspaces U of a hyperplane H complementing the unit e, one
+dimension at a time through pluggable forms: every subspace with count 1,
+or over GF(2) the first subspace of each orbit of a few proved
+automorphisms (gf2autos.py), with the orbit's size for its count
+(gf2orbits.py). An item is the tuple of a subspace's reduced echelon rows,
+bitmasks over GF(2) and tuples of scalars otherwise; one generator,
+_row_fills, makes the reduced echelon forms in that order for the plain
+forms, the witness walk, the orbit pass and enumerate_subspaces. The quotient is exact because every
+lane starts from Lin_0 = <e> and Lin_m*e = e*Lin_m = Lin_m, so S and
+S + <e> have the same chain; U stands for the 1 + q^dim U nonzero S with
 S + <e> = <e> + U (1 for U = 0). The orbits are exact because an
-automorphism g maps Lin_k(S) onto Lin_k(gS). A lane evaluates each item:
+automorphism g maps Lin_k(S) onto Lin_k(gS). It fixes e, so it maps
+<e> + U onto <e> + gU, and g followed by dropping the multiple of e
+permutes the subspaces of H, keeping their dimension: the orbits of U
+share the weight 1 + q^dim U. A lane evaluates each item:
 lin_spans ("span:general"), or the same recursion over GF(2) on bitmask rows
 with product lookup tables ("gf2-bitmask"), or over an odd prime field GF(p)
 on residue rows with integer products reduced mod p in the echelon
@@ -285,29 +290,40 @@ def _random_subspace(field: Field, ambient: int, rng: random.Random) -> tuple:
     )
 
 
+def _plain_forms(columns: Sequence[int], k: int, q: int, encode: Callable) -> Iterator[tuple]:
+    """The forms of _exhaustive_source that evaluate every subspace: each item
+    of _forms with count 1."""
+    return zip(_forms(columns, k, q, encode), itertools.repeat(1))
+
+
 def _exhaustive_source(a: AlgebraTable, forms) -> Iterator[tuple]:
     """(item, weight) pairs in enumeration order; the weights count the
     nonzero subspaces each item stands for and sum to all of them.
 
-    forms(columns, k) yields a lane's items. Without a unit every
-    nonzero subspace is an item of weight 1. With a unit e, p its first
-    nonzero coordinate, the items are the subspaces U of the hyperplane
+    forms(columns, k) yields (item, count) pairs for the k-dimensional
+    subspaces on the given columns, the counts summing to their number:
+    _plain_forms gives every subspace count 1, gf2orbits.orbit_forms one
+    item per orbit with the orbit's size. Without a unit the items cover
+    every nonzero subspace, each weighing its count. With a unit e, p its
+    first nonzero coordinate, they cover the subspaces U of the hyperplane
     H = {x_p = 0}, the zero subspace included: T = <e> + U is every
     subspace containing e exactly once, and a nonzero S has S + <e> = T for
     S = T and the q^dim U hyperplanes of T that miss e, so U stands for
-    1 + q^dim U subspaces (U = 0 for <e> alone).
+    1 + q^dim U subspaces (U = 0 for <e> alone), and an item weighs its
+    count times that.
     """
     n = a.dim
     e = a.unit_element()
     if e is None:
-        for k in range(1, n + 1):
-            yield from zip(forms(range(n), k), itertools.repeat(1))
-        return
-    p = next(i for i, x in enumerate(e) if x)
-    hyperplane = [c for c in range(n) if c != p]
+        columns, dims = range(n), range(1, n + 1)
+    else:
+        p = next(i for i, x in enumerate(e) if x)
+        columns, dims = [c for c in range(n) if c != p], range(n)
     q = a.field.cardinality()
-    for k in range(n):
-        yield from zip(forms(hyperplane, k), itertools.repeat(1 + q**k if k else 1))
+    for k in dims:
+        weight = 1 + q**k if e is not None and k else 1
+        for item, count in forms(columns, k):
+            yield item, count * weight
 
 
 # --- evaluator lanes -------------------------------------------------------------
@@ -509,8 +525,9 @@ def _gfp_lane(a: AlgebraTable) -> _Lane:
 
 # --- the search loop ---------------------------------------------------------------
 
-# the least census that takes the orbit source: the GF(2) lane covers 10^4
-# subspaces in about the 0.1 s that loading numpy and the orbit module takes
+# the fewest items (those the plain forms would evaluate) that take the orbit
+# forms: the GF(2) lane evaluates 10^4 items in about the 0.1 s that loading
+# numpy and the orbit module takes
 ORBIT_FLOOR = 10_000
 
 
@@ -544,14 +561,18 @@ def length_of_algebra(
     census of generating difference sequences and to ``enumerated``, the
     subspaces covered. Random mode and algebras without a unit give every
     subspace weight 1. A unital algebra is searched over A/<e>: S and
-    S + <e> have the same chain, since both lanes start from Lin_0 = <e> and
-    Lin_m*e = Lin_m, so one item U stands for every S with S + <e> = <e> + U
-    (see _exhaustive_source for the weight 1 + q^dim U). An exhaustive
-    GF(2) search without a unit over at least ORBIT_FLOOR subspaces first
-    looks for automorphisms (see gf2autos; ``stats["automorphisms"]`` counts
-    the proved maps it uses); when it finds some, the items are the first
-    subspace of each orbit, weighted by the orbit's size (see gf2orbits),
-    else every subspace. An exhaustive search whose weights do not sum to the number of
+    S + <e> have the same chain, since every lane starts from Lin_0 = <e>
+    and Lin_m*e = Lin_m, so one item U stands for every S with
+    S + <e> = <e> + U (see _exhaustive_source for the weight 1 + q^dim U).
+    An exhaustive GF(2) search whose plain forms would evaluate at least
+    ORBIT_FLOOR items (every nonzero subspace, or with a unit every subspace
+    of the hyperplane) first looks for automorphisms (see gf2autos;
+    ``stats["automorphisms"]`` counts the proved maps it uses). When it
+    finds some, the items are the first of each orbit, weighted by the
+    orbit's size times the quotient weight (see gf2orbits); with a unit, each
+    map g is first reduced modulo e (g(x) minus its multiple of e), which
+    permutes the subspaces of the hyperplane. Else the items are every
+    subspace. An exhaustive search whose weights do not sum to the number of
     nonzero subspaces raises InvariantViolation. ``stats`` names the lane and
     counts the items it evaluated. Every lane runs the general recursion
     (``gf2-bitmask`` over F2, ``gfp-int`` over an odd prime field,
@@ -560,8 +581,9 @@ def length_of_algebra(
 
     The witness is the first subspace of maximal length in enumeration
     order. An orbit's first subspace comes before the rest of its orbit, and
-    the orbit source yields them in enumeration order, so the first maximal
-    item is the witness. Under the quotient, let t be the least dimension of
+    the orbit forms yield them in enumeration order, so the first maximal
+    item is the first maximal subspace, or under the quotient the first
+    maximal U. Under the quotient, let t be the least dimension of
     a maximal <e> + U (the first maximal U has dimension t - 1). A subspace
     of dimension below t - 1 spans less than t with e, so the witness is the
     first maximal subspace of dimension max(t - 1, 1), found by a walk
@@ -586,9 +608,10 @@ def length_of_algebra(
             else _gfp_lane(a) if q == f.characteristic()
             else _span_lane(a)
         )
-        source = _exhaustive_source(a, functools.partial(_forms, q=q, encode=lane.encode))
+        forms = functools.partial(_plain_forms, q=q, encode=lane.encode)
         quotient = a.is_unital()
-        if lane.products is not None and not quotient and total >= ORBIT_FLOOR:
+        items = count_subspaces(f, a.dim - 1, range(a.dim)) if quotient else total
+        if lane.products is not None and items >= ORBIT_FLOOR:
             from .gf2autos import find_automorphisms
 
             autos = find_automorphisms(lane.products, a.dim)
@@ -596,7 +619,14 @@ def length_of_algebra(
             if autos:
                 from . import gf2orbits
 
-                source = gf2orbits.orbit_source(a.dim, autos)
+                if quotient:
+                    # g fixes e, and g(x) minus its multiple of e permutes the
+                    # subspaces of the hyperplane x_p = 0, p the lowest bit of e
+                    e = sum(1 << i for i, x in enumerate(a.unit_element()) if x)
+                    low = e & -e
+                    autos = [[v ^ e if v & low else v for v in phi] for phi in autos]
+                forms = functools.partial(gf2orbits.orbit_forms, n=a.dim, autos=autos)
+        source = _exhaustive_source(a, forms)
     elif mode == "random":
         if budget < 1:
             raise ParseError(f"random search needs a budget of at least 1, got {budget}")

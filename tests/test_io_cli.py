@@ -568,8 +568,11 @@ def test_import_leaves_numpy_out():
     assert proc.stdout.split() == ["False"] * 6
 
 
-def test_census_without_automorphisms_leaves_numpy_out():
-    # the automorphism search is plain Python; numpy loads only for maps to use
+def _census_modules(table: str) -> list:
+    """Run an exhaustive F2 census with ORBIT_FLOOR = 0 in a fresh interpreter
+    on the table that the code table builds from rng, dim 5 or 6: the
+    automorphisms found, the items evaluated, and whether gf2autos, gf2orbits
+    and numpy were loaded."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -578,11 +581,10 @@ def test_census_without_automorphisms_leaves_numpy_out():
         "from complen.algebra import AlgebraTable\n"
         "from complen.fields import field_make\n"
         "F2, rng = field_make('F2'), random.Random(4)\n"
-        "table = [[tuple(F2.from_int(int(rng.random() < 0.1)) for _ in range(5))\n"
-        "          for _ in range(5)] for _ in range(5)]\n"
+        f"table = {table}\n"
         "length.ORBIT_FLOOR = 0\n"
-        "res = length.length_of_algebra(AlgebraTable(F2, 5, list('abcde'), table), "
-        "mode='exhaustive')\n"
+        "res = length.length_of_algebra(AlgebraTable(F2, len(table), list('abcdef')[:len(table)], "
+        "table), mode='exhaustive')\n"
         "print(res.stats['automorphisms'], res.stats['evaluated'], "
         "*(m in sys.modules for m in ('complen.gf2autos', 'complen.gf2orbits', 'numpy')))"
     )
@@ -590,7 +592,27 @@ def test_census_without_automorphisms_leaves_numpy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "373", "True", "False", "False"]
+    return proc.stdout.split()
+
+
+def test_census_without_automorphisms_leaves_numpy_out():
+    # the automorphism search is plain Python; numpy loads only for maps to use
+    table = (
+        "[[tuple(F2.from_int(int(rng.random() < 0.1)) for _ in range(5))\n"
+        "          for _ in range(5)] for _ in range(5)]"
+    )
+    assert _census_modules(table) == ["0", "373", "True", "False", "False"]
+
+
+def test_unital_census_without_automorphisms_leaves_numpy_out():
+    # unit e_0 and seeded products on e_1..e_5: the search finds no map, and
+    # the plain forms evaluate the 374 subspaces of the hyperplane
+    table = (
+        "[[tuple(int(k == j) if i == 0 else int(k == i) if j == 0\n"
+        "        else int(k > 0 and rng.random() < 0.1) for k in range(6))\n"
+        "  for j in range(6)] for i in range(6)]"
+    )
+    assert _census_modules(table) == ["0", "374", "True", "False", "False"]
 
 
 def test_public_surface_is_exactly_what_init_binds():

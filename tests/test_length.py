@@ -37,6 +37,7 @@ from complen.length import (
     _gf2_lane,
     _gfp_lane,
     _mask_row,
+    _plain_forms,
     count_subspaces,
     enumerate_subspaces,
     length_of_algebra,
@@ -468,28 +469,33 @@ def test_non_unital_search_evaluates_every_subspace():
         assert res.stats["lane"] == "gfp-int"
 
 
+def _unit_and_zero_products(f, n):
+    """The table on e_0..e_{n-1} with unit e_{n-1} and every other product
+    zero, and its unit."""
+    e = [tuple(f.one() if i == j else f.zero() for i in range(n)) for j in range(n)]
+    zero = (f.zero(),) * n
+    u = n - 1
+    table = [
+        [e[j] if i == u else e[i] if j == u else zero for j in range(n)]
+        for i in range(n)
+    ]
+    return AlgebraTable(f, n, [f"e{i}" for i in range(n)], table), e[u]
+
+
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9))
 def test_quotient_weights_cover_every_subspace(q):
-    """Summed weights equal the number of nonzero subspaces. The stub lane
-    yields one item per (columns, k) and the test multiplies its weight by
-    the number of k-dimensional subspaces on those columns."""
+    """Summed weights equal the number of nonzero subspaces. The stub forms
+    yield one item per (columns, k), counting the k-dimensional subspaces on
+    those columns, and the source multiplies the count by the weight."""
     f = field_make({4: "F2^2:1,1,1", 9: "F3^2:1,0,1"}.get(q, f"F{q}"))
 
     def stub(columns, k):
-        yield gaussian_binomial(len(columns), k, q)
+        yield None, gaussian_binomial(len(columns), k, q)
 
     for n in range(1, 9):
-        e = [tuple(f.one() if i == j else f.zero() for i in range(n)) for j in range(n)]
-        zero = (f.zero(),) * n
-        # e_{n-1} is the unit, every other product is zero
-        u = n - 1
-        table = [
-            [e[j] if i == u else e[i] if j == u else zero for j in range(n)]
-            for i in range(n)
-        ]
-        a = AlgebraTable(f, n, [f"e{i}" for i in range(n)], table)
-        assert a.unit_element() == e[u]
-        covered = sum(count * w for count, w in _exhaustive_source(a, stub))
+        a, unit = _unit_and_zero_products(f, n)
+        assert a.unit_element() == unit
+        covered = sum(w for _, w in _exhaustive_source(a, stub))
         assert covered == count_subspaces(f, n, range(1, n + 1))
 
 
@@ -499,7 +505,9 @@ def _assert_gf2_octonion_census(a):
     assert res.stats["d_census"] == {
         (1, 3, 3, 1): 41472, (1, 4, 3): 169728, (1, 5, 2): 85932, (1, 6, 1): 8255, (1, 7): 129,
     }
-    assert (res.stats["lane"], res.stats["evaluated"]) == ("gf2-bitmask", 29212)
+    assert res.stats["lane"] == "gf2-bitmask"
+    # the zero subspace and 55 orbits of the hyperplane's 29 211 nonzero ones
+    assert (res.stats["automorphisms"], res.stats["evaluated"]) == (3, 56)
     assert res.as_dict()["witness"] == [
         ["1", "0", "0", "0", "0", "0", "0", "1"],
         ["0", "1", "0", "0", "0", "0", "0", "0"],
@@ -701,18 +709,25 @@ def _search(lane, source):
 NON_UNITAL_F2 = sorted(name for name, make in SMALL_F2.items() if not make().is_unital())
 
 
+def _plain_source(a, lane):
+    return _exhaustive_source(a, functools.partial(_plain_forms, q=2, encode=lane.encode))
+
+
+def _orbit_source(a, autos):
+    return _exhaustive_source(a, functools.partial(gf2orbits.orbit_forms, n=a.dim, autos=autos))
+
+
 @pytest.mark.parametrize("name", NON_UNITAL_F2)
 def test_orbit_source_matches_the_plain_source(name):
     a = SMALL_F2[name]()
     lane = _gf2_lane(a)
-    forms = functools.partial(_forms, q=2, encode=lane.encode)
-    plain, items = _search(lane, _exhaustive_source(a, forms))
+    plain, items = _search(lane, _plain_source(a, lane))
     assert items == count_subspaces(F2, a.dim, range(1, a.dim + 1))
     # the identity numbers every image as the subspace itself: one orbit each
     identity = [1 << i for i in range(a.dim)]
-    assert _search(lane, gf2orbits.orbit_source(a.dim, [identity])) == (plain, items)
+    assert _search(lane, _orbit_source(a, [identity])) == (plain, items)
     autos = gf2autos.find_automorphisms(lane.products, a.dim)
-    assert _search(lane, gf2orbits.orbit_source(a.dim, autos))[0] == plain
+    assert _search(lane, _orbit_source(a, autos))[0] == plain
 
 
 def _census_of(text):
@@ -766,11 +781,118 @@ def test_dropping_an_automorphism_leaves_the_census():
     a = DIM8_F2["okubo-isotropic-F2"]()
     lane = _gf2_lane(a)
     autos = gf2autos.find_automorphisms(lane.products, a.dim)
-    full, items = _search(lane, gf2orbits.orbit_source(a.dim, autos))
+    full, items = _search(lane, _orbit_source(a, autos))
     assert items == 2158
     for drop in range(len(autos)):
         fewer = autos[:drop] + autos[drop + 1:]
-        assert _search(lane, gf2orbits.orbit_source(a.dim, fewer))[0] == full
+        assert _search(lane, _orbit_source(a, fewer))[0] == full
+
+
+def _sheared(a):
+    """a on the basis b_0 = e_1, b_1 = e_0 + e_1, b_i = e_i for i > 1, over
+    F2 and without certificates: e_0 = b_0 + b_1, so a unit e_0 has two
+    nonzero coordinates."""
+    f, n = a.field, a.dim
+    e = [tuple(f.one() if i == j else f.zero() for j in range(n)) for i in range(n)]
+    basis = [e[1], tuple(map(f.add, e[0], e[1]))] + e[2:]
+
+    def coords(v):
+        return (f.add(v[0], v[1]), v[0]) + tuple(v[2:])
+
+    table = [[coords(a.multiply(x, y)) for y in basis] for x in basis]
+    return AlgebraTable(f, n, [f"b{i}" for i in range(n)], table)
+
+
+def _quaternion_f2():
+    return make_hurwitz_tower(F2, F2.one(), (F2.one(),))
+
+
+# unital F2 tables: (table, unit, (automorphisms, orbits evaluated)); the
+# unit away from coordinate 0 or on two coordinates makes the reduction of
+# each map modulo e touch more than the first column
+UNITAL_F2 = {
+    "K1-F2": (lambda: make_hurwitz_tower(F2, F2.one(), ()), (1, 0), (1, 2)),
+    "quaternion-F2": (_quaternion_f2, (1, 0, 0, 0), (3, 8)),
+    "quaternion-F2-general": (lambda: _uncertified(_quaternion_f2()), (1, 0, 0, 0), (3, 8)),
+    "quaternion-F2-unit-e3": (
+        lambda: _permuted(_quaternion_f2(), (1, 2, 0, 3)), (0, 0, 1, 0), (3, 8)
+    ),
+    "quaternion-F2-sheared": (lambda: _sheared(_quaternion_f2()), (1, 1, 0, 0), (3, 8)),
+    "octonion-F2-unit-e6": (
+        lambda: _permuted(_tower(F2, "I"), (1, 2, 3, 4, 5, 0, 6, 7)), (0, 0, 0, 0, 0, 1, 0, 0),
+        (3, 52),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNITAL_F2))
+def test_unital_orbit_census_matches_the_plain_quotient(monkeypatch, name):
+    import complen.length as length
+
+    make, unit, (maps, orbits) = UNITAL_F2[name]
+    a = make()
+    assert a.unit_element() == unit
+    lane = _gf2_lane(a)
+    plain, items = _search(lane, _plain_source(a, lane))
+    assert items == count_subspaces(F2, a.dim - 1, range(a.dim))
+    # the identity, reduced modulo e or not, fixes every subspace of the
+    # hyperplane: one orbit per item
+    identity = [1 << i for i in range(a.dim)]
+    assert _search(lane, _orbit_source(a, [identity])) == (plain, items)
+
+    def answer(res):
+        return (
+            res.best_length, res.enumerated, res.stats["generating"], res.stats["d_census"],
+            res.as_dict()["witness"], res.stats["violations"], res.stats["lane"],
+        )
+
+    monkeypatch.setattr(length, "ORBIT_FLOOR", items + 1)
+    ref = length_of_algebra(a, mode="exhaustive")
+    assert "automorphisms" not in ref.stats and ref.stats["evaluated"] == items
+    monkeypatch.setattr(length, "ORBIT_FLOOR", 0)
+    res = length_of_algebra(a, mode="exhaustive")
+    assert answer(res) == answer(ref)
+    assert (res.stats["automorphisms"], res.stats["evaluated"]) == (maps, orbits)
+
+
+def test_orbit_floor_counts_the_items_of_the_plain_source():
+    # 29 211 nonzero subspaces, over the floor, but only 2 825 subspaces of the
+    # hyperplane for the plain forms to evaluate: no automorphism search
+    a, _ = _unit_and_zero_products(F2, 7)
+    assert count_subspaces(F2, 7, range(1, 8)) == 29211 >= ORBIT_FLOOR
+    res = length_of_algebra(a, mode="exhaustive")
+    assert "automorphisms" not in res.stats
+    assert res.stats["evaluated"] == count_subspaces(F2, 6, range(7)) == 2825 < ORBIT_FLOOR
+    assert res.enumerated == 29211
+
+
+def _zero_extended(a):
+    """a plus one basis vector whose products with everything are zero."""
+    f, n = a.field, a.dim + 1
+    zero = (f.zero(),) * n
+    table = [
+        [tuple(a.table[i][j]) + (f.zero(),) if i < a.dim and j < a.dim else zero for j in range(n)]
+        for i in range(n)
+    ]
+    return AlgebraTable(f, n, list(a.labels) + ["z"], table)
+
+
+def test_orbit_blocks_may_straddle_patterns(monkeypatch):
+    a = _zero_extended(SMALL_F2["quaternion-F2-II"]())
+    assert a.dim == 5 and not a.is_unital()
+    lane = _gf2_lane(a)
+    autos = gf2autos.find_automorphisms(lane.products, a.dim)
+    assert len(autos) == 3
+    assert gf2orbits.CHUNK == 2048
+    wide = list(_orbit_source(a, autos))
+    # blocks of 7 numbers start inside the patterns and run across their ends
+    monkeypatch.setattr(gf2orbits, "CHUNK", 7)
+    offsets = gf2orbits._patterns(range(5), 2)[0]
+    assert len(offsets) > 2 and any(o % 7 for o in offsets)
+    narrow = list(_orbit_source(a, autos))
+    assert narrow == wide
+    assert len(wide) == 99
+    assert _search(lane, iter(narrow))[0] == _search(lane, _plain_source(a, lane))[0]
 
 
 @pytest.mark.parametrize("name", ("quaternion-F2-II", "quaternion-F2-III", "quaternion-F2-IV"))
@@ -824,14 +946,14 @@ def test_weights_that_miss_a_subspace_break_the_invariant(monkeypatch, orbits):
     if orbits:
         # a census this small takes the plain source unless the floor drops
         monkeypatch.setattr(length, "ORBIT_FLOOR", 0)
-    owner, name = (gf2orbits, "orbit_source") if orbits else (length, "_exhaustive_source")
-    source = getattr(owner, name)
+    # the plain and the orbit forms both feed the one exhaustive source
+    source = length._exhaustive_source
     res = length_of_algebra(a, mode="exhaustive")
     assert res.stats["evaluated"] == (21 if orbits else 66)
 
     def short(*args):
         return itertools.islice(source(*args), res.stats["evaluated"] - 1)
 
-    monkeypatch.setattr(owner, name, short)
+    monkeypatch.setattr(length, "_exhaustive_source", short)
     with pytest.raises(InvariantViolation):
         length_of_algebra(a, mode="exhaustive")
