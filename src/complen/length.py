@@ -18,32 +18,20 @@ level that added rows: past 2L one factor of every pair is empty, and the
 chain is stable there.
 
 The length search is one loop of three parts. A source yields weighted
-items in a fixed order: seeded random subspaces with weight 1, or the one
-exhaustive source, which covers every nonzero subspace, or for a unital
-algebra the subspaces U of a hyperplane H complementing the unit e, one
-dimension at a time through pluggable forms: every subspace with count 1,
-or over GF(2) the first subspace of each orbit of a few proved
-automorphisms (gf2autos.py), with the orbit's size for its count
-(gf2orbits.py). An item is the tuple of a subspace's reduced echelon rows,
-bitmasks over GF(2) and tuples of scalars otherwise; one generator,
-_row_fills, makes the reduced echelon forms in that order for the plain
-forms, the witness walk, the orbit pass and enumerate_subspaces. The quotient is exact because every
-lane starts from Lin_0 = <e> and Lin_m*e = e*Lin_m = Lin_m, so S and
-S + <e> have the same chain; U stands for the 1 + q^dim U nonzero S with
-S + <e> = <e> + U (1 for U = 0). The orbits are exact because an
-automorphism g maps Lin_k(S) onto Lin_k(gS). It fixes e, so it maps
-<e> + U onto <e> + gU, and g followed by dropping the multiple of e
-permutes the subspaces of H, keeping their dimension: the orbits of U
-share the weight 1 + q^dim U. A lane evaluates each item:
-lin_spans ("span:general"), or the same recursion over GF(2) on bitmask rows
-with product lookup tables ("gf2-bitmask"), or over an odd prime field GF(p)
-on residue rows with integer products reduced mod p in the echelon
+items in a fixed order: seeded random subspaces, or those of the one
+exhaustive source, fed a dimension at a time by pluggable forms: every
+subspace, or over GF(2) one per orbit of a few proved automorphisms
+(gf2autos.py, gf2orbits.py). An item is the tuple of a subspace's reduced
+echelon rows, bitmasks over GF(2) and tuples of scalars otherwise; one
+generator, _row_fills, makes them in that order for the forms, the witness
+walk, the orbit pass and enumerate_subspaces. A lane evaluates each item: lin_spans
+("span:general"), or the same recursion over GF(2) on bitmask rows with
+product lookup tables ("gf2-bitmask"), or over an odd prime field GF(p) on
+residue rows with integer products reduced mod p in the echelon
 ("gfp-int"). The loop itself is the one accumulator: it adds each weight to
 the census and to the covered count, checks that the weights of an
 exhaustive search cover every nonzero subspace, keeps the witness, and
-builds the SearchResult. Under the quotient the witness, the first maximal
-subspace in enumeration order, comes from a walk through one dimension
-afterwards.
+builds the SearchResult.
 """
 
 from __future__ import annotations
@@ -291,8 +279,7 @@ def _random_subspace(field: Field, ambient: int, rng: random.Random) -> tuple:
 
 
 def _plain_forms(columns: Sequence[int], k: int, q: int, encode: Callable) -> Iterator[tuple]:
-    """The forms of _exhaustive_source that evaluate every subspace: each item
-    of _forms with count 1."""
+    """Forms for _exhaustive_source: every item of _forms, with count 1."""
     return zip(_forms(columns, k, q, encode), itertools.repeat(1))
 
 
@@ -302,15 +289,19 @@ def _exhaustive_source(a: AlgebraTable, forms) -> Iterator[tuple]:
 
     forms(columns, k) yields (item, count) pairs for the k-dimensional
     subspaces on the given columns, the counts summing to their number:
-    _plain_forms gives every subspace count 1, gf2orbits.orbit_forms one
-    item per orbit with the orbit's size. Without a unit the items cover
-    every nonzero subspace, each weighing its count. With a unit e, p its
-    first nonzero coordinate, they cover the subspaces U of the hyperplane
-    H = {x_p = 0}, the zero subspace included: T = <e> + U is every
-    subspace containing e exactly once, and a nonzero S has S + <e> = T for
-    S = T and the q^dim U hyperplanes of T that miss e, so U stands for
-    1 + q^dim U subspaces (U = 0 for <e> alone), and an item weighs its
-    count times that.
+    _plain_forms counts each subspace once, gf2orbits.orbit_forms gives the
+    first subspace of each orbit of a few automorphisms its orbit's size
+    (an automorphism g maps Lin_k(S) onto Lin_k(gS)). Without a unit an
+    item weighs its count. With a unit e, p its first nonzero coordinate,
+    the items are the subspaces U of H = {x_p = 0}, the zero subspace
+    included. Every lane starts from Lin_0 = <e> and
+    Lin_m*e = e*Lin_m = Lin_m, so S and S + <e> have the same chain;
+    T = <e> + U is every subspace containing e exactly once, and a nonzero S
+    has S + <e> = T for S = T and the q^dim U hyperplanes of T that miss e,
+    so an item weighs its count times 1 + q^dim U (1 for U = 0). An
+    automorphism g fixes e and maps <e> + U onto <e> + gU, and g(x) minus
+    its multiple of e permutes the subspaces of H, keeping their dimension:
+    orbits over H are exact too.
     """
     n = a.dim
     e = a.unit_element()
@@ -525,9 +516,8 @@ def _gfp_lane(a: AlgebraTable) -> _Lane:
 
 # --- the search loop ---------------------------------------------------------------
 
-# the fewest items (those the plain forms would evaluate) that take the orbit
-# forms: the GF(2) lane evaluates 10^4 items in about the 0.1 s that loading
-# numpy and the orbit module takes
+# the fewest plain items that take the orbit forms: the GF(2) lane evaluates
+# 10^4 items in about the 0.1 s that loading numpy and the orbit module takes
 ORBIT_FLOOR = 10_000
 
 
@@ -559,35 +549,27 @@ def length_of_algebra(
     Every search is one loop: a source yields (item, weight) pairs in a fixed
     order, a lane evaluates each item, and the loop adds the weight to the
     census of generating difference sequences and to ``enumerated``, the
-    subspaces covered. Random mode and algebras without a unit give every
-    subspace weight 1. A unital algebra is searched over A/<e>: S and
-    S + <e> have the same chain, since every lane starts from Lin_0 = <e>
-    and Lin_m*e = Lin_m, so one item U stands for every S with
-    S + <e> = <e> + U (see _exhaustive_source for the weight 1 + q^dim U).
-    An exhaustive GF(2) search whose plain forms would evaluate at least
-    ORBIT_FLOOR items (every nonzero subspace, or with a unit every subspace
-    of the hyperplane) first looks for automorphisms (see gf2autos;
-    ``stats["automorphisms"]`` counts the proved maps it uses). When it
-    finds some, the items are the first of each orbit, weighted by the
-    orbit's size times the quotient weight (see gf2orbits); with a unit, each
-    map g is first reduced modulo e (g(x) minus its multiple of e), which
-    permutes the subspaces of the hyperplane. Else the items are every
-    subspace. An exhaustive search whose weights do not sum to the number of
-    nonzero subspaces raises InvariantViolation. ``stats`` names the lane and
-    counts the items it evaluated. Every lane runs the general recursion
-    (``gf2-bitmask`` over F2, ``gfp-int`` over an odd prime field,
-    ``span:general`` over extension fields and in random mode); certificates
-    only choose the laws ``violations`` checks.
+    subspaces covered. Random mode gives every subspace weight 1; an
+    exhaustive search takes _exhaustive_source, over A/<e> with a unit e.
+    Over GF(2), when the plain forms would evaluate at least ORBIT_FLOOR
+    items, it first looks for automorphisms (gf2autos;
+    ``stats["automorphisms"]`` counts the proved maps it uses) and, when it
+    finds some, evaluates one item per orbit (gf2orbits), each map reduced
+    modulo a unit first. An exhaustive search whose weights do not sum to
+    the number of nonzero subspaces raises InvariantViolation. ``stats``
+    names the lane and counts the items it evaluated. Every lane runs the
+    general recursion (``gf2-bitmask`` over F2, ``gfp-int`` over an odd
+    prime field, ``span:general`` over extension fields and in random
+    mode); certificates only choose the laws ``violations`` checks.
 
     The witness is the first subspace of maximal length in enumeration
-    order. An orbit's first subspace comes before the rest of its orbit, and
-    the orbit forms yield them in enumeration order, so the first maximal
-    item is the first maximal subspace, or under the quotient the first
-    maximal U. Under the quotient, let t be the least dimension of
-    a maximal <e> + U (the first maximal U has dimension t - 1). A subspace
-    of dimension below t - 1 spans less than t with e, so the witness is the
-    first maximal subspace of dimension max(t - 1, 1), found by a walk
-    through that dimension alone.
+    order. Orbit forms yield each orbit's first item, in enumeration order,
+    so the first maximal item is the first maximal subspace, or under the
+    quotient the first maximal U. Under the quotient, let t be the least
+    dimension of a maximal <e> + U (the first maximal U has dimension
+    t - 1). A subspace of dimension below t - 1 spans less than t with e, so
+    the witness is the first maximal subspace of dimension max(t - 1, 1),
+    found by a walk through that dimension alone.
     """
     f = a.field
     quotient = False
@@ -620,8 +602,7 @@ def length_of_algebra(
                 from . import gf2orbits
 
                 if quotient:
-                    # g fixes e, and g(x) minus its multiple of e permutes the
-                    # subspaces of the hyperplane x_p = 0, p the lowest bit of e
+                    # g(x) minus its multiple of e (see _exhaustive_source)
                     e = sum(1 << i for i, x in enumerate(a.unit_element()) if x)
                     low = e & -e
                     autos = [[v ^ e if v & low else v for v in phi] for phi in autos]
