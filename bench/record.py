@@ -32,6 +32,10 @@ the time lost to other processes on the host. Each side's `verify_paper`
 holds the median `wall_s` and `cpu_s` and the runs with their seconds per
 case. With `--tier1` the tier-1 pytest run is timed the same way, under
 `tier1`. It counts the lines and bytes of every module in `src/complen/`.
+Once per side it runs verify-paper `--jobs 1` under cProfile with
+`PYTHONHASHSEED=0` and stores the Python calls per module under
+`verify_paper_calls`; these counts do not depend on the host, and two
+recordings of one commit give the same ones.
 
 The head's results sit at the top level of the file, as in a file without a
 base. With `--base`, `base` holds the same keys for the base commit, and
@@ -200,6 +204,39 @@ def verify_paper(root: Path) -> dict:
     }
 
 
+# One verify-paper run under cProfile; prints {module: Python calls}. complen
+# modules are keyed by file name, C functions by "(builtins)", the rest by
+# "(other)"; PYTHONHASHSEED=0 fixes set and dict orders, so counts repeat.
+PROFILE = """
+import cProfile, collections, contextlib, io, json, os, pstats, sys
+from complen.cli import main
+prof = cProfile.Profile()
+with contextlib.redirect_stdout(io.StringIO()):
+    prof.runcall(main, ["verify-paper", "--jobs", "1", "--format", "json"])
+calls = collections.Counter()
+for (path, _, _), (_, n, *_) in pstats.Stats(prof).stats.items():
+    base = os.path.basename(path)
+    if path == "~":
+        base = "(builtins)"
+    elif os.path.basename(os.path.dirname(path)) != "complen":
+        base = "(other)"
+    calls[base] += n
+print(json.dumps(dict(sorted(calls.items()))))
+"""
+
+
+def call_counts(root: Path) -> dict:
+    """Python calls per module of one profiled verify-paper run, and their total."""
+    env = dict(_env(root), PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, "-c", PROFILE], cwd=root, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"record: profiled verify-paper failed in {root}: "
+                         f"{proc.stderr.strip()[-2000:]}")
+    modules = json.loads(proc.stdout)
+    return {"total": sum(modules.values()), "modules": modules}
+
+
 def tier1(root: Path) -> dict:
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
            "-p", "no:cacheprovider"]
@@ -243,6 +280,9 @@ def measure(sides: dict, seeds: list, with_tier1: bool) -> dict:
                "workloads": {}}
         for side, (commit, root) in sides.items()
     }
+    for side, (_, root) in sides.items():
+        print(f"record: profiled verify-paper {side}", file=sys.stderr, flush=True)
+        out[side]["verify_paper_calls"] = call_counts(root)
     pairs = {}
     for w in (w["name"] for w in bench["workloads"]):
         runs = alternating(sides, seeds, f"{w} seed",

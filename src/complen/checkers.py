@@ -17,12 +17,28 @@ identity holds as a polynomial identity, in every characteristic.
 Evaluating on all field points instead would be unsound in characteristic 2
 (x^2 = x on GF(2)). For q = 0 the form is multilinear and read at every
 basis tuple; the composition law n(xy) - n(x)n(y) is the form with q = 2.
+
+A form computes in the arithmetic that _identity_forms is given: element
+mul, add, sub and scale, the scalar operations, n and its polar form (t(x)
+is the polar form against the unit). The table's own arithmetic on tuples
+reads one point at a time and is the reference. primescan.BatchArithmetic
+evaluates each form once on int64 arrays of all its readings, in the same
+order, when numpy is already loaded and a check has at least BATCH_FLOOR
+readings (so a one-shot build never loads numpy). Over GF(p) it reduces
+every product mod p and runs when n*p^2 fits in int64. Over Q it reduces
+nothing and runs when every structure constant and norm coefficient is an
+integer and primescan.Bounds, the same forms evaluated on bounds of
+|value|, proves that no value or partial sum leaves int64. Tables with
+Fractions and extension fields read point by point. The first nonzero
+reading is evaluated again point by point for its counterexample, so both
+routes give the same verdict.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -42,6 +58,7 @@ from .linalg import Subspace
 
 DEFAULT_SAMPLES = 200
 PAIR_CAP = 8192  # elements; an exhaustive composition scan visits their square in pairs
+BATCH_FLOOR = 40  # readings dim(dim+1)/2 * dim below which a check reads point by point
 DESCENDING = ("descending-flexible", "descending-alternative")
 
 
@@ -105,10 +122,46 @@ def _require_quad(a: AlgebraTable) -> QuadraticForm:
     return a.quad
 
 
-def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
-    f = a.field
-    mul = a.multiply
-    add, sub, scale = a.add, a.sub, a.scale
+class _PointArithmetic:
+    """The arithmetic a catalog form is written in, on coordinate tuples.
+
+    Element mul, add, sub and scale; `scalars`, the scalar add, sub, mul and
+    one; n and polar, the norm and its polar form; `element`, a constant
+    element in this arithmetic; `memo`, a function of the points read once
+    per point. This is the table's own arithmetic and the reference:
+    primescan.BatchArithmetic and primescan.Bounds have the same members.
+    """
+
+    def __init__(self, a: AlgebraTable):
+        self.mul, self.add, self.sub, self.scale = a.multiply, a.add, a.sub, a.scale
+        self.scalars = a.field
+        if a.quad is not None:
+            self.n, self.polar = a.quad.eval, a.quad.polar_eval
+
+    @staticmethod
+    def element(v: Element) -> Element:
+        return v
+
+    @staticmethod
+    def memo(fn: Callable) -> Callable:
+        seen: dict = {}
+
+        def read(x):
+            v = seen.get(x)
+            if v is None:
+                v = seen[x] = fn(x)
+            return v
+
+        return read
+
+
+def _identity_forms(a: AlgebraTable, identity: str, ar=None) -> list[_Form]:
+    """The forms of identity on a, computing in ar (a's per-point arithmetic
+    by default). The table's unit, norm and twist data decide which forms
+    exist; ar only computes."""
+    ar = ar or _PointArithmetic(a)
+    f = ar.scalars
+    mul, add, sub, scale = ar.mul, ar.add, ar.sub, ar.scale
 
     if identity == "flexible":
         def g(x, b):
@@ -129,31 +182,33 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
         ]
 
     if identity == "quadratic":
-        quad = _require_quad(a)
+        _require_quad(a)
         e = a.unit_element()
         if e is None:
             raise MissingUnit("quadratic identity needs the unit")
+        e, n, pol = ar.element(e), ar.n, ar.polar
 
         def g(x):
-            v = sub(mul(x, x), scale(quad.polar_eval(x, e), x))
-            return add(v, scale(quad.eval(x), e))
+            v = sub(mul(x, x), scale(pol(x, e), x))
+            return add(v, scale(n(x), e))
 
         return [_Form("quadratic", g, 1, quadratic=1)]
 
     if identity == "regular-involution":
-        quad = _require_quad(a)
+        _require_quad(a)
         e = a.unit_element()
         if e is None:
             raise MissingUnit("regular involution needs the unit")
+        e, n, pol = ar.element(e), ar.n, ar.polar
 
         def conj(x):
-            return sub(scale(quad.polar_eval(x, e), e), x)
+            return sub(scale(pol(x, e), e), x)
 
         def g1(x):
-            return sub(mul(x, conj(x)), scale(quad.eval(x), e))
+            return sub(mul(x, conj(x)), scale(n(x), e))
 
         def g2(x):
-            return sub(mul(conj(x), x), scale(quad.eval(x), e))
+            return sub(mul(conj(x), x), scale(n(x), e))
 
         return [
             _Form("x-conj(x)", g1, 1, quadratic=1),
@@ -161,13 +216,14 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
         ]
 
     if identity == "symmetric":
-        quad = _require_quad(a)
+        _require_quad(a)
+        n = ar.n
 
         def g1(x, y):
-            return sub(mul(mul(x, y), x), scale(quad.eval(x), y))
+            return sub(mul(mul(x, y), x), scale(n(x), y))
 
         def g2(x, y):
-            return sub(mul(x, mul(y, x)), scale(quad.eval(x), y))
+            return sub(mul(x, mul(y, x)), scale(n(x), y))
 
         return [
             _Form("(x*y)*x", g1, 2, quadratic=1),
@@ -175,22 +231,18 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
         ]
 
     if identity == "form-associativity":
-        quad = _require_quad(a)
+        _require_quad(a)
+        pol = ar.polar
 
         def g(x, y, z):
-            return f.sub(quad.polar_eval(mul(x, y), z), quad.polar_eval(x, mul(y, z)))
+            return f.sub(pol(mul(x, y), z), pol(x, mul(y, z)))
 
         return [_Form("form-associativity", g, 3, scalar=True)]
 
     if identity == "composition":
-        n = _require_quad(a).eval
-        norms: dict = {}  # n at each point, read once
-
-        def norm(x):
-            v = norms.get(x)
-            if v is None:
-                v = norms[x] = n(x)
-            return v
+        _require_quad(a)
+        n = ar.n
+        norm = ar.memo(n)  # n at each point, read once
 
         def g(x, y):
             return f.sub(n(mul(x, y)), f.mul(norm(x), norm(y)))
@@ -198,14 +250,12 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
         return [_Form("composition", g, 2, quadratic=2, scalar=True)]
 
     if identity == "two-product":
-        quad = _require_quad(a)
+        _require_quad(a)
         ttype, e = _twist_context(a)
+        e, pol = ar.element(e), ar.polar
 
         def t(x):
-            return quad.polar_eval(x, e)
-
-        def pol(x, y):
-            return quad.polar_eval(x, y)
+            return pol(x, e)
 
         if ttype == "I":
             def g(x, y):
@@ -229,13 +279,14 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
         return [_Form(f"two-product-{ttype}", g, 2)]
 
     if identity == "para-unit":
-        quad = _require_quad(a)
+        _require_quad(a)
         ttype, e = _twist_context(a)
         if ttype != "IV":
             raise UnknownIdentity("para-unit only applies to type IV tables")
+        e, pol = ar.element(e), ar.polar
 
         def conj(x):
-            return sub(scale(quad.polar_eval(x, e), e), x)
+            return sub(scale(pol(x, e), e), x)
 
         def g(x):
             return sub(mul(e, x), conj(x))
@@ -249,7 +300,7 @@ def _identity_forms(a: AlgebraTable, identity: str) -> list[_Form]:
         ]
 
     if identity == "standard-products":
-        return _standard_product_forms(a)
+        return _standard_product_forms(a, ar)
 
     raise UnknownIdentity(f"no identity named {identity!r}")
 
@@ -259,7 +310,7 @@ def _mirror(word: str) -> str:
     return word[::-1].translate(str.maketrans("()", ")("))
 
 
-def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
+def _standard_product_forms(a: AlgebraTable, ar) -> list[_Form]:
     """The four closed-form product identities of the standard types.
 
     Written with the table's own product (the twist product for types II-IV)
@@ -272,17 +323,14 @@ def _standard_product_forms(a: AlgebraTable) -> list[_Form]:
     the III forms are the II forms evaluated with the reversed product, named
     by the mirrored words.
     """
-    f = a.field
-    quad = _require_quad(a)
+    _require_quad(a)
     ttype, e = _twist_context(a)
-    mul, add, sub, scale = a.multiply, a.add, a.sub, a.scale
-    n = quad.eval
+    f, e = ar.scalars, ar.element(e)
+    mul, add, sub, scale = ar.mul, ar.add, ar.sub, ar.scale
+    n, pol = ar.n, ar.polar
 
     def t(x):
-        return quad.polar_eval(x, e)
-
-    def pol(x, y):
-        return quad.polar_eval(x, y)
+        return pol(x, e)
 
     def conj(x):
         return sub(scale(t(x), e), x)
@@ -405,17 +453,49 @@ def check_polarized_identity(a: AlgebraTable, identity: str) -> Verdict:
     The linear slots run over basis tuples in the outer loop; each quadratic
     slot runs over e_0, ..., e_{n-1} and then e_i + e_k for i < k, the first
     slot outermost (module docstring). The first nonzero value is the
-    counterexample.
+    counterexample. With numpy loaded and BATCH_FLOOR readings or more, a
+    batched arithmetic reads them all at once where it is exact.
     """
     basis = [a.basis_element(i) for i in range(a.dim)]
-    points = [_point(a, i, k) for i, k in _index_pairs(a.dim)]
-    failures = (
-        _form_failure(a, form, (*xs, *rest))
-        for form in _identity_forms(a, identity)
-        for rest in itertools.product(basis, repeat=form.arity - form.quadratic)
-        for xs in itertools.product(points, repeat=form.quadratic)
-    )
-    return _first_failure(identity, "polarized-basis", failures)
+    pairs = _index_pairs(a.dim)
+    points = [_point(a, i, k) for i, k in pairs]
+    ar = _batch_arithmetic(a, identity, len(points) * a.dim)
+    if ar is None:
+        failures = (
+            _form_failure(a, form, (*xs, *rest))
+            for form in _identity_forms(a, identity)
+            for rest in itertools.product(basis, repeat=form.arity - form.quadratic)
+            for xs in itertools.product(points, repeat=form.quadratic)
+        )
+        return _first_failure(identity, "polarized-basis", failures)
+    hit = ar.first_nonzero(_identity_forms(a, identity, ar), pairs)
+    if hit is None:
+        return Verdict(identity, True, "polarized-basis")
+    index, slots = hit
+    form = _identity_forms(a, identity)[index]
+    lin = form.arity - form.quadratic
+    args = (*(points[i] for i in slots[lin:]), *(basis[i] for i in slots[:lin]))
+    return Verdict(identity, False, "polarized-basis", _form_failure(a, form, args))
+
+
+def _batch_arithmetic(a: AlgebraTable, identity: str, readings: int):
+    """primescan.BatchArithmetic for this check, or None to read point by point.
+
+    Batched only at BATCH_FLOOR readings or more, and only when numpy is
+    already loaded, so that a one-shot build neither loads it nor pays for
+    it; then as the module docstring says for the field. Over Q, the forms
+    first run in primescan.Bounds, which proves that no int64 value
+    overflows; this may raise the errors the forms raise.
+    """
+    if readings < BATCH_FLOOR or "numpy" not in sys.modules:
+        return None
+    from .primescan import BatchArithmetic, Bounds
+
+    ar = BatchArithmetic.over(a)
+    if ar is None or ar.p:
+        return ar
+    bounds = Bounds(a)
+    return ar if bounds.fits(_identity_forms(a, identity, bounds)) else None
 
 
 # --- composition law ------------------------------------------------------
@@ -697,9 +777,10 @@ def check_identity_direct(
 
     The oracle for the polarized certificates (exhaustive over small finite
     fields) and the refutation-only sampled fallback, check_composition's
-    included; it proves nothing over infinite fields. It shares each identity's one transcription, the form's
-    g; what stays independent of check_polarized_identity is the algorithm:
-    every element tuple against the basis-point argument.
+    included; it proves nothing over infinite fields. It shares each
+    identity's one transcription, the form's g; what stays independent of
+    check_polarized_identity is the algorithm: every element tuple against
+    the basis-point argument.
     """
     forms = _identity_forms(a, identity)
     arities = [f.arity for f in forms]

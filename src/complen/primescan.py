@@ -11,13 +11,17 @@ checkers._elements_in_order are its coordinates' coefficient vectors
 concatenated, row r of element_grid(p, m), and a row decodes to scalars by
 reading its digits k at a time.
 
-checkers imports this module when a scan runs, as length imports gf2orbits,
-the other numpy module, when an orbit census runs; so importing the package
-needs neither module nor numpy.
+The module also holds the batched arithmetic of checkers' polarized checks
+(BatchArithmetic, with Bounds for its int64 proof over Q). checkers imports
+it when a scan runs, or a polarized check once numpy is loaded, as length
+imports gf2orbits, the other numpy module, when an orbit census runs; so
+importing the package needs neither module nor numpy.
 """
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -25,8 +29,9 @@ import numpy as np
 from .algebra import AlgebraTable, QuadraticForm
 from .fields import Field
 
-SCAN_CHUNK_BYTES = 4 * 2**20  # one chunk's block of n(xy) - n(x)n(y) values
+SCAN_CHUNK_BYTES = 4 * 2**20  # one block of values in a scan or a batched check
 SCAN_Y_BLOCK = 1024  # y elements per block of that chunk
+INT64_MAX = 2**63 - 1
 
 
 def element_grid(p: int, dim: int, start: int = 0, stop: Optional[int] = None):
@@ -63,14 +68,21 @@ def _restrict(scalars, gf, p: int):
     return np.einsum("ij...c,ucd,vdw->iujv...w", digits, gf, gf) % p
 
 
-def split_array(quad: QuadraticForm, gf, p: int):
-    """split[w]: the GF(p) form with x split[w] x^T = coefficient w of n(x)."""
-    n, m = quad.dim, quad.dim * len(gf)
-    s = np.zeros((n, n), dtype=np.int64)
+def _form_matrix(quad: QuadraticForm):
+    """The upper-triangular s with x s x^T = n(x), diag then polar above it,
+    as an object array of the form's scalars."""
+    n = quad.dim
+    s = np.zeros((n, n), dtype=object)
     s[np.arange(n), np.arange(n)] = quad.diag
     for (i, j), c in quad.polar.items():
         s[i, j] = c
-    return np.moveaxis(_restrict(s, gf, p).reshape(m, m, len(gf)), 2, 0)
+    return s
+
+
+def split_array(quad: QuadraticForm, gf, p: int):
+    """split[w]: the GF(p) form with x split[w] x^T = coefficient w of n(x)."""
+    m = quad.dim * len(gf)
+    return np.moveaxis(_restrict(_form_matrix(quad), gf, p).reshape(m, m, len(gf)), 2, 0)
 
 
 def grid_norms(split, elems, p: int):
@@ -118,6 +130,13 @@ def composition_scan(a: AlgebraTable):
     a residue below p or a monomial below p**2, so every partial sum is an
     integer of at most (m(m+1)/2 + k)(p-1)**3. float32 is used when that is
     below 2**24, float64 otherwise; checkers.PAIR_CAP keeps it far below 2**53.
+    A value v is tested for a multiple of p in the same float type, as
+    rint(v / p) * p != v. When p divides v, v / p is an integer below the
+    limit, so the correctly rounded quotient is exact and so is its product
+    with p. When it does not, v / p lies at least 1/p from every integer,
+    while rounding moves it by at most |v / p| 2**-24 (2**-53) < 1/p, so rint
+    gives an integer M != v / p. Then M * p is an integer other than v; below
+    the limit it is exact, and above it it rounds to at least the limit > v.
     """
     p, gf = field_constants(a.field)
     k, m = len(gf), a.dim * len(gf)
@@ -153,9 +172,11 @@ def composition_scan(a: AlgebraTable):
         coef = coef.reshape(-1, n_terms)
         first_y = np.full(stop - start, -1, dtype=np.int64)
         for y0 in range(0, n_elems, block):
-            values = (coef @ monomials(y0, min(y0 + block, n_elems))).astype(np.int64)
-            values %= p
-            bad = (values != 0).reshape(stop - start, k, -1)
+            values = coef @ monomials(y0, min(y0 + block, n_elems))
+            multiple = values / p
+            np.rint(multiple, out=multiple)
+            multiple *= p
+            bad = (multiple != values).reshape(stop - start, k, -1)
             fresh = (first_y < 0) & bad.any(axis=2).any(axis=1)
             first_y[fresh] = y0 + bad[fresh].any(axis=1).argmax(axis=1)
         failing = np.flatnonzero(first_y >= 0)
@@ -165,3 +186,151 @@ def composition_scan(a: AlgebraTable):
             return tuple(_scalars(np.stack([xs[failing[0]], y]), p, k))
         start, step = stop, min(2 * step, rows_cap)
     return None
+
+
+# --- batched polarized checks -------------------------------------------------
+
+
+def _integral(c) -> bool:
+    return type(c) is int or c.denominator == 1
+
+
+class BatchArithmetic:
+    """checkers' form arithmetic on int64 arrays, one row per reading.
+
+    An element is an (..., n) array and a scalar an (...) array; constants
+    broadcast. The product is x @ T.reshape(n, n*n) contracted with y. Over
+    GF(p) every product and sum is reduced mod p, so no value or partial sum
+    exceeds n*p**2 (see over). Over Q nothing is reduced, and
+    checkers._batch_arithmetic proves with Bounds that nothing overflows.
+    """
+
+    def __init__(self, a: AlgebraTable, p: int):
+        n = self.dim = a.dim
+        self.p = p
+        self._t2 = self._coded(np.array(a.table, dtype=object).reshape(n, n * n))
+        if a.quad is not None:
+            self._s = self._coded(_form_matrix(a.quad))
+            self._g = self._s + self._s.T
+        self.scalars = SimpleNamespace(add=self.add, sub=self.sub, one=lambda: 1,
+                                       mul=lambda x, y: self._r(x * y))
+
+    @classmethod
+    def over(cls, a: AlgebraTable) -> Optional["BatchArithmetic"]:
+        """The batched arithmetic of a, or None where it would not be exact:
+        over GF(p) when n*p**2 exceeds int64, over Q unless every structure
+        constant and norm coefficient is an integer within int64, and over
+        every extension field."""
+        spec = a.field.spec
+        if spec.kind == "prime":
+            return cls(a, spec.p) if a.dim * spec.p**2 <= INT64_MAX else None
+        if spec.kind != "rational":
+            return None
+        coeffs = [c for row in a.table for entry in row for c in entry]
+        if a.quad is not None:
+            coeffs += [*a.quad.diag, *a.quad.polar.values()]
+        if all(_integral(c) and abs(c) <= INT64_MAX for c in coeffs):
+            return cls(a, 0)
+        return None
+
+    @staticmethod
+    def _coded(entries):
+        """An object array of scalars as this arithmetic holds it."""
+        return entries.astype(np.int64)
+
+    def _r(self, v):
+        return v % self.p if self.p else v
+
+    def mul(self, x, y):
+        xt = self._r(x @ self._t2).reshape(x.shape[:-1] + (self.dim, self.dim))
+        return self._r((y[..., None, :] @ xt)[..., 0, :])
+
+    def add(self, x, y):
+        return self._r(x + y)
+
+    def sub(self, x, y):
+        return self._r(x - y)
+
+    def scale(self, c, x):
+        return self._r(np.asarray(c, dtype=x.dtype)[..., None] * x)
+
+    def n(self, x):
+        return self._r((self._r(x @ self._s) * x).sum(axis=-1))
+
+    def polar(self, x, y):
+        return self._r((self._r(x @ self._g) * y).sum(axis=-1))
+
+    def element(self, v):
+        return self._coded(np.array(v, dtype=object))
+
+    @staticmethod
+    def memo(fn):
+        return fn
+
+    def first_nonzero(self, forms, pairs) -> Optional[tuple]:
+        """(form index, slot indices) of the first nonzero reading, or None.
+
+        The readings run in the order of checkers.check_polarized_identity:
+        the forms in turn, each over its linear slots' basis indices, first
+        slot outermost, then its quadratic slots' indices into pairs, the
+        (i, k) of the points e_i (i == k) and e_i + e_k. The slot indices
+        come linear slots first. A block holds at most SCAN_CHUNK_BYTES of
+        products.
+        """
+        n = self.dim
+        eye = np.eye(n, dtype=np.int64)
+        i, k = np.array(pairs).T
+        points = eye[i] + eye[k] * (i != k)[:, None]
+        step = max(1, SCAN_CHUNK_BYTES // (8 * n * n))
+        for index, form in enumerate(forms):
+            lin = form.arity - form.quadratic
+            shape = (n,) * lin + (len(pairs),) * form.quadratic
+            total = math.prod(shape)
+            for start in range(0, total, step):
+                slots = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+                v = form.g(*(points[s] for s in slots[lin:]), *(eye[s] for s in slots[:lin]))
+                bad = v != 0 if form.scalar else (v != 0).any(axis=-1)
+                hit = np.flatnonzero(np.broadcast_to(bad, slots[0].shape))
+                if hit.size:
+                    return index, tuple(int(s[hit[0]]) for s in slots)
+        return None
+
+
+class Bounds(BatchArithmetic):
+    """BatchArithmetic over Q on |value| bounds: the proof that it fits in int64.
+
+    The same operations run on |T| and |s| in Python ints, with sub adding,
+    at all-ones arguments, which bound every basis point (0/1 coordinates).
+    Each operation is monotone in its arguments' bounds and bounds the
+    absolute value of its result; its terms are nonnegative, so every
+    partial sum is at most its result. So peak, the largest result met,
+    bounds every value and partial sum of the int64 run. It is infinite
+    after a constant that is not an integer, which int64 cannot hold.
+    """
+
+    def __init__(self, a: AlgebraTable):
+        self.peak = 0
+        super().__init__(a, 0)
+
+    sub = BatchArithmetic.add
+
+    @staticmethod
+    def _coded(entries):
+        return abs(entries)
+
+    def _r(self, v):
+        self.peak = max(self.peak, np.max(v))
+        return v
+
+    def element(self, v):
+        if not all(map(_integral, v)):
+            self.peak = math.inf
+        return super().element(v)
+
+    def fits(self, forms) -> bool:
+        """Whether every value of forms at basis points, and every partial
+        sum, lies within int64; forms must compute in this arithmetic."""
+        ones = np.ones(self.dim, dtype=object)
+        for form in forms:
+            form.g(*[ones] * form.arity)
+        return self.peak <= INT64_MAX

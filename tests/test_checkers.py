@@ -27,12 +27,15 @@ from complen.constructors import (
     make_hurwitz_tower,
     make_okubo_idempotent,
     make_okubo_isotropic,
+    make_pseudo_octonion,
     make_quadratic_etale,
     standard_twist,
 )
 from complen.errors import (
     CostCapExceeded,
     InfiniteField,
+    MissingQuadraticForm,
+    MissingUnit,
     NotScalarOperator,
     UnknownIdentity,
 )
@@ -300,6 +303,137 @@ def test_direct_sampled_is_deterministic_per_seed():
     v1 = check_identity_direct(a, "flexible", strategy="sampled", seed=7)
     v2 = check_identity_direct(a, "flexible", strategy="sampled", seed=7)
     assert v1.holds and v2.holds and v1.certificate == v2.certificate == "sampled(seed=7,n=200)"
+
+
+# --- batched polarized checks -------------------------------------------------
+
+CATALOG = ("flexible", "alternative", "quadratic", "regular-involution", "symmetric",
+           "form-associativity", "composition", "two-product", "para-unit", "standard-products")
+
+
+def _typed(v):
+    """v with every scalar paired with its type, so that 2 and Fraction(2) differ."""
+    if isinstance(v, dict):
+        return {k: _typed(x) for k, x in v.items()}
+    if isinstance(v, tuple):
+        return tuple(_typed(x) for x in v)
+    return type(v), v
+
+
+def _verdict_on(a, identity, floor, monkeypatch):
+    monkeypatch.setattr(checkers, "BATCH_FLOOR", floor)
+    try:
+        return check_polarized_identity(a, identity)
+    except (MissingUnit, MissingQuadraticForm, UnknownIdentity):
+        return None  # the identity does not apply to a
+
+
+def _integer_table(field, dim: int, unital: bool, seed: int, density: float) -> AlgebraTable:
+    """A seeded table and norm with entries -3..3 (read in field); e_0 is the unit when unital."""
+    rng = random.Random(seed)
+
+    def scalar():
+        return field.from_int(rng.randint(-3, 3)) if rng.random() < density else field.zero()
+
+    basis = [tuple(field.from_int(int(k == j)) for k in range(dim)) for j in range(dim)]
+    table = [[tuple(scalar() for _ in range(dim)) for _ in range(dim)] for _ in range(dim)]
+    if unital:
+        for j in range(dim):
+            table[0][j] = table[j][0] = basis[j]
+    quad = QuadraticForm(
+        field, dim, [scalar() for _ in range(dim)],
+        {(i, k): scalar() for i, k in itertools.combinations(range(dim), 2)},
+    )
+    return AlgebraTable(field, dim, tuple(f"e{i}" for i in range(dim)), table,
+                        unit=basis[0] if unital else None, quad=quad)
+
+
+def _catalog_tables():
+    F7 = field_make("F7")
+    towers = {
+        "F2": lambda: make_hurwitz_tower(F2, F2.one(), (F2.one(), F2.one())),
+        "F3": lambda: make_hurwitz_tower(F3, None, (F3.one(), F3.from_int(2), F3.one())),
+        "F5": lambda: make_hurwitz_tower(F5, None, (F5.from_int(2), F5.one(), F5.from_int(3))),
+        "Q": lambda: make_hurwitz_tower(Q, None, (Q.one(), Q.from_int(-1), Q.from_int(2))),
+    }
+    for key, build in towers.items():
+        yield pytest.param(build, id=f"hurwitz-{key}")
+    for key in ("F3", "Q"):
+        for t in ("I", "II", "III", "IV"):
+            yield pytest.param(lambda k=key, t=t: standard_twist(towers[k](), t),
+                               id=f"twist-{t}-{key}")
+    for field in (F5, Q):
+        key = field.spec.format()
+        # the isotropic table holds 1/a and 1/b, so a Q table with a = 2 has Fractions
+        yield pytest.param(lambda f=field: make_okubo_isotropic(f, f.one(), f.from_int(-1)),
+                           id=f"okubo-isotropic-{key}")
+        yield pytest.param(lambda f=field: make_okubo_idempotent(f, f.from_int(2), f.one()),
+                           id=f"okubo-idempotent-{key}")
+    yield pytest.param(lambda: make_pseudo_octonion(F7), id="pseudo-octonion-F7")
+
+
+@pytest.mark.parametrize("build", _catalog_tables())
+def test_batched_checks_match_point_checks_on_the_families(build, monkeypatch):
+    import numpy  # noqa: F401  (the batched route runs only once numpy is loaded)
+
+    a = build()
+    held = 0
+    for identity in CATALOG:
+        batched = _verdict_on(a, identity, 0, monkeypatch)
+        if batched is None:
+            continue
+        assert checkers._batch_arithmetic(a, identity, 0) is not None
+        point = _verdict_on(a, identity, float("inf"), monkeypatch)
+        assert batched == point, identity
+        assert _typed(batched.counterexample) == _typed(point.counterexample), identity
+        held += batched.holds
+    assert held
+
+
+@pytest.mark.parametrize("field", (F2, F3, F5, Q), ids=("F2", "F3", "F5", "Q"))
+def test_batched_checks_match_point_checks_on_random_tables(field, monkeypatch):
+    import numpy  # noqa: F401
+
+    verdicts = set()
+    for seed, unital, density in itertools.product(range(4), (False, True), (0.1, 0.4)):
+        a = _integer_table(field, 4, unital, seed, density)
+        for identity in CATALOG:
+            batched = _verdict_on(a, identity, 0, monkeypatch)
+            if batched is None:
+                continue
+            assert checkers._batch_arithmetic(a, identity, 0) is not None
+            point = _verdict_on(a, identity, float("inf"), monkeypatch)
+            assert batched == point, (seed, unital, density, identity)
+            assert _typed(batched.counterexample) == _typed(point.counterexample)
+            verdicts.add(batched.holds)
+    assert verdicts == {False, True}
+
+
+def _fallback_tables():
+    big = field_make(f"F{2**31 - 1}")  # 4 * p**2 is past int64
+    gf9 = field_make("F3^2:1,0,1")
+    return {
+        "Q-fraction": lambda: make_hurwitz_tower(Q, None, (Q.one(), Fraction(1, 2))),
+        "Q-past-int64": lambda: make_hurwitz_tower(Q, None, (Q.from_int(2**20),)),
+        "GF4": lambda: make_hurwitz_tower(GF4, GF4.one(), (GF4.one(),)),
+        "GF9": lambda: make_hurwitz_tower(gf9, None, (gf9.one(), gf9.one())),
+        "F(2^31-1)": lambda: make_hurwitz_tower(big, None, (big.one(), big.one())),
+    }
+
+
+@pytest.mark.parametrize("key", _fallback_tables())
+def test_checks_stay_point_by_point_where_int64_is_not_exact(key, monkeypatch):
+    import numpy  # noqa: F401
+    from complen.primescan import BatchArithmetic
+
+    a = _fallback_tables()[key]()
+    if key == "Q-past-int64":
+        # integer entries within int64, but the bound of the products is not
+        assert BatchArithmetic.over(a) is not None
+    for identity in ("standard-products", "composition"):
+        assert checkers._batch_arithmetic(a, identity, 0) is None
+        v = _verdict_on(a, identity, 0, monkeypatch)
+        assert v.holds and v == _verdict_on(a, identity, float("inf"), monkeypatch)
 
 
 # --- composition --------------------------------------------------------------

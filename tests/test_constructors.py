@@ -225,9 +225,9 @@ def test_symmetric_constructors_prove_the_symmetric_law_once(build, monkeypatch)
     seen = []
     real = checkers._identity_forms
 
-    def spy(a, identity):
+    def spy(a, identity, *arithmetic):
         seen.append(identity)
-        return real(a, identity)
+        return real(a, identity, *arithmetic)
 
     monkeypatch.setattr(checkers, "_identity_forms", spy)
     build()

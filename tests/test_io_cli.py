@@ -615,6 +615,27 @@ def test_unital_census_without_automorphisms_leaves_numpy_out():
     assert _census_modules(table) == ["0", "374", "True", "False", "False"]
 
 
+def test_one_shot_builds_leave_numpy_out():
+    # polarized checks batch only once numpy is loaded, so a fresh dim-8 build
+    # reads its laws point by point and loads neither numpy nor primescan
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "from complen.constructors import make_hurwitz_tower, make_okubo_isotropic\n"
+        "from complen.fields import field_make\n"
+        "F3, F5 = field_make('F3'), field_make('F5')\n"
+        "make_hurwitz_tower(F3, None, (1, 1, 1))\n"
+        "make_okubo_isotropic(F5, 1, 2)\n"
+        "print(*(m in sys.modules for m in ('numpy', 'complen.primescan')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 def test_public_surface_is_exactly_what_init_binds():
     init = os.path.join(os.path.dirname(complen.__file__), "__init__.py")
     with open(init, encoding="utf-8") as fh:
