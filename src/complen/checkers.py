@@ -22,16 +22,17 @@ A form computes in the arithmetic that _identity_forms is given: element
 mul, add, sub and scale, the scalar operations, n and its polar form (t(x)
 is the polar form against the unit). The table's own arithmetic on tuples
 reads one point at a time and is the reference. primescan.BatchArithmetic
-evaluates each form once on int64 arrays of all its readings, in the same
-order, when numpy is already loaded and a check has at least BATCH_FLOOR
-readings (so a one-shot build never loads numpy). Over GF(p) it reduces
-every product mod p and runs when n*p^2 fits in int64. Over Q it reduces
-nothing and runs when every structure constant and norm coefficient is an
-integer and primescan.Bounds, the same forms evaluated on bounds of
-|value|, proves that no value or partial sum leaves int64. Tables with
-Fractions and extension fields read point by point. The first nonzero
-reading is evaluated again point by point for its counterexample, so both
-routes give the same verdict.
+evaluates each form on int64 arrays of its readings, in growing blocks in
+the same order, when numpy is already loaded and a check has at least
+BATCH_FLOOR readings (so a one-shot build never loads numpy). Over GF(p) it
+reduces every result mod p, so no value passes n*p^2, and runs when that
+fits in int64. Over Q it reduces nothing and runs when every structure
+constant and norm coefficient is an integer and primescan.Bounds, the same
+forms evaluated on bounds of |value|, proves that no value or partial sum
+leaves int64. Tables with Fractions and extension fields read point by
+point. The first nonzero reading is evaluated again point by point for its
+counterexample, so both routes give the same verdict; a batched reading
+that is zero point by point raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .errors import (
     CostCapExceeded,
     DegenerateForm,
     InfiniteField,
+    InvariantViolation,
     MirrorLawFailed,
     MissingQuadraticForm,
     MissingUnit,
@@ -475,7 +477,13 @@ def check_polarized_identity(a: AlgebraTable, identity: str) -> Verdict:
     form = _identity_forms(a, identity)[index]
     lin = form.arity - form.quadratic
     args = (*(points[i] for i in slots[lin:]), *(basis[i] for i in slots[:lin]))
-    return Verdict(identity, False, "polarized-basis", _form_failure(a, form, args))
+    bad = _form_failure(a, form, args)
+    if bad is None:
+        raise InvariantViolation(
+            f"{identity}: the batched reading of {form.name} is nonzero at {args}, "
+            "the point reading zero"
+        )
+    return Verdict(identity, False, "polarized-basis", bad)
 
 
 def _batch_arithmetic(a: AlgebraTable, identity: str, readings: int):

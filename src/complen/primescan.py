@@ -31,6 +31,7 @@ from .fields import Field
 
 SCAN_CHUNK_BYTES = 4 * 2**20  # one block of values in a scan or a batched check
 SCAN_Y_BLOCK = 1024  # y elements per block of that chunk
+BATCH_FIRST_BLOCK = 64  # readings in the first block of a batched check
 INT64_MAX = 2**63 - 1
 
 
@@ -200,8 +201,11 @@ class BatchArithmetic:
 
     An element is an (..., n) array and a scalar an (...) array; constants
     broadcast. The product is x @ T.reshape(n, n*n) contracted with y. Over
-    GF(p) every product and sum is reduced mod p, so no value or partial sum
-    exceeds n*p**2 (see over). Over Q nothing is reduced, and
+    GF(p) the constants are residues and every operation reduces its result
+    mod p, the polar matrix s + s^T included. So each operation reads
+    residues, 0/1 basis coordinates or the constant 1, and its largest
+    partial sum is a product's n terms below p**2 each: no value exceeds
+    n*p**2 (see over). Over Q nothing is reduced, and
     checkers._batch_arithmetic proves with Bounds that nothing overflows.
     """
 
@@ -211,7 +215,7 @@ class BatchArithmetic:
         self._t2 = self._coded(np.array(a.table, dtype=object).reshape(n, n * n))
         if a.quad is not None:
             self._s = self._coded(_form_matrix(a.quad))
-            self._g = self._s + self._s.T
+            self._g = self._r(self._s + self._s.T)
         self.scalars = SimpleNamespace(add=self.add, sub=self.sub, one=lambda: 1,
                                        mul=lambda x, y: self._r(x * y))
 
@@ -274,25 +278,32 @@ class BatchArithmetic:
         the forms in turn, each over its linear slots' basis indices, first
         slot outermost, then its quadratic slots' indices into pairs, the
         (i, k) of the points e_i (i == k) and e_i + e_k. The slot indices
-        come linear slots first. A block holds at most SCAN_CHUNK_BYTES of
-        products.
+        come linear slots first. Blocks double from BATCH_FIRST_BLOCK
+        readings, across the forms, up to SCAN_CHUNK_BYTES of products, as
+        composition_scan's chunks grow, so an early failure costs one small
+        block. (Doubling from one reading made certify 9 % slower, in the
+        extra calls of passing checks.)
         """
         n = self.dim
         eye = np.eye(n, dtype=np.int64)
         i, k = np.array(pairs).T
         points = eye[i] + eye[k] * (i != k)[:, None]
-        step = max(1, SCAN_CHUNK_BYTES // (8 * n * n))
+        cap = max(1, SCAN_CHUNK_BYTES // (8 * n * n))
+        step = min(BATCH_FIRST_BLOCK, cap)
         for index, form in enumerate(forms):
             lin = form.arity - form.quadratic
             shape = (n,) * lin + (len(pairs),) * form.quadratic
             total = math.prod(shape)
-            for start in range(0, total, step):
-                slots = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+            start = 0
+            while start < total:
+                stop = min(start + step, total)
+                slots = np.unravel_index(np.arange(start, stop), shape)
                 v = form.g(*(points[s] for s in slots[lin:]), *(eye[s] for s in slots[:lin]))
                 bad = v != 0 if form.scalar else (v != 0).any(axis=-1)
                 hit = np.flatnonzero(np.broadcast_to(bad, slots[0].shape))
                 if hit.size:
                     return index, tuple(int(s[hit[0]]) for s in slots)
+                start, step = stop, min(2 * step, cap)
         return None
 
 
@@ -306,6 +317,12 @@ class Bounds(BatchArithmetic):
     partial sum is at most its result. So peak, the largest result met,
     bounds every value and partial sum of the int64 run. It is infinite
     after a constant that is not an integer, which int64 cannot hold.
+
+    Object arrays of Python ints would be exact without a proof, but are
+    slower than reading point by point: on the dim-8 Q Hurwitz tower,
+    standard-products took 52 ms on them against 41 ms point by point and
+    4.8 ms in int64 with this proof, and composition 15, 6.7 and 1.2 ms
+    (best of 10 on one core of an Intel Xeon).
     """
 
     def __init__(self, a: AlgebraTable):
@@ -319,7 +336,7 @@ class Bounds(BatchArithmetic):
         return abs(entries)
 
     def _r(self, v):
-        self.peak = max(self.peak, np.max(v))
+        self.peak = max(self.peak, int(np.max(v)))
         return v
 
     def element(self, v):

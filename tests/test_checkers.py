@@ -34,6 +34,7 @@ from complen.constructors import (
 from complen.errors import (
     CostCapExceeded,
     InfiniteField,
+    InvariantViolation,
     MissingQuadraticForm,
     MissingUnit,
     NotScalarOperator,
@@ -414,7 +415,7 @@ def _fallback_tables():
     gf9 = field_make("F3^2:1,0,1")
     return {
         "Q-fraction": lambda: make_hurwitz_tower(Q, None, (Q.one(), Fraction(1, 2))),
-        "Q-past-int64": lambda: make_hurwitz_tower(Q, None, (Q.from_int(2**20),)),
+        "Q-past-int64": lambda: make_hurwitz_tower(Q, None, (Q.from_int(2**30), Q.from_int(2**30))),
         "GF4": lambda: make_hurwitz_tower(GF4, GF4.one(), (GF4.one(),)),
         "GF9": lambda: make_hurwitz_tower(gf9, None, (gf9.one(), gf9.one())),
         "F(2^31-1)": lambda: make_hurwitz_tower(big, None, (big.one(), big.one())),
@@ -430,10 +431,36 @@ def test_checks_stay_point_by_point_where_int64_is_not_exact(key, monkeypatch):
     if key == "Q-past-int64":
         # integer entries within int64, but the bound of the products is not
         assert BatchArithmetic.over(a) is not None
+    monkeypatch.setattr(checkers, "BATCH_FLOOR", 0)
     for identity in ("standard-products", "composition"):
         assert checkers._batch_arithmetic(a, identity, 0) is None
         v = _verdict_on(a, identity, 0, monkeypatch)
         assert v.holds and v == _verdict_on(a, identity, float("inf"), monkeypatch)
+
+
+def test_batched_residues_stay_within_int64_below_the_prime_bound(monkeypatch):
+    # 4 p^2 fits in int64 but 5 (p-1)^2 does not: every constant is -1 = p-1,
+    # so x s^T + x s reaches 5 (p-1)^2 unless s + s^T is reduced mod p
+    import numpy  # noqa: F401
+
+    big = field_make("F1450000001")
+    m1, n = big.from_int(-1), 4
+    a = AlgebraTable(big, n, tuple(f"e{i}" for i in range(n)), [[(m1,) * n] * n] * n,
+                     quad=QuadraticForm(big, n, [m1] * n,
+                                        {c: m1 for c in itertools.combinations(range(n), 2)}))
+    batched = _verdict_on(a, "form-associativity", 0, monkeypatch)
+    assert checkers._batch_arithmetic(a, "form-associativity", 0) is not None
+    assert batched.holds and batched == _verdict_on(a, "form-associativity", float("inf"), monkeypatch)
+
+
+def test_batched_hit_that_reads_zero_per_point_is_an_invariant_violation(monkeypatch):
+    import numpy  # noqa: F401
+    from complen.primescan import BatchArithmetic
+
+    a = make_hurwitz_tower(F3, None, (F3.one(), F3.one()))
+    monkeypatch.setattr(BatchArithmetic, "first_nonzero", lambda self, forms, pairs: (0, (0, 0)))
+    with pytest.raises(InvariantViolation):
+        _verdict_on(a, "flexible", 0, monkeypatch)
 
 
 # --- composition --------------------------------------------------------------
