@@ -35,7 +35,10 @@ case. With `--tier1` the tier-1 pytest run is timed the same way, under
 Once per side it runs verify-paper `--jobs 1` under cProfile with
 `PYTHONHASHSEED=0` and stores the Python calls per module under
 `verify_paper_calls`; these counts do not depend on the host, and two
-recordings of one commit give the same ones.
+recordings of one commit give the same ones. Once per side and workload it
+also stores the tracemalloc peak of one pass of the workload's jobs, after
+the set-up of seed 1, as `jobs_peak_mb`: the memory the jobs allocate,
+without the interpreter, the imports made before them, or the inputs.
 
 The head's results sit at the top level of the file, as in a file without a
 base. With `--base`, `base` holds the same keys for the base commit, and
@@ -237,6 +240,32 @@ def call_counts(root: Path) -> dict:
     return {"total": sum(modules.values()), "modules": modules}
 
 
+# One pass of a workload's jobs under tracemalloc, after perfbench's imports
+# and the set-up of seed 1; prints the traced peak in MB.
+JOBS_PEAK = """
+import json, sys, tracemalloc
+sys.path.insert(0, "perfbench")
+import numpy, workloads
+w = workloads.WORKLOADS[sys.argv[1]]
+jobs = w.jobs(w.setup(1))
+tracemalloc.start()
+for job in jobs:
+    job.run()
+print(json.dumps(tracemalloc.get_traced_memory()[1] / 2**20))
+"""
+
+
+def jobs_peak_mb(root: Path, workload: str) -> float:
+    """The tracemalloc peak in MB of one pass of workload's jobs in root."""
+    env = dict(_env(root), PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, "-c", JOBS_PEAK, workload], cwd=root, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"record: traced jobs of {workload} failed in {root}: "
+                         f"{proc.stderr.strip()[-2000:]}")
+    return round(json.loads(proc.stdout), 3)
+
+
 def tier1(root: Path) -> dict:
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
            "-p", "no:cacheprovider"]
@@ -289,11 +318,13 @@ def measure(sides: dict, seeds: list, with_tier1: bool) -> dict:
                            lambda root, seed: perfbench(root, w, seed, seconds))
         traced = alternating(sides, range(1, TRACED_SEEDS + 1), f"{w} layers seed",
                              lambda root, seed: perfbench(root, w, seed, 0, trace=1))
-        for side in sides:
+        for side, (_, root) in sides.items():
+            print(f"record: {w} jobs peak {side}", file=sys.stderr, flush=True)
             out[side]["workloads"][w] = {
                 "summary": summarize(runs[side]),
                 "runs": runs[side],
                 "layers": summarize(traced[side]),
+                "jobs_peak_mb": jobs_peak_mb(root, w),
             }
         if "base" in sides:
             pairs[w] = compare(runs["base"], runs["head"], bench["end_to_end"])

@@ -583,56 +583,32 @@ def check_composition(a: AlgebraTable, strategy: str = "auto", seed: int = 0) ->
 def recover_norm(a: AlgebraTable) -> QuadraticForm:
     """Reconstruct the norm of a symmetric composition table.
 
-    For such a product, y -> (b_i * y) * b_i is n(b_i) times the identity and
-    y -> (b_i * y) * b_j + (b_j * y) * b_i is n(b_i, b_j) times the identity.
-    The candidate form must then pass the symmetric law at basis points and be
-    strictly nondegenerate.
+    For such a product (x*y)*x = n(x) y, so n(b_i) is coordinate 0 of
+    (b_i*b_0)*b_i and n(b_i, b_j) is coordinate 0 of (b_i*b_0)*b_j +
+    (b_j*b_0)*b_i. The symmetric law at basis points then proves the
+    candidate: its form (x*y)*x reads every operator y -> (b_i*y)*b_i and
+    every polar one, and a failure there raises NotScalarOperator; a failure
+    of x*(y*x) raises MirrorLawFailed. The form must also be strictly
+    nondegenerate.
     """
     f = a.field
     basis = [a.basis_element(i) for i in range(a.dim)]
-
-    def operator_scalar(op, label):
-        lam = None
-        for j in range(a.dim):
-            col = op(basis[j])
-            for k in range(a.dim):
-                expect = col[k]
-                if j == k:
-                    if lam is None:
-                        lam = expect
-                    elif expect != lam:
-                        raise NotScalarOperator(f"{label}: diagonal not constant")
-                elif expect:
-                    raise NotScalarOperator(f"{label}: off-diagonal entry at ({k},{j})")
-        return lam
-
-    diag = []
-    for i in range(a.dim):
-        bi = basis[i]
-        lam = operator_scalar(
-            lambda y, bi=bi: a.multiply(a.multiply(bi, y), bi), f"(b{i}*y)*b{i}"
-        )
-        diag.append(lam)
+    right = [a.multiply(b, basis[0]) for b in basis]  # b_i*b_0
+    diag = [a.multiply(right[i], basis[i])[0] for i in range(a.dim)]
     polar = {}
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            bi, bj = basis[i], basis[j]
-
-            def op(y, bi=bi, bj=bj):
-                return a.add(
-                    a.multiply(a.multiply(bi, y), bj), a.multiply(a.multiply(bj, y), bi)
-                )
-
-            mu = operator_scalar(op, f"(b{i}*y)*b{j}+(b{j}*y)*b{i}")
-            if mu:
-                polar[(i, j)] = mu
+    for i, j in itertools.combinations(range(a.dim), 2):
+        mu = f.add(a.multiply(right[i], basis[j])[0], a.multiply(right[j], basis[i])[0])
+        if mu:
+            polar[(i, j)] = mu
     quad = QuadraticForm(f, a.dim, diag, polar)
 
     probe = AlgebraTable(f, a.dim, a.labels, a.table, unit=None, quad=quad, name=a.name)
     probe._unit_solved = True  # bypass unit solving; only the form is probed
     verdict = check_polarized_identity(probe, "symmetric")
     if not verdict.holds:
-        raise MirrorLawFailed(f"mirror law fails: {verdict.counterexample['form']}")
+        bad = verdict.counterexample
+        error = NotScalarOperator if bad["form"] == "(x*y)*x" else MirrorLawFailed
+        raise error(f"symmetric law fails: {bad['form']} at {bad['args']}")
     if not quad.is_strictly_nondegenerate():
         raise DegenerateForm("recovered form is degenerate")
     return quad

@@ -15,20 +15,24 @@ k-dimensional subspaces on the given columns of GF(2)^n, in enumeration
 order (the order of length._forms), so one call covers one dimension. The
 maps must permute those subspaces: automorphisms on every column, and over
 a unital table the maps that length reduces modulo the unit, on a
-hyperplane. It numbers the subspaces in enumeration order and keeps one
-int32 label per subspace. For each map it streams all echelon patterns of
-the dimension as one index space in blocks of CHUNK numbers (a block finds
-each number's pattern by binary search over the patterns' offsets and reads
-row r from row r's fills of every pattern, concatenated), maps the rows,
-reduces the images to echelon form and finds their numbers by arithmetic (a
-table keyed by pivot set and row), and joins each subspace with its image
-in a union-find whose root is the smallest number of its set. So the
-representative of an orbit is its first subspace in enumeration order, and
-the representatives come out in that order: the first maximal one is the
-search's witness. Memory grows with the largest Gaussian binomial [n, k]_2,
-4 bytes a subspace: 0.8 MB at dim 8, 13 MB at dim 9 (3 309 747 subspaces of
-dimension 4 and of dimension 5), besides a number table of 4^n int32. This
-module and numpy load only when such a census has automorphisms to use.
+hyperplane. It numbers the subspaces in enumeration order. For each map it
+streams all echelon patterns of the dimension as one index space in blocks
+of CHUNK numbers (a block finds each number's pattern by binary search over
+the patterns' offsets and reads row r from row r's fills of every pattern,
+concatenated), maps the rows, reduces the images to echelon form and finds
+their numbers by arithmetic (a table keyed by pivot set and row): perm[s] is
+the number of the image of s. Labels start at label[s] = s; block by block,
+label = min(label, label[perm]) for every map and then label = min(label,
+label[label]) (pointer jumping), until no label moves. At that fixed point
+label[s] <= label[g(s)] for every map g, so the label is constant on each
+cycle of each map, hence on each orbit; it only takes numbers in the orbit
+and never exceeds s, so it is the orbit's smallest number. np.unique then
+gives the first subspace of each orbit, in enumeration order, and the orbit
+sizes: the first maximal one is the search's witness. Memory is (maps + 1)
+int32 arrays of the largest Gaussian binomial [n, k]_2: 3.2 MB at dim 8 and
+53 MB at dim 9 with three maps (3 309 747 subspaces of dimension 4 and of
+dimension 5), besides a number table of 4^n int32. This module and numpy load only when
+such a census has automorphisms to use.
 """
 
 from __future__ import annotations
@@ -90,28 +94,6 @@ def _number_table(n: int, offsets, masks, rows):
     return number
 
 
-def _find(label, x):
-    """The roots of x, with every x pointed straight at its root."""
-    r = label[x]
-    while True:
-        up = label[r]
-        if np.array_equal(up, r):
-            label[x] = r
-            return r
-        r = up
-
-
-def _join(label, i, j) -> None:
-    """Join the sets of i[t] and j[t] for every t, the smaller root on top."""
-    while True:
-        a, b = _find(label, i), _find(label, j)
-        apart = a != b
-        if not apart.any():
-            return
-        a, b, i, j = a[apart], b[apart], i[apart], j[apart]
-        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-
-
 def _echelon(rows: list):
     """Reduce independent bitmask rows in place to reduced echelon form, the
     pivot of a row its lowest bit, pivots increasing; returns their union."""
@@ -132,27 +114,31 @@ def _echelon(rows: list):
 
 
 def _orbit_labels(n: int, autos: list, offsets, rows, number):
-    """label[s] < 0 for the first subspace s of an orbit, minus the orbit's
-    size, and the number of that first subspace for every other s."""
+    """label[s]: the smallest number in the orbit of subspace s."""
     total = int(offsets[-1])
-    label = np.arange(total, dtype=np.int32)
+    perms = []
     for phi in autos:
         image = np.array([_apply(phi, x) for x in range(1 << n)], dtype=np.int64)
         tables = [image[fills] for fills, *_ in rows]
+        perm = np.empty(total, dtype=np.int32)  # perm[s]: the number of phi(s)
         for start in range(0, total, CHUNK):
-            s = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-            mapped = _rows_at(s, offsets, rows, tables)
+            mapped = _rows_at(np.arange(start, min(start + CHUNK, total)), offsets, rows, tables)
             pivots = _echelon(mapped) << n
-            _join(label, s, sum(number[pivots | r] for r in mapped))
-    # roots point at themselves; turn each into minus its set's size
-    for start in range(0, total, CHUNK):
-        _find(label, np.arange(start, min(start + CHUNK, total)))
-    for start in range(0, total, CHUNK):
-        block = label[start:start + CHUNK]
-        block[block == np.arange(start, start + len(block))] = -1
-    for start in range(0, total, CHUNK):
-        block = label[start:start + CHUNK]
-        np.subtract.at(label, block[block >= 0], 1)
+            perm[start:start + CHUNK] = sum(number[pivots | r] for r in mapped)
+        perms.append(perm)
+    label = np.arange(total, dtype=np.int32)
+    moved = True
+    while moved:
+        moved = False
+        for start in range(0, total, CHUNK):
+            block = label[start:start + CHUNK]
+            low = block.copy()
+            for perm in perms:
+                np.minimum(low, label[perm[start:start + CHUNK]], out=low)
+            np.minimum(low, label[low], out=low)  # pointer jumping
+            if (low != block).any():
+                block[:] = low
+                moved = True
     return label
 
 
@@ -165,9 +151,6 @@ def orbit_forms(columns, k: int, n: int, autos: list) -> Iterator[tuple]:
         return
     offsets, masks, rows = _patterns(columns, k)
     label = _orbit_labels(n, autos, offsets, rows, _number_table(n, offsets, masks, rows))
-    fills = [f for f, *_ in rows]
-    for start in range(0, len(label), CHUNK):
-        block = label[start:start + CHUNK]
-        first = np.flatnonzero(block < 0)
-        reps = _rows_at(first + start, offsets, rows, fills)
-        yield from zip(zip(*(r.tolist() for r in reps)), (-block[first]).tolist())
+    first, sizes = np.unique(label, return_counts=True)  # sorted: enumeration order
+    reps = _rows_at(first, offsets, rows, [f for f, *_ in rows])
+    yield from zip(zip(*(r.tolist() for r in reps)), sizes.tolist())

@@ -895,6 +895,58 @@ def test_orbit_blocks_may_straddle_patterns(monkeypatch):
     assert _search(lane, iter(narrow))[0] == _search(lane, _plain_source(a, lane))[0]
 
 
+def _orbit_oracle(n, k, autos):
+    """(rows, orbit size) of the first subspace of each orbit of the maps
+    among the k-dimensional subspaces of GF(2)^n, in enumeration order: each
+    subspace's vectors closed under the maps with Python sets."""
+    forms = list(_forms(range(n), k, 2, _mask_row))
+
+    def vectors(rows):
+        span = {0}
+        for r in rows:
+            span |= {v ^ r for v in span}
+        return frozenset(span)
+
+    def image(phi, v):
+        return functools.reduce(lambda x, i: x ^ phi[i], (i for i in range(n) if v >> i & 1), 0)
+
+    number = {vectors(rows): s for s, rows in enumerate(forms)}
+    seen, out = set(), []
+    for s, rows in enumerate(forms):
+        if s in seen:
+            continue
+        orbit, todo = {s}, [s]
+        while todo:
+            span = vectors(forms[todo.pop()])
+            for phi in autos:
+                t = number[frozenset(image(phi, v) for v in span)]
+                if t not in orbit:
+                    orbit.add(t)
+                    todo.append(t)
+        seen |= orbit
+        out.append((rows, len(orbit)))
+    return out
+
+
+ORBIT_ORACLE_F2 = {
+    **{name: SMALL_F2[name] for name in ("quaternion-F2-II", "quaternion-F2-III", "quaternion-F2-IV")},
+    "quaternion-F2-II-zero-extended": lambda: _zero_extended(SMALL_F2["quaternion-F2-II"]()),
+}
+
+
+@pytest.mark.parametrize("chunk", (2048, 7))
+@pytest.mark.parametrize("name", sorted(ORBIT_ORACLE_F2))
+def test_orbit_forms_match_a_set_closure(monkeypatch, name, chunk):
+    a = ORBIT_ORACLE_F2[name]()
+    autos = gf2autos.find_automorphisms(_gf2_lane(a).products, a.dim)
+    assert len(autos) == 3
+    monkeypatch.setattr(gf2orbits, "CHUNK", chunk)
+    for k in range(a.dim + 1):
+        expected = _orbit_oracle(a.dim, k, autos)
+        assert sum(size for _, size in expected) == gaussian_binomial(a.dim, k, 2)
+        assert list(gf2orbits.orbit_forms(range(a.dim), k, a.dim, autos)) == expected
+
+
 @pytest.mark.parametrize("name", ("quaternion-F2-II", "quaternion-F2-III", "quaternion-F2-IV"))
 def test_automorphism_proof_rejects_perturbed_products_and_singular_maps(name):
     a = SMALL_F2[name]()
