@@ -39,6 +39,8 @@ recordings of one commit give the same ones. Once per side and workload it
 also stores the tracemalloc peak of one pass of the workload's jobs, after
 the set-up of seed 1, as `jobs_peak_mb`: the memory the jobs allocate,
 without the interpreter, the imports made before them, or the inputs.
+Objects that sit in CPython's free lists count as allocated, so a set-up
+that frees fewer objects can raise it by a few tens of KB.
 
 The head's results sit at the top level of the file, as in a file without a
 base. With `--base`, `base` holds the same keys for the base commit, and
