@@ -33,9 +33,9 @@ holds the median `wall_s` and `cpu_s` and the runs with their seconds per
 case. With `--tier1` the tier-1 pytest run is timed the same way, under
 `tier1`. It counts the lines and bytes of every module in `src/complen/`.
 Once per side it runs verify-paper `--jobs 1` under cProfile with
-`PYTHONHASHSEED=0` and stores the Python calls per module under
-`verify_paper_calls`; these counts do not depend on the host, and two
-recordings of one commit give the same ones. Once per side and workload it
+`PYTHONHASHSEED=0`, `decimal` and `fractions` imported first, and stores the
+Python calls per module under `verify_paper_calls`; these counts do not
+depend on the host, and two recordings of one commit give the same ones. Once per side and workload it
 also stores the tracemalloc peak of one pass of the workload's jobs, after
 the set-up of seed 1, as `jobs_peak_mb`: the memory the jobs allocate,
 without the interpreter, the imports made before them, or the inputs.
@@ -212,8 +212,10 @@ def verify_paper(root: Path) -> dict:
 # One verify-paper run under cProfile; prints {module: Python calls}. complen
 # modules are keyed by file name, C functions by "(builtins)", the rest by
 # "(other)"; PYTHONHASHSEED=0 fixes set and dict orders, so counts repeat.
+# decimal and fractions load before the profiled run, so that no count
+# depends on which case happens to import them first
 PROFILE = """
-import cProfile, collections, contextlib, io, json, os, pstats, sys
+import cProfile, collections, contextlib, decimal, fractions, io, json, os, pstats, sys
 from complen.cli import main
 prof = cProfile.Profile()
 with contextlib.redirect_stdout(io.StringIO()):

@@ -9,13 +9,15 @@ proves that the descending laws validate_report checks (no plateau before
 the chain's end, the flexible and alternative length floors) hold for the
 chain; it selects no algorithm.
 
-The recursion is incremental. Each level is a Subspace snapshot, and
-inserting into a Subspace never rewrites a stored row, so the rows a level
-adds (those whose pivots the level below lacks) span it modulo that level.
-Lin_k is built from products of rows added at levels i and k-i, so the chain
-stops as soon as the span is the whole algebra, or when k > 2L, L the last
-level that added rows: past 2L one factor of every pair is empty, and the
-chain is stable there.
+The recursion is incremental. Inserting into an echelon never rewrites a
+stored row, so the rows a level adds (those whose pivots the level below
+lacks) span it modulo that level. Lin_k is built from products of rows added
+at levels i and k-i, so the chain stops as soon as the span is the whole
+algebra, or when k > 2L, L the last level that added rows: past 2L one
+factor of every pair is empty, and the chain is stable there. Over Q and
+prime fields it runs on the integer lane's echelon (fraction-free over Q);
+the Subspace chain, _general_spans, is the reference and serves extension
+fields.
 
 The length search is one loop of three parts. A source yields weighted
 items in a fixed order: seeded random subspaces, or those of the one
@@ -38,15 +40,18 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import AlgebraTable, Element
 from .checkers import DESCENDING, descending_kinds, validate_report
 from .errors import (
     CostCapExceeded,
+    DimensionMismatch,
     InfiniteField,
     InvariantViolation,
     ModeUnjustified,
@@ -114,11 +119,6 @@ def has_descending_certificate(a: AlgebraTable) -> bool:
     return any(name in a.certificates for name in DESCENDING)
 
 
-def _lin0(a: AlgebraTable) -> Subspace:
-    e = a.unit_element()
-    return Subspace.span(a.field, a.dim, [] if e is None else [e])
-
-
 def _new_rows(old: Subspace, new: Subspace) -> list:
     """Rows of new whose pivots old lacks: new = old + their span, because
     inserting into a forward-reduced store never rewrites a stored row."""
@@ -127,7 +127,10 @@ def _new_rows(old: Subspace, new: Subspace) -> list:
 
 
 def _general_spans(a: AlgebraTable, s: Sequence[Element]):
-    lin0 = _lin0(a)
+    """The chain on Subspace snapshots, inserted product by product: the
+    reference lane, and the one lin_spans runs over extension fields."""
+    e = a.unit_element()
+    lin0 = Subspace.span(a.field, a.dim, [] if e is None else [e])
     spans = [lin0, lin0.sum(Subspace.span(a.field, a.dim, s))]
     # new[i] spans Lin_i modulo Lin_{i-1}, kept for level 1 and the levels that
     # added rows; the unit row of Lin_0 only ever yields shorter words, so
@@ -150,12 +153,40 @@ def _general_spans(a: AlgebraTable, s: Sequence[Element]):
     return spans[: max(last, 1) + 1]
 
 
+def _integral(v) -> list:
+    """v times the lcm of its entries' denominators: ints on the same line."""
+    m = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (m // x.denominator) for x in v]
+
+
+def _int_spans(a: AlgebraTable, s: Sequence[Element]) -> list:
+    """The spans of _general_spans over Q or GF(p) from the integer lane: Lin_k
+    is one Subspace of the rows levels 0..k added, each divided by its pivot
+    entry; 0 left of distinct pivots is all Subspace.reduce needs."""
+    for v in s:
+        if len(v) != a.dim:
+            raise DimensionMismatch(f"vector length {len(v)} in ambient {a.dim}")
+    _, new = _int_lane(a).chain([_integral(v) for v in s])
+    rows, spans = [], []  # (pivot, row) pairs
+    for k in range(max(new) + 1):
+        for r in new.get(k, ()):
+            p = next(i for i, x in enumerate(r) if x)
+            c = r[p]
+            rows.append((p, r if c == 1 else tuple(
+                x // c if x % c == 0 else Fraction(x, c) for x in r)))
+        rows.sort()
+        spans.append(Subspace(a.field, a.dim, tuple(r for _, r in rows), tuple(p for p, _ in rows)))
+    return spans
+
+
 def lin_spans(a: AlgebraTable, s: Sequence[Element], mode: str = "general") -> LengthReport:
     """Nested spans and difference sequence of a set of elements.
 
     Both modes run the general recursion. mode "descending" also requires a
     cached descending certificate on the algebra, the proof that the
     descending laws apply to the chain, and raises ModeUnjustified without one.
+    Over Q and prime fields the chain runs on the integer lane (_int_spans),
+    over extension fields on the reference Subspace chain (_general_spans).
     """
     if mode not in ("general", "descending"):
         raise ModeUnjustified(f"unknown mode {mode!r}")
@@ -164,7 +195,8 @@ def lin_spans(a: AlgebraTable, s: Sequence[Element], mode: str = "general") -> L
             "descending mode needs a descending certificate on the algebra; "
             "run check_descending or acquire_descending_certificates first"
         )
-    spans = _general_spans(a, s)
+    q = a.field.cardinality()
+    spans = _general_spans(a, s) if q and q != a.field.characteristic() else _int_spans(a, s)
     dims = [sp.dim for sp in spans]
     d = _trim([dims[0]] + [dims[k] - dims[k - 1] for k in range(1, len(dims))])
     return LengthReport(
@@ -323,9 +355,9 @@ def _exhaustive_source(a: AlgebraTable, forms) -> Iterator[tuple]:
 # sequence of a generating item and None otherwise; encode is the row encoder
 # that _forms(columns, k, q, encode) builds the lane's items with, an item being
 # the tuple of its rows; as_subspace(item) turns the witness item into a
-# Subspace; and the GF(2) lane keeps its product table prod[x][y] in products
-# for the automorphism search. gf2-bitmask takes bitmask rows over F2, and
-# span:general and gfp-int tuples of scalars (residues over a prime field).
+# Subspace; the GF(2) lane keeps its product table prod[x][y] in products
+# for the automorphism search, and the integer lane its chain for lin_spans.
+# gf2-bitmask takes bitmask rows over F2, span:general and gfp-int scalars.
 
 
 @dataclass(frozen=True)
@@ -335,17 +367,19 @@ class _Lane:
     encode: Callable
     as_subspace: Callable
     products: Optional[list] = None
+    chain: Optional[Callable] = None
 
 
 def _chain_d(dim: int, d0: int, first: list, red: list, level: Callable):
     """The recursion of _general_spans on a lane's echelon red, which holds
     Lin_0 (d0 rows) and the rows first that S added: the trimmed difference
-    sequence, or None when the chain stops short of dim.
+    sequence, or None when the chain stops short of dim, and the rows new.
 
     level(red, new, k, room) inserts the products of the rows first added at
     levels i and k - i (new[i] and new[k - i]) into red and returns the rows
     it added, stopping at room rows. d[k] counts the rows first added at
-    level k, so the span's rank is sum(d).
+    level k, so the span's rank is sum(d); new[k] lists them (level 1 and
+    the levels that added rows), for lin_spans's snapshots.
     """
     d = [d0, len(first)]
     new, last = {1: first}, 1 if first else 0
@@ -355,7 +389,7 @@ def _chain_d(dim: int, d0: int, first: list, red: list, level: Callable):
         if fresh:
             new[k], last = fresh, k
         d.append(len(fresh))
-    return _trim(d) if sum(d) == dim else None
+    return (_trim(d) if sum(d) == dim else None), new
 
 
 def _span_lane(a: AlgebraTable) -> _Lane:
@@ -435,7 +469,7 @@ def _gf2_lane(a: AlgebraTable) -> _Lane:
                     first.append(v)
                     break
                 v ^= w
-        return _chain_d(dim, d0, first, red, level)
+        return _chain_d(dim, d0, first, red, level)[0]
 
     def as_subspace(s_rows: tuple) -> Subspace:
         rows = [tuple(a.field.from_int(m >> i & 1) for i in range(dim)) for m in s_rows]
@@ -444,13 +478,18 @@ def _gf2_lane(a: AlgebraTable) -> _Lane:
     return _Lane("gf2-bitmask", evaluate, _mask_row, as_subspace, prod)
 
 
-def _gfp_lane(a: AlgebraTable) -> _Lane:
-    """Rows of residues over a prime field GF(p), p odd, with integer products.
+def _int_lane(a: AlgebraTable) -> _Lane:
+    """Rows of ints over Q or a prime field GF(p), with integer products: the
+    chain of lin_spans over both, and the census lane over GF(p), p odd.
 
-    The recursion of _general_spans on tuples of ints, as _gf2_lane runs it on
-    bitmasks: a product sums the nonzero structure constants
-    e_i*e_j = sum c_k e_k in plain ints and leaves the reduction mod p to the
-    echelon, whose row at pivot k is reduced mod p and 1 at k.
+    The recursion of _general_spans on ints, as _gf2_lane runs it on bitmasks:
+    a product sums the nonzero structure constants e_i*e_j = sum c_k e_k in
+    plain ints. Over GF(p) the echelon does the only reduction mod p; its row
+    at pivot k is reduced and 1 at k. Over Q the table is scaled by the lcm
+    of its denominators (Lin_k depends only on lines), and the echelon is
+    fraction-free (Bareiss): v = w[k]*v - v[k]*w, and a new row is stored
+    divided by its gcd, pivot positive. chain(rows) gives _chain_d's
+    (d, new) with new[0] the rows of Lin_0.
     """
     dim, p = a.dim, a.field.characteristic()
     # consts[i] lists (j, k, c) for the nonzero structure constants of e_i:
@@ -460,6 +499,10 @@ def _gfp_lane(a: AlgebraTable) -> _Lane:
         [(j, k, c) for j, v in enumerate(row) for k, c in enumerate(v) if c]
         for row in a.table
     ]
+    if not p:
+        den = math.lcm(*(c.denominator for cs in consts for _, _, c in cs))
+        consts = [[(j, k, c.numerator * (den // c.denominator)) for j, k, c in cs]
+                  for cs in consts]
 
     def multiply(x, y) -> list:
         v = [0] * dim
@@ -471,7 +514,7 @@ def _gfp_lane(a: AlgebraTable) -> _Lane:
                         v[k] += xi * yj * c
         return v
 
-    def insert(red: list, v) -> Optional[tuple]:
+    def insert_mod_p(red: list, v) -> Optional[tuple]:
         """Reduce v by the echelon red and store what is left: the new row,
         or None when v lies in the span."""
         for k in range(dim):
@@ -485,11 +528,24 @@ def _gfp_lane(a: AlgebraTable) -> _Lane:
                 v = [x - c * y for x, y in zip(v, w)]
         return None
 
+    def insert_q(red: list, v) -> Optional[tuple]:
+        for k in range(dim):
+            c = v[k]
+            if c:
+                w = red[k]
+                if w is None:
+                    g = math.gcd(*v) if c > 0 else -math.gcd(*v)
+                    red[k] = w = tuple([x // g for x in v])
+                    return w
+                b = w[k]
+                v = [b * x - c * y for x, y in zip(v, w)]
+        return None
+
+    insert = insert_mod_p if p else insert_q
     red0 = [None] * dim
     e = a.unit_element()
-    if e is not None:
-        insert(red0, e)
-    d0 = int(e is not None)
+    lin0 = [] if e is None else [insert(red0, _integral(e))]
+    d0 = len(lin0)
 
     def level(red: list, new: dict, k: int, room: int) -> list:
         """The rows level k adds to the echelon red, stopping at room rows."""
@@ -505,13 +561,16 @@ def _gfp_lane(a: AlgebraTable) -> _Lane:
                             return fresh
         return fresh
 
-    def evaluate(s_rows: tuple):
+    def chain(s_rows) -> tuple:
         red = red0.copy()
         first = [w for w in (insert(red, v) for v in s_rows) if w is not None]
-        return _chain_d(dim, d0, first, red, level)
+        d, new = _chain_d(dim, d0, first, red, level)
+        new[0] = lin0
+        return d, new
 
-    return _Lane("gfp-int", evaluate, functools.partial(_scalar_row, a.field, dim),
-                 functools.partial(Subspace.span, a.field, dim))
+    return _Lane("gfp-int", lambda s_rows: chain(s_rows)[0],
+                 functools.partial(_scalar_row, a.field, dim),
+                 functools.partial(Subspace.span, a.field, dim), chain=chain)
 
 
 # --- the search loop ---------------------------------------------------------------
@@ -587,7 +646,7 @@ def length_of_algebra(
         q = f.cardinality()
         lane = (
             _gf2_lane(a) if q == 2
-            else _gfp_lane(a) if q == f.characteristic()
+            else _int_lane(a) if q == f.characteristic()
             else _span_lane(a)
         )
         forms = functools.partial(_plain_forms, q=q, encode=lane.encode)

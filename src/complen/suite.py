@@ -478,6 +478,9 @@ def run_suite(filter_glob: Optional[str] = None, jobs: int = 1, fmt: str = "tsv"
     cases = select_cases(filter_glob)
     if not cases:
         raise ComplenError(f"no suite case matches the filter {filter_glob!r}")
+    # polarized checks batch only once numpy is loaded; load it for every case
+    import numpy  # noqa: F401
+
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -323,6 +323,34 @@ def test_cli_length_set_general(tmp_path, capsys):
     assert doc["length"] == 4 and doc["generating"] is True
 
 
+def test_cli_length_set_reads_fractions(tmp_path, capsys):
+    # over Q lin_spans runs the integer lane; fractional entries and a table
+    # with fractional structure constants give the report the Subspace chain gave
+    path = str(tmp_path / "quat.json")
+    _run(capsys, "construct", "--family", "hurwitz", "--field", "Q",
+         "--params", "from-field,1/2,-3", "--out", path)
+    code, out, _ = _run(capsys, "length-set", "--algebra", path, "--set", "1/2,1,0,-3/4")
+    assert code == 0
+    assert json.loads(out) == {
+        "certificates": {}, "d": [1, 1], "dims": [1, 2], "generating": False, "length": 1,
+        "mode": "general", "set": [["1/2", "1", "0", "-3/4"]],
+    }
+    code, out, _ = _run(capsys, "length-set", "--algebra", path,
+                        "--set", "0,1/2,0,0;0,0,2/3,0", "--mode", "descending")
+    assert code == 0
+    routes = {"descending-alternative": "closed-forms", "descending-flexible": "closed-forms"}
+    assert json.loads(out) == {
+        "certificates": routes, "d": [1, 2, 1], "dims": [1, 3, 4], "generating": True,
+        "length": 2, "mode": "descending", "set": [["0", "1/2", "0", "0"], ["0", "0", "2/3", "0"]],
+    }
+    # a vector of the wrong length is refused while the set is parsed
+    code, out, err = _run(capsys, "length-set", "--algebra", path, "--set", "1,0,0")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ParseError", "message": "vector '1,0,0' has 3 coordinates, need 4",
+    }
+
+
 def test_cli_length_set_descending_modes(tmp_path, capsys):
     # a dim-16 doubling carries no descending certificate and none is acquirable
     path = str(tmp_path / "a16.json")

@@ -2,10 +2,14 @@
 
 import functools
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
+import sys
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,7 @@ from complen.constructors import (
 from complen import gf2autos, gf2orbits
 from complen.errors import (
     CostCapExceeded,
+    DimensionMismatch,
     InfiniteField,
     InvariantViolation,
     ModeUnjustified,
@@ -34,12 +39,14 @@ from complen.length import (
     ORBIT_FLOOR,
     _exhaustive_source,
     _forms,
+    _general_spans,
     _gf2_lane,
-    _gfp_lane,
+    _int_lane,
     _mask_row,
     _plain_forms,
     count_subspaces,
     enumerate_subspaces,
+    has_descending_certificate,
     length_of_algebra,
     lin_spans,
 )
@@ -300,7 +307,7 @@ def test_enumeration_order_is_pinned():
         assert list(_forms(range(3), k, 2, _mask_row)) == masks
     # a lane's items on the plane x_1 = 0 of F3^3, as the unit quotient walks
     # a hyperplane: the same lines with a zero middle coordinate
-    assert list(_forms([0, 2], 1, 3, _gfp_lane(_zero_table(F3, 3)).encode)) == [
+    assert list(_forms([0, 2], 1, 3, _int_lane(_zero_table(F3, 3)).encode)) == [
         ((r[0], 0, r[1]),) for (r,) in LINES_F3_2
     ]
 
@@ -394,18 +401,29 @@ def test_gf9_quaternion_census_and_file_are_pinned():
 # --- the unit quotient -------------------------------------------------------------
 
 
+def _reference_dict(a, s, mode="general", spans=None):
+    """lin_spans(a, s, mode).as_dict() read from the Subspace reference
+    chain, _general_spans, which lin_spans runs only over extension fields."""
+    dims = [sp.dim for sp in (spans or _general_spans(a, s))]
+    d = [dims[0]] + [y - x for x, y in zip(dims, dims[1:])]
+    while len(d) > 1 and not d[-1]:
+        d.pop()
+    return {"d": d, "length": len(d) - 1, "generating": sum(d) == a.dim, "mode": mode,
+            "dims": dims}
+
+
 def _reference_search(a):
-    """Every nonzero subspace through lin_spans in general mode: census,
+    """Every nonzero subspace through the Subspace reference chain: census,
     enumerated count, best length and the first maximal subspace's rows."""
     census, enumerated, best, witness = Counter(), 0, -1, None
     for k in range(1, a.dim + 1):
         for sub in enumerate_subspaces(a.field, a.dim, k):
             enumerated += 1
-            rep = lin_spans(a, sub.basis, mode="general")
-            if rep.generating:
-                census[rep.d] += 1
-                if rep.length > best:
-                    best, witness = rep.length, sub
+            ref = _reference_dict(a, sub.basis)
+            if ref["generating"]:
+                census[tuple(ref["d"])] += 1
+                if ref["length"] > best:
+                    best, witness = ref["length"], sub
     return dict(census), enumerated, best, witness.rows
 
 
@@ -574,8 +592,9 @@ SMALL_F2 = {
 
 
 def _general_d(a, basis):
-    rep = lin_spans(a, basis, mode="general")
-    return rep.d if rep.generating else None
+    """d of the Subspace reference chain when basis generates, else None."""
+    ref = _reference_dict(a, basis)
+    return tuple(ref["d"]) if ref["generating"] else None
 
 
 @pytest.mark.parametrize("cleared", (False, True), ids=("as-built", "certificates-cleared"))
@@ -634,7 +653,7 @@ def test_gfp_lane_matches_general_spans_on_every_subspace(name, cleared):
     a = SMALL_FP[name]()
     if cleared:
         a.certificates.clear()
-    lane = _gfp_lane(a)
+    lane = _int_lane(a)
     inner_plateaus = 0
     for k in range(1, a.dim + 1):
         subs = list(_forms(range(a.dim), k, a.field.cardinality(), lane.encode))
@@ -686,6 +705,121 @@ def test_gf2_lane_matches_general_spans_on_dim8_samples(name, cleared):
     for _ in range(300):
         rows = tuple(rng.randrange(1, 256) for _ in range(rng.randint(1, 4)))
         assert lane.evaluate(rows) == _general_d(a, lane.as_subspace(rows).basis), (name, rows)
+
+
+# --- lin_spans against the Subspace chain ------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the module runs
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _spans_q_pairs(seed):
+    """(algebra, set) pairs of perfbench's spans-Q workload for one seed."""
+    inputs = _perfbench_workloads().SPANS_Q.setup(seed)
+    return [(inputs["algebras"][name], vectors) for _, name, vectors in inputs["sets"]]
+
+
+def _seeded_pairs(a, seed, count=20):
+    """count seeded sets of 0-3 vectors over a's field, each paired with a:
+    uniform residues over a finite field, small fractions over Q."""
+    rng = random.Random(seed)
+    q = a.field.cardinality()
+
+    def scalar():
+        if q:
+            return rng.randrange(q)
+        return rng.choice((0, 0, Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)))
+
+    return [(a, [tuple(scalar() for _ in range(a.dim)) for _ in range(rng.randint(0, 3))])
+            for _ in range(count)]
+
+
+def _edge_pairs(a):
+    """Fraction entries, zero vectors, repeated vectors and the empty set."""
+    zero = (0,) * a.dim
+    v = tuple(Fraction(i - 1, 2) for i in range(a.dim))
+    w = tuple(Fraction(3, i + 1) if i % 2 else Fraction(-2) for i in range(a.dim))
+    return [(a, s) for s in (
+        [], [zero], [zero, zero], [v], [v, v], [v, tuple(2 * x for x in v)], [zero, v, w, v],
+        [w, v], [a.basis_element(a.dim - 1), w], [a.unit_element() or w, v],
+    )]
+
+
+def _q_tower(*params):
+    return make_hurwitz_tower(Q, None, tuple(Fraction(x) for x in params))
+
+
+LIN_SPANS_CASES = {
+    **{f"spans-Q-seed{seed}": functools.partial(_spans_q_pairs, seed) for seed in (1, 2, 3)},
+    # structure constants 1/2 and 3/2 over Q: the table is scaled to integers
+    "quaternion-Q-half-minus3": lambda: (
+        _edge_pairs(_q_tower("1/2", -3)) + _seeded_pairs(_q_tower("1/2", -3), 0, 40)
+    ),
+    "octonion-Q-fractions": lambda: (
+        _edge_pairs(_q_tower("1/2", -3, "2/3")) + _seeded_pairs(_q_tower("1/2", -3, "2/3"), 1)
+    ),
+    "octonion-Q-IV-fractions": lambda: _seeded_pairs(
+        standard_twist(_q_tower("-1/3", 2, "5/4"), "IV"), 2
+    ),
+    **{f"{name}-seeded": (lambda name=name: _seeded_pairs(SMALL_FP[name](), name))
+       for name in SMALL_FP},
+    **{f"{name}-seeded": (lambda name=name: _seeded_pairs(SMALL_F2[name](), name))
+       for name in SMALL_F2},
+}
+
+
+def _assert_stored_rows(sp, p):
+    """sp's stored rows as Subspace.insert keeps them: pivots increasing, each
+    row 1 at its pivot and 0 left of it, every entry a reduced scalar."""
+    assert list(sp.pivots) == sorted(set(sp.pivots)) and len(sp.basis) == len(sp.pivots)
+    for row, piv in zip(sp.basis, sp.pivots):
+        assert len(row) == sp.ambient and row[piv] == 1 and not any(row[:piv])
+        for x in row:
+            if p:
+                assert type(x) is int and 0 <= x < p
+            else:
+                assert type(x) is int or x.denominator != 1
+
+
+@pytest.mark.parametrize("case", sorted(LIN_SPANS_CASES))
+def test_lin_spans_matches_the_subspace_chain(case):
+    """Over Q and prime fields lin_spans runs the integer lane: its whole
+    report (d, length, generating, the spans and as_dict) equals the one read
+    from the Subspace chain, in both modes."""
+    for a, s in LIN_SPANS_CASES[case]():
+        spans = _general_spans(a, s)
+        for mode in ("general", "descending"):
+            if mode == "descending" and not has_descending_certificate(a):
+                with pytest.raises(ModeUnjustified):
+                    lin_spans(a, s, mode)
+                continue
+            ref = _reference_dict(a, s, mode, spans)
+            rep = lin_spans(a, s, mode)
+            assert rep.as_dict() == ref, (case, s)
+            assert (list(rep.d), rep.length, rep.generating) == (
+                ref["d"], ref["length"], ref["generating"])
+            assert list(rep.spans) == spans, (case, s)
+            for sp in rep.spans:
+                _assert_stored_rows(sp, a.field.characteristic())
+
+
+@pytest.mark.parametrize("field", (Q, F2, F3, field_make("F3^2:1,0,1")), ids=str)
+def test_lin_spans_checks_vector_lengths(field):
+    # the integer lane keeps the length check that Subspace.span makes
+    mu = field.one() if field.characteristic() == 2 else None
+    a = make_hurwitz_tower(field, mu, (field.one(),) * (1 if mu else 2))
+    with pytest.raises(DimensionMismatch, match="vector length 3 in ambient 4"):
+        lin_spans(a, [a.basis_element(1), (0, 1, 0)])
+    with pytest.raises(DimensionMismatch, match="vector length 5 in ambient 4"):
+        lin_spans(a, [(0,) * 5], mode="descending")
 
 
 # --- the orbit census over GF(2) ---------------------------------------------------
