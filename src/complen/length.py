@@ -127,8 +127,7 @@ def _new_rows(old: Subspace, new: Subspace) -> list:
 
 
 def _general_spans(a: AlgebraTable, s: Sequence[Element]):
-    """The chain on Subspace snapshots, inserted product by product: the
-    reference lane, and the one lin_spans runs over extension fields."""
+    """The chain on Subspace snapshots: the reference, run over extension fields."""
     e = a.unit_element()
     lin0 = Subspace.span(a.field, a.dim, [] if e is None else [e])
     spans = [lin0, lin0.sum(Subspace.span(a.field, a.dim, s))]
@@ -166,7 +165,7 @@ def _int_spans(a: AlgebraTable, s: Sequence[Element]) -> list:
     for v in s:
         if len(v) != a.dim:
             raise DimensionMismatch(f"vector length {len(v)} in ambient {a.dim}")
-    _, new = _int_lane(a).chain([_integral(v) for v in s])
+    new = _int_lane(a).chain([_integral(v) for v in s])
     rows, spans = [], []  # (pivot, row) pairs
     for k in range(max(new) + 1):
         for r in new.get(k, ()):
@@ -488,8 +487,8 @@ def _int_lane(a: AlgebraTable) -> _Lane:
     at pivot k is reduced and 1 at k. Over Q the table is scaled by the lcm
     of its denominators (Lin_k depends only on lines), and the echelon is
     fraction-free (Bareiss): v = w[k]*v - v[k]*w, and a new row is stored
-    divided by its gcd, pivot positive. chain(rows) gives _chain_d's
-    (d, new) with new[0] the rows of Lin_0.
+    divided by its gcd, pivot positive. chain(rows) gives _chain_d's new,
+    new[0] the rows of Lin_0; the census evaluates without it.
     """
     dim, p = a.dim, a.field.characteristic()
     # consts[i] lists (j, k, c) for the nonzero structure constants of e_i:
@@ -561,15 +560,17 @@ def _int_lane(a: AlgebraTable) -> _Lane:
                             return fresh
         return fresh
 
-    def chain(s_rows) -> tuple:
+    def evaluate(s_rows: tuple):
         red = red0.copy()
         first = [w for w in (insert(red, v) for v in s_rows) if w is not None]
-        d, new = _chain_d(dim, d0, first, red, level)
-        new[0] = lin0
-        return d, new
+        return _chain_d(dim, d0, first, red, level)[0]
 
-    return _Lane("gfp-int", lambda s_rows: chain(s_rows)[0],
-                 functools.partial(_scalar_row, a.field, dim),
+    def chain(s_rows) -> dict:
+        red = red0.copy()
+        first = [w for w in (insert(red, v) for v in s_rows) if w is not None]
+        return {0: lin0, **_chain_d(dim, d0, first, red, level)[1]}
+
+    return _Lane("gfp-int", evaluate, functools.partial(_scalar_row, a.field, dim),
                  functools.partial(Subspace.span, a.field, dim), chain=chain)
 
 
