@@ -35,10 +35,11 @@ case. With `--tier1` the tier-1 pytest run is timed the same way, under
 Once per side it runs verify-paper `--jobs 1` under cProfile with
 `PYTHONHASHSEED=0`, `decimal` and `fractions` imported first, and stores the
 Python calls per module under `verify_paper_calls`; these counts do not
-depend on the host, and two recordings of one commit give the same ones. Once per side and workload it
-also stores the tracemalloc peak of one pass of the workload's jobs, after
-the set-up of seed 1, as `jobs_peak_mb`: the memory the jobs allocate,
-without the interpreter, the imports made before them, or the inputs.
+depend on the host, and two recordings of one commit give the same ones.
+Once per side and workload it also stores the tracemalloc peak of one pass
+of the workload's jobs, after the set-up of seed 1, as `jobs_peak_mb`: the
+memory the jobs allocate, without the interpreter, the imports made before
+them, or the inputs.
 Objects that sit in CPython's free lists count as allocated, so a set-up
 that frees fewer objects can raise it by a few tens of KB.
 
