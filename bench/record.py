@@ -214,21 +214,25 @@ def verify_paper(root: Path) -> dict:
 # modules are keyed by file name, C functions by "(builtins)", the rest by
 # "(other)"; PYTHONHASHSEED=0 fixes set and dict orders, so counts repeat.
 # decimal and fractions load before the profiled run, so that no count
-# depends on which case happens to import them first
+# depends on which case happens to import them first. Calls are summed per
+# code object: pstats keys them by (file, line, name), which keeps only one
+# of two comprehensions on one line, picked by their memory addresses
 PROFILE = """
-import cProfile, collections, contextlib, decimal, fractions, io, json, os, pstats, sys
+import cProfile, collections, contextlib, decimal, fractions, io, json, os, sys
 from complen.cli import main
 prof = cProfile.Profile()
 with contextlib.redirect_stdout(io.StringIO()):
     prof.runcall(main, ["verify-paper", "--jobs", "1", "--format", "json"])
 calls = collections.Counter()
-for (path, _, _), (_, n, *_) in pstats.Stats(prof).stats.items():
-    base = os.path.basename(path)
-    if path == "~":
+for entry in prof.getstats():
+    if isinstance(entry.code, str):
         base = "(builtins)"
-    elif os.path.basename(os.path.dirname(path)) != "complen":
-        base = "(other)"
-    calls[base] += n
+    else:
+        path = entry.code.co_filename
+        base = os.path.basename(path)
+        if os.path.basename(os.path.dirname(path)) != "complen":
+            base = "(other)"
+    calls[base] += entry.callcount
 print(json.dumps(dict(sorted(calls.items()))))
 """
 
