@@ -20,8 +20,8 @@ from typing import Sequence
 
 # maps searched for: on the isotropic Okubo table over F2 the first two found
 # leave 17 657 orbits, three leave 2 158; on the F2 octonions, over the unit
-# quotient, one leaves 9 812 items and two or three 56. Each map costs one
-# pass of images
+# quotient, one leaves 9 812 items and two or three 56. Each map adds one
+# row of images to every block of the orbit pass and one permutation array
 AUTOMORPHISMS = 3
 # graph closures before the search keeps what it has; the dim-8 tables of the
 # tests need at most 205 to find three maps, and the whole budget takes
@@ -48,23 +48,33 @@ def _reduce(red: dict, v: int) -> int:
     return v
 
 
-def _closure_dim(prod, gens: Sequence[int]) -> int:
-    """The dimension of the subalgebra that gens generate."""
-    red, queue = {}, list(gens)
+def _closure(prod, red: dict, x: int) -> dict:
+    """The echelon of the subalgebra that x and the subalgebra with echelon
+    red generate: products of the new rows with every row, red's among
+    themselves lying in red already."""
+    red, queue = dict(red), [x]
     while queue:
         v = _reduce(red, queue.pop())
         if v:
             red[v.bit_length()] = v
             queue += [prod[v][b] for b in red.values()] + [prod[b][v] for b in red.values()]
-    return len(red)
+    return red
 
 
 def _generators(prod, n: int) -> list:
-    """Elements that generate A, each the first to enlarge the subalgebra most."""
-    gens, dim = [], 0
-    while dim < n:
-        dim, first = max((_closure_dim(prod, gens + [x]), -x) for x in range(1, 1 << n))
-        gens.append(-first)
+    """Elements that generate A, each the first to enlarge the subalgebra
+    most; the first that reaches A ends the scan, none can do better."""
+    gens, red = [], {}
+    while len(red) < n:
+        best = red
+        for x in range(1, 1 << n):
+            closed = _closure(prod, red, x)
+            if len(closed) > len(best):
+                best, first = closed, x
+                if len(best) == n:
+                    break
+        gens.append(first)
+        red = best
     return gens
 
 

@@ -666,7 +666,8 @@ def length_of_algebra(
                     e = sum(1 << i for i, x in enumerate(a.unit_element()) if x)
                     low = e & -e
                     autos = [[v ^ e if v & low else v for v in phi] for phi in autos]
-                forms = functools.partial(gf2orbits.orbit_forms, n=a.dim, autos=autos)
+                images = gf2orbits.image_table(a.dim, autos)
+                forms = functools.partial(gf2orbits.orbit_forms, n=a.dim, images=images)
         source = _exhaustive_source(a, forms)
     elif mode == "random":
         if budget < 1:

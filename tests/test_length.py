@@ -7,10 +7,12 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -848,7 +850,9 @@ def _plain_source(a, lane):
 
 
 def _orbit_source(a, autos):
-    return _exhaustive_source(a, functools.partial(gf2orbits.orbit_forms, n=a.dim, autos=autos))
+    images = gf2orbits.image_table(a.dim, autos)
+    forms = functools.partial(gf2orbits.orbit_forms, n=a.dim, images=images)
+    return _exhaustive_source(a, forms)
 
 
 @pytest.mark.parametrize("name", NON_UNITAL_F2)
@@ -909,6 +913,21 @@ def test_dim8_orbit_census_is_pinned(name):
     assert res.stats["violations"] == []
     assert res.stats["lane"] == "gf2-bitmask"
     assert (res.stats["automorphisms"], res.stats["evaluated"]) == (3, orbits)
+
+
+def test_okubo_census_memory_is_bounded():
+    # the tracemalloc peak of this census reads 4.40 MB at CHUNK 8192; the
+    # bound is twice that, so a larger CHUNK cannot trade memory for speed
+    # unnoticed
+    a = DIM8_F2["okubo-isotropic-F2"]()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert length_of_algebra(a, mode="exhaustive").best_length == 4
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.8e6
 
 
 def test_dropping_an_automorphism_leaves_the_census():
@@ -1017,7 +1036,7 @@ def test_orbit_blocks_may_straddle_patterns(monkeypatch):
     lane = _gf2_lane(a)
     autos = gf2autos.find_automorphisms(lane.products, a.dim)
     assert len(autos) == 3
-    assert gf2orbits.CHUNK == 2048
+    assert gf2orbits.CHUNK == 8192
     wide = list(_orbit_source(a, autos))
     # blocks of 7 numbers start inside the patterns and run across their ends
     monkeypatch.setattr(gf2orbits, "CHUNK", 7)
@@ -1068,7 +1087,9 @@ ORBIT_ORACLE_F2 = {
 }
 
 
-@pytest.mark.parametrize("chunk", (2048, 7))
+# the module's block size, a smaller one, one that starts blocks inside the
+# patterns, and one smaller than the number of maps
+@pytest.mark.parametrize("chunk", (gf2orbits.CHUNK, 2048, 7, 1))
 @pytest.mark.parametrize("name", sorted(ORBIT_ORACLE_F2))
 def test_orbit_forms_match_a_set_closure(monkeypatch, name, chunk):
     a = ORBIT_ORACLE_F2[name]()
@@ -1078,7 +1099,97 @@ def test_orbit_forms_match_a_set_closure(monkeypatch, name, chunk):
     for k in range(a.dim + 1):
         expected = _orbit_oracle(a.dim, k, autos)
         assert sum(size for _, size in expected) == gaussian_binomial(a.dim, k, 2)
-        assert list(gf2orbits.orbit_forms(range(a.dim), k, a.dim, autos)) == expected
+        images = gf2orbits.image_table(a.dim, autos)
+        assert list(gf2orbits.orbit_forms(range(a.dim), k, a.dim, images)) == expected
+
+
+def _reduced_echelon(rows):
+    """(pivot mask, rows) of the reduced echelon form of independent bitmask
+    rows, in plain Python: the pivot of a row its lowest bit, pivots
+    increasing."""
+    rest, out, mask = list(rows), [], 0
+    while rest:
+        piv = min(r & -r for r in rest)
+        top = rest.pop(next(i for i, r in enumerate(rest) if r & piv))
+        rest = [r ^ top if r & piv else r for r in rest]
+        out = [r ^ top if r & piv else r for r in out] + [top]
+        mask |= piv
+    return mask, out
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_echelon_of_map_blocks_matches_plain_elimination(n):
+    # rows[r][m, b]: row r of set b's image under map m, as the orbit pass holds them
+    rng = random.Random(n)
+    maps, block = 3, 6
+    for k in range(1, n + 1):
+        sets = []
+        for _ in range(maps * block):
+            rows, span = [], {0}
+            while len(rows) < k:
+                v = rng.randrange(1, 1 << n)
+                if v not in span:
+                    rows.append(v)
+                    span |= {v ^ s for s in span}
+            sets.append(rows)
+        arrays = [
+            np.array([s[r] for s in sets], dtype=np.int16).reshape(maps, block) for r in range(k)
+        ]
+        mask = gf2orbits._echelon(arrays)
+        assert mask.shape == (maps, block) and all(a.dtype == np.int16 for a in arrays)
+        for i, rows in enumerate(sets):
+            m, b = divmod(i, block)
+            assert (int(mask[m, b]), [int(a[m, b]) for a in arrays]) == _reduced_echelon(rows)
+
+
+def test_image_table_applies_each_map():
+    rng = random.Random(0)
+    n = 9
+    autos = [[rng.randrange(1 << n) for _ in range(n)] for _ in range(3)]
+    images = gf2orbits.image_table(n, autos)
+    assert images.shape == (3, 1 << n) and images.dtype == np.int16
+    for m, phi in enumerate(autos):
+        assert images[m].tolist() == [gf2autos._apply(phi, x) for x in range(1 << n)]
+
+
+def _generators_by_max(prod, n):
+    """gf2autos._generators as a plain max over every candidate, each
+    candidate's subalgebra closed from its generators alone."""
+
+    def closure_dim(gens):
+        red, queue = {}, list(gens)
+        while queue:
+            v = gf2autos._reduce(red, queue.pop())
+            if v:
+                red[v.bit_length()] = v
+                queue += [prod[v][b] for b in red.values()] + [prod[b][v] for b in red.values()]
+        return len(red)
+
+    gens, dim = [], 0
+    while dim < n:
+        dim, first = max((closure_dim(gens + [x]), -x) for x in range(1, 1 << n))
+        gens.append(-first)
+    return gens
+
+
+EVERY_F2 = {
+    **{f"small-{name}": make for name, make in SMALL_F2.items()},
+    **{f"dim8-{name}": make for name, make in DIM8_F2.items()},
+    **{f"unital-{name}": make for name, (make, _, _) in UNITAL_F2.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_F2))
+def test_generators_match_the_brute_force_max(name):
+    a = EVERY_F2[name]()
+    prod = _gf2_lane(a).products
+    assert gf2autos._generators(prod, a.dim) == _generators_by_max(prod, a.dim)
+
+
+def test_generators_are_pinned_on_the_octonions_and_okubo():
+    for name, gens in (("octonion-F2", [2, 4, 16]), ("okubo-isotropic-F2", [1, 4])):
+        a = DIM8_F2[name]()
+        assert gf2autos._generators(_gf2_lane(a).products, a.dim) == gens
 
 
 @pytest.mark.parametrize("name", ("quaternion-F2-II", "quaternion-F2-III", "quaternion-F2-IV"))
