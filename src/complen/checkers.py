@@ -100,28 +100,38 @@ class _Form:
     scalar: bool = False
 
 
-def _twist_context(a: AlgebraTable):
-    """(type, unit) for the standard closed-form identities.
-
-    A unital table with no twist metadata is its own type I; non-unital tables
-    need the metadata written by standard_twist.
-    """
-    if a.twist_type is not None:
-        if a.parent_unit is None:
-            raise MissingUnit("twist metadata lacks the parent unit")
-        return a.twist_type, a.parent_unit
-    e = a.unit_element()
-    if e is None:
-        raise MissingUnit(
-            "standard closed forms need a unit or twist metadata; none present"
-        )
-    return "I", e
-
-
 def _require_quad(a: AlgebraTable) -> QuadraticForm:
     if a.quad is None:
         raise MissingQuadraticForm("this identity needs the quadratic form")
     return a.quad
+
+
+def _unit(a: AlgebraTable, ar, identity: str):
+    """a's unit in the arithmetic ar, for an identity that needs the norm too."""
+    _require_quad(a)
+    e = a.unit_element()
+    if e is None:
+        raise MissingUnit(f"{identity} needs the unit")
+    return ar.element(e)
+
+
+def _conj(ar, e) -> Callable:
+    """conj(x) = t(x)e - x in the arithmetic ar, with t(x) = n(x, e)."""
+    return lambda x: ar.sub(ar.scale(ar.polar(x, e), e), x)
+
+
+def _twist_context(a: AlgebraTable, ar):
+    """(type, unit in the arithmetic ar) for the standard closed-form identities.
+
+    A unital table with no twist metadata is its own type I; non-unital tables
+    need the metadata written by standard_twist. The forms need the norm too.
+    """
+    if a.twist_type is None:
+        return "I", _unit(a, ar, "standard closed forms without twist metadata")
+    _require_quad(a)
+    if a.parent_unit is None:
+        raise MissingUnit("twist metadata lacks the parent unit")
+    return a.twist_type, ar.element(a.parent_unit)
 
 
 class _PointArithmetic:
@@ -160,7 +170,9 @@ class _PointArithmetic:
 def _identity_forms(a: AlgebraTable, identity: str, ar=None) -> list[_Form]:
     """The forms of identity on a, computing in ar (a's per-point arithmetic
     by default). The table's unit, norm and twist data decide which forms
-    exist; ar only computes."""
+    exist; ar only computes. The catalog: flexible, alternative, quadratic,
+    regular-involution, involution, symmetric, form-associativity,
+    composition, two-product, para-unit and standard-products."""
     ar = ar or _PointArithmetic(a)
     f = ar.scalars
     mul, add, sub, scale = ar.mul, ar.add, ar.sub, ar.scale
@@ -184,11 +196,7 @@ def _identity_forms(a: AlgebraTable, identity: str, ar=None) -> list[_Form]:
         ]
 
     if identity == "quadratic":
-        _require_quad(a)
-        e = a.unit_element()
-        if e is None:
-            raise MissingUnit("quadratic identity needs the unit")
-        e, n, pol = ar.element(e), ar.n, ar.polar
+        e, n, pol = _unit(a, ar, identity), ar.n, ar.polar
 
         def g(x):
             v = sub(mul(x, x), scale(pol(x, e), x))
@@ -197,14 +205,8 @@ def _identity_forms(a: AlgebraTable, identity: str, ar=None) -> list[_Form]:
         return [_Form("quadratic", g, 1, quadratic=1)]
 
     if identity == "regular-involution":
-        _require_quad(a)
-        e = a.unit_element()
-        if e is None:
-            raise MissingUnit("regular involution needs the unit")
-        e, n, pol = ar.element(e), ar.n, ar.polar
-
-        def conj(x):
-            return sub(scale(pol(x, e), e), x)
+        e, n = _unit(a, ar, identity), ar.n
+        conj = _conj(ar, e)
 
         def g1(x):
             return sub(mul(x, conj(x)), scale(n(x), e))
@@ -216,6 +218,18 @@ def _identity_forms(a: AlgebraTable, identity: str, ar=None) -> list[_Form]:
             _Form("x-conj(x)", g1, 1, quadratic=1),
             _Form("conj(x)-x", g2, 1, quadratic=1),
         ]
+
+    if identity == "involution":
+        # conj is an anti-automorphism of order two (conj(e) = e follows)
+        conj = _conj(ar, _unit(a, ar, identity))
+
+        def g1(x):
+            return sub(conj(conj(x)), x)
+
+        def g2(x, y):
+            return sub(conj(mul(x, y)), mul(conj(y), conj(x)))
+
+        return [_Form("conj(conj(x))", g1, 1), _Form("conj(x*y)", g2, 2)]
 
     if identity == "symmetric":
         _require_quad(a)
@@ -252,9 +266,8 @@ def _identity_forms(a: AlgebraTable, identity: str, ar=None) -> list[_Form]:
         return [_Form("composition", g, 2, quadratic=2, scalar=True)]
 
     if identity == "two-product":
-        _require_quad(a)
-        ttype, e = _twist_context(a)
-        e, pol = ar.element(e), ar.polar
+        ttype, e = _twist_context(a, ar)
+        pol = ar.polar
 
         def t(x):
             return pol(x, e)
@@ -281,14 +294,10 @@ def _identity_forms(a: AlgebraTable, identity: str, ar=None) -> list[_Form]:
         return [_Form(f"two-product-{ttype}", g, 2)]
 
     if identity == "para-unit":
-        _require_quad(a)
-        ttype, e = _twist_context(a)
+        ttype, e = _twist_context(a, ar)
         if ttype != "IV":
             raise UnknownIdentity("para-unit only applies to type IV tables")
-        e, pol = ar.element(e), ar.polar
-
-        def conj(x):
-            return sub(scale(pol(x, e), e), x)
+        conj = _conj(ar, e)
 
         def g(x):
             return sub(mul(e, x), conj(x))
@@ -325,17 +334,14 @@ def _standard_product_forms(a: AlgebraTable, ar) -> list[_Form]:
     the III forms are the II forms evaluated with the reversed product, named
     by the mirrored words.
     """
-    _require_quad(a)
-    ttype, e = _twist_context(a)
-    f, e = ar.scalars, ar.element(e)
+    ttype, e = _twist_context(a, ar)
+    f = ar.scalars
     mul, add, sub, scale = ar.mul, ar.add, ar.sub, ar.scale
     n, pol = ar.n, ar.polar
+    conj = _conj(ar, e)
 
     def t(x):
         return pol(x, e)
-
-    def conj(x):
-        return sub(scale(t(x), e), x)
 
     def emit(named):
         return [_Form(f"{ttype}:{name}", g, 2, quadratic=1) for name, g in named]

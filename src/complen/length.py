@@ -42,6 +42,7 @@ import functools
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -477,6 +478,11 @@ def _gf2_lane(a: AlgebraTable) -> _Lane:
     return _Lane("gf2-bitmask", evaluate, _mask_row, as_subspace, prod)
 
 
+# each table's integer lane, built once: nothing changes a table's structure
+# constants or unit after construction, and the lane holds no reference to it
+_LANES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _int_lane(a: AlgebraTable) -> _Lane:
     """Rows of ints over Q or a prime field GF(p), with integer products: the
     chain of lin_spans over both, and the census lane over GF(p), p odd.
@@ -490,6 +496,8 @@ def _int_lane(a: AlgebraTable) -> _Lane:
     divided by its gcd, pivot positive. chain(rows) gives _chain_d's new,
     new[0] the rows of Lin_0; the census evaluates without it.
     """
+    if a in _LANES:
+        return _LANES[a]
     dim, p = a.dim, a.field.characteristic()
     # consts[i] lists (j, k, c) for the nonzero structure constants of e_i:
     # e_i*e_j = sum c e_k; grouped by i, this measured faster than one flat
@@ -570,8 +578,9 @@ def _int_lane(a: AlgebraTable) -> _Lane:
         first = [w for w in (insert(red, v) for v in s_rows) if w is not None]
         return {0: lin0, **_chain_d(dim, d0, first, red, level)[1]}
 
-    return _Lane("gfp-int", evaluate, functools.partial(_scalar_row, a.field, dim),
-                 functools.partial(Subspace.span, a.field, dim), chain=chain)
+    lane = _LANES[a] = _Lane("gfp-int", evaluate, functools.partial(_scalar_row, a.field, dim),
+                             functools.partial(Subspace.span, a.field, dim), chain=chain)
+    return lane
 
 
 # --- the search loop ---------------------------------------------------------------

@@ -78,7 +78,7 @@ def test_polarized_agrees_on_failure():
 # visits card^(dim*arity) tuples per form, so forms above the budget are left
 # to the smaller cases (form-associativity over GF(4) at dim 3)
 POINT_IDENTITIES = ("flexible", "alternative", "symmetric", "form-associativity")
-UNITAL_IDENTITIES = ("quadratic", "regular-involution")
+UNITAL_IDENTITIES = ("quadratic", "regular-involution", "involution")
 DIRECT_BUDGET = 20_000
 
 
@@ -308,8 +308,9 @@ def test_direct_sampled_is_deterministic_per_seed():
 
 # --- batched polarized checks -------------------------------------------------
 
-CATALOG = ("flexible", "alternative", "quadratic", "regular-involution", "symmetric",
-           "form-associativity", "composition", "two-product", "para-unit", "standard-products")
+CATALOG = ("flexible", "alternative", "quadratic", "regular-involution", "involution",
+           "symmetric", "form-associativity", "composition", "two-product", "para-unit",
+           "standard-products")
 
 
 def _typed(v):

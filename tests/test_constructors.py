@@ -112,6 +112,45 @@ def test_tower_levels_satisfy_the_laws_derived_from_the_battery(field):
         a = cayley_dickson_double(a, rng.choice(params))
 
 
+INVOLUTION_TOWERS = {  # (field, etale mu or None for the base field, doubling parameters)
+    "F2": (F2, F2.one(), (1, 1)),
+    "F3": (F3, None, (1, 2, 1)),
+    "F5": (F5, F5.from_int(2), (2, 3)),
+    "Q": (Q, Q.from_int(-1), (2, -3)),
+    "GF4": (GF4, max(GF4.enumerate(), key=GF4.sort_key), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("key", INVOLUTION_TOWERS)
+def test_tower_levels_satisfy_the_involution_law_they_derive(key):
+    # below dimension 16 the doubles derive "involution" from composition and
+    # the battery instead of proving it; it is read here at every level
+    field, mu, params = INVOLUTION_TOWERS[key]
+    a = make_base_algebra(field) if mu is None else make_quadratic_etale(field, mu)
+    levels = [a]
+    for alpha in params:
+        levels.append(cayley_dickson_double(levels[-1], field.from_int(alpha)))
+    assert levels[-1].dim == 8
+    for a in levels:
+        assert check_polarized_identity(a, "involution").holds, a.name
+
+
+@pytest.mark.parametrize("params", ((1, 2), (1, 2, -3)), ids=("dim8", "dim16"))
+def test_doubling_a_corrupted_conjugation_fails_its_self_check(params):
+    # only this base instance conjugates its last basis vector wrongly, so the
+    # double's table is wrong while its own checks read its true conjugation
+    base = make_hurwitz_tower(Q, None, tuple(map(Q.from_int, params)))
+    true_conjugate, last = base.conjugate, base.basis_element(base.dim - 1)
+
+    def conjugate(x):
+        c = true_conjugate(x)
+        return base.add(c, base.unit_element()) if x == last else c
+
+    base.conjugate = conjugate
+    with pytest.raises(SelfCheckFailed):
+        cayley_dickson_double(base, Q.from_int(-1))
+
+
 # --- standard twists ---------------------------------------------------------
 
 
@@ -282,6 +321,13 @@ def test_two_dim_form_products_and_norm():
     # recovered norm x^2 + y^2 + lam*xy
     x = a.add(a.scale(F5.from_int(2), u), a.scale(F5.from_int(3), v))
     assert a.quad_eval(x) == F5.from_int(4 + 9 + 6)
+
+
+@pytest.mark.parametrize("field", (F2, F5, Q), ids=("F2", "F5", "Q"))
+def test_two_dim_form_is_form_associative(field):
+    # _finish_symmetric derives form associativity from the symmetric law
+    a = make_two_dim_form(field, field.one())
+    assert check_polarized_identity(a, "form-associativity").holds
 
 
 def test_two_dim_form_requires_irreducible_cubic():
