@@ -127,7 +127,7 @@ def _twist_context(a: AlgebraTable, ar):
     need the metadata written by standard_twist. The forms need the norm too.
     """
     if a.twist_type is None:
-        return "I", _unit(a, ar, "standard closed forms without twist metadata")
+        return "I", _unit(a, ar, "a standard closed form without twist metadata")
     _require_quad(a)
     if a.parent_unit is None:
         raise MissingUnit("twist metadata lacks the parent unit")
