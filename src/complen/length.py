@@ -42,6 +42,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -289,20 +290,25 @@ def enumerate_subspaces(field: Field, ambient: int, k: int) -> Iterator[Subspace
         yield Subspace(field, ambient, rows, pivots)
 
 
-def _random_subspace(field: Field, ambient: int, rng: random.Random) -> tuple:
+def _random_subspace(field: Field, ambient: int, rng: random.Random, patterns: dict) -> tuple:
     """Uniform dimension, then the rows of a uniform reduced echelon form.
 
     Finite fields: pivot sets weighted by how many echelon forms they carry,
     free entries uniform. Rationals: uniform pivot set, small integer entries.
+    patterns caches, per dimension, the echelon patterns and over a finite
+    field their cumulative weights, for the draws of one search.
     """
     k = rng.randint(1, ambient)
-    patterns = list(_echelon_patterns(range(ambient), k))
-    if field.is_finite():
-        q = field.cardinality()
-        pivots, cells = rng.choices(patterns, weights=[q ** len(c) for _, c in patterns])[0]
+    q = field.cardinality()  # None over Q
+    if k not in patterns:
+        listed = list(_echelon_patterns(range(ambient), k))
+        patterns[k] = listed, q and list(itertools.accumulate(q ** len(c) for _, c in listed))
+    listed, cum_weights = patterns[k]
+    if q:
+        pivots, cells = rng.choices(listed, cum_weights=cum_weights)[0]
         values = [rng.randrange(q) for _ in cells]
     else:
-        pivots, cells = patterns[rng.randrange(len(patterns))]
+        pivots, cells = listed[rng.randrange(len(listed))]
         values = [field.from_int(rng.randint(-3, 3)) for _ in cells]
     return tuple(
         _scalar_row(field, ambient, p, [(c, x) for (row, c), x in zip(cells, values) if row == r])
@@ -579,15 +585,48 @@ def _int_lane(a: AlgebraTable) -> _Lane:
         return {0: lin0, **_chain_d(dim, d0, first, red, level)[1]}
 
     lane = _LANES[a] = _Lane("gfp-int", evaluate, functools.partial(_scalar_row, a.field, dim),
-                             functools.partial(Subspace.span, a.field, dim), chain=chain)
+                             functools.partial(Subspace.span, a.field, dim), consts, chain)
     return lane
 
 
 # --- the search loop ---------------------------------------------------------------
 
-# the fewest plain items that take the orbit forms: the GF(2) lane evaluates
-# 10^4 items in about the 0.1 s that loading numpy and the orbit module takes
+# the fewest plain items that take the orbit forms over GF(2): the GF(2) lane
+# evaluates 10^4 items in about the 0.1 s that loading numpy and the orbit
+# module takes
 ORBIT_FLOOR = 10_000
+# the same over an odd prime field, where the orbit forms run only once numpy
+# is loaded; paired in-process runs with numpy loaded put the orbit census of
+# twist II of the F3 quaternions (211 items) ahead of the plain one, and the
+# unital F7 quaternions (116 items) behind it
+PRIME_ORBIT_FLOOR = 500
+# the most vectors p^n of an orbit census: the search filters and the image
+# table maps each vector, and the number table holds 2^n entries per vector
+ORBIT_VECTORS = 1 << 16
+
+
+def _orbits_pay(q: int, n: int, items: int) -> bool:
+    """Whether an exhaustive census over GF(q), q prime, whose plain forms
+    evaluate items items looks for automorphisms first. Over GF(2) from
+    ORBIT_FLOOR items on: the search is plain Python, and numpy loads only
+    when it finds a map. Over an odd prime from PRIME_ORBIT_FLOOR items on,
+    and only when numpy is already loaded (as checkers' batched checks), so
+    that a one-shot census never pays for the import."""
+    if q**n > ORBIT_VECTORS:
+        return False
+    if q == 2:
+        return items >= ORBIT_FLOOR
+    return items >= PRIME_ORBIT_FLOOR and "numpy" in sys.modules
+
+
+def _residue_rows(forms: Callable, p: int, n: int) -> Callable:
+    """forms with each base-p integer row as the integer lane's tuple of residues."""
+
+    def residue_forms(columns, k):
+        for rows, count in forms(columns, k):
+            yield tuple(tuple(v // p**i % p for i in range(n)) for v in rows), count
+
+    return residue_forms
 
 
 def _validate_census(a: AlgebraTable, census: Counter) -> list:
@@ -662,27 +701,26 @@ def length_of_algebra(
         forms = functools.partial(_plain_forms, q=q, encode=lane.encode)
         quotient = a.is_unital()
         items = count_subspaces(f, a.dim - 1, range(a.dim)) if quotient else total
-        if lane.products is not None and items >= ORBIT_FLOOR:
-            from .gf2autos import find_automorphisms
+        if lane.products is not None and _orbits_pay(q, a.dim, items):
+            from .autos import find_automorphisms
 
-            autos = find_automorphisms(lane.products, a.dim)
+            autos = find_automorphisms(lane.products, a.dim, q)
             extra["automorphisms"] = len(autos)
             if autos:
-                from . import gf2orbits
+                from . import orbits
 
-                if quotient:
-                    # g(x) minus its multiple of e (see _exhaustive_source)
-                    e = sum(1 << i for i, x in enumerate(a.unit_element()) if x)
-                    low = e & -e
-                    autos = [[v ^ e if v & low else v for v in phi] for phi in autos]
-                images = gf2orbits.image_table(a.dim, autos)
-                forms = functools.partial(gf2orbits.orbit_forms, n=a.dim, images=images)
+                # over a unit, each map is reduced modulo it (see _exhaustive_source)
+                unit = a.unit_element() if quotient else None
+                images = orbits.image_table(a.dim, q, autos, unit)
+                forms = functools.partial(orbits.orbit_forms, n=a.dim, p=q, images=images)
+                if q != 2:
+                    forms = _residue_rows(forms, q, a.dim)
         source = _exhaustive_source(a, forms)
     elif mode == "random":
         if budget < 1:
             raise ParseError(f"random search needs a budget of at least 1, got {budget}")
-        rng = random.Random(seed)
-        source = ((_random_subspace(f, a.dim, rng), 1) for _ in range(budget))
+        rng, patterns = random.Random(seed), {}
+        source = ((_random_subspace(f, a.dim, rng, patterns), 1) for _ in range(budget))
         lane = _span_lane(a)
     else:
         raise ModeUnjustified(f"unknown search mode {mode!r}")

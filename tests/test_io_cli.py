@@ -586,7 +586,7 @@ def test_import_leaves_numpy_out():
     code = (
         "import sys, complen; "
         "print(*(m in sys.modules for m in "
-        "('numpy', 'complen.primescan', 'complen.gf2autos', 'complen.gf2orbits', "
+        "('numpy', 'complen.primescan', 'complen.autos', 'complen.orbits', "
         "'complen.cli', 'complen.suite')))"
     )
     proc = subprocess.run(
@@ -596,10 +596,11 @@ def test_import_leaves_numpy_out():
     assert proc.stdout.split() == ["False"] * 6
 
 
-def _census_modules(table: str) -> list:
-    """Run an exhaustive F2 census with ORBIT_FLOOR = 0 in a fresh interpreter
-    on the table that the code table builds from rng, dim 5 or 6: the
-    automorphisms found, the items evaluated, and whether gf2autos, gf2orbits
+def _census_modules(table: str, field: str = "F2") -> list:
+    """Run an exhaustive census with ORBIT_FLOOR = PRIME_ORBIT_FLOOR = 0 in a
+    fresh interpreter on the table that the code table builds over field F
+    (from rng, or with the constructors), dim 4 to 6: the automorphisms found
+    (None when no search ran), the items evaluated, and whether autos, orbits
     and numpy were loaded."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -607,14 +608,16 @@ def _census_modules(table: str) -> list:
         "import random, sys\n"
         "import complen.length as length\n"
         "from complen.algebra import AlgebraTable\n"
+        "from complen.constructors import make_hurwitz_tower, standard_twist\n"
         "from complen.fields import field_make\n"
-        "F2, rng = field_make('F2'), random.Random(4)\n"
+        f"F, rng = field_make({field!r}), random.Random(4)\n"
+        "F2 = F\n"
         f"table = {table}\n"
-        "length.ORBIT_FLOOR = 0\n"
-        "res = length.length_of_algebra(AlgebraTable(F2, len(table), list('abcdef')[:len(table)], "
+        "length.ORBIT_FLOOR = length.PRIME_ORBIT_FLOOR = 0\n"
+        "res = length.length_of_algebra(AlgebraTable(F, len(table), list('abcdef')[:len(table)], "
         "table), mode='exhaustive')\n"
-        "print(res.stats['automorphisms'], res.stats['evaluated'], "
-        "*(m in sys.modules for m in ('complen.gf2autos', 'complen.gf2orbits', 'numpy')))"
+        "print(res.stats.get('automorphisms'), res.stats['evaluated'], "
+        "*(m in sys.modules for m in ('complen.autos', 'complen.orbits', 'numpy')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
@@ -641,6 +644,14 @@ def test_unital_census_without_automorphisms_leaves_numpy_out():
         "  for j in range(6)] for i in range(6)]"
     )
     assert _census_modules(table) == ["0", "374", "True", "False", "False"]
+
+
+def test_odd_prime_census_without_numpy_evaluates_every_item():
+    # over an odd prime the orbit census runs only once numpy is loaded: a
+    # one-shot census of twist IV of the F7 quaternions, which has maps,
+    # neither searches nor loads numpy, and evaluates all 3 651 subspaces
+    table = "standard_twist(make_hurwitz_tower(F, None, (1, 1)), 'IV').table"
+    assert _census_modules(table, "F7") == ["None", "3651", "False", "False", "False"]
 
 
 def test_one_shot_builds_leave_numpy_out():

@@ -26,7 +26,7 @@ from complen.constructors import (
     make_quadratic_etale,
     standard_twist,
 )
-from complen import gf2autos, gf2orbits
+from complen import autos as automorphisms, orbits
 from complen.errors import (
     CostCapExceeded,
     DimensionMismatch,
@@ -679,10 +679,12 @@ def test_prime_field_twists_match_the_reference_search(p, twist):
     res = length_of_algebra(a, mode="exhaustive")
     census, enumerated, best, witness = _reference_search(a)
     assert res.stats["d_census"] == census
-    assert res.enumerated == res.stats["evaluated"] == enumerated
+    assert res.enumerated == enumerated
     assert res.best_length == best
     assert res.witness.rows == witness
     assert res.stats["lane"] == "gfp-int"
+    # numpy is loaded and the census is over PRIME_ORBIT_FLOOR: one item per orbit
+    assert (res.stats["automorphisms"], res.stats["evaluated"]) == (3, {5: 39, 7: 49}[p])
 
 
 DIM8_F2 = {
@@ -850,8 +852,8 @@ def _plain_source(a, lane):
 
 
 def _orbit_source(a, autos):
-    images = gf2orbits.image_table(a.dim, autos)
-    forms = functools.partial(gf2orbits.orbit_forms, n=a.dim, images=images)
+    images = orbits.image_table(a.dim, 2, autos)
+    forms = functools.partial(orbits.orbit_forms, n=a.dim, p=2, images=images)
     return _exhaustive_source(a, forms)
 
 
@@ -864,7 +866,7 @@ def test_orbit_source_matches_the_plain_source(name):
     # the identity numbers every image as the subspace itself: one orbit each
     identity = [1 << i for i in range(a.dim)]
     assert _search(lane, _orbit_source(a, [identity])) == (plain, items)
-    autos = gf2autos.find_automorphisms(lane.products, a.dim)
+    autos = automorphisms.find_automorphisms(lane.products, a.dim)
     assert _search(lane, _orbit_source(a, autos))[0] == plain
 
 
@@ -933,7 +935,7 @@ def test_okubo_census_memory_is_bounded():
 def test_dropping_an_automorphism_leaves_the_census():
     a = DIM8_F2["okubo-isotropic-F2"]()
     lane = _gf2_lane(a)
-    autos = gf2autos.find_automorphisms(lane.products, a.dim)
+    autos = automorphisms.find_automorphisms(lane.products, a.dim)
     full, items = _search(lane, _orbit_source(a, autos))
     assert items == 2158
     for drop in range(len(autos)):
@@ -1034,13 +1036,13 @@ def test_orbit_blocks_may_straddle_patterns(monkeypatch):
     a = _zero_extended(SMALL_F2["quaternion-F2-II"]())
     assert a.dim == 5 and not a.is_unital()
     lane = _gf2_lane(a)
-    autos = gf2autos.find_automorphisms(lane.products, a.dim)
+    autos = automorphisms.find_automorphisms(lane.products, a.dim)
     assert len(autos) == 3
-    assert gf2orbits.CHUNK == 8192
+    assert orbits.CHUNK == 8192
     wide = list(_orbit_source(a, autos))
     # blocks of 7 numbers start inside the patterns and run across their ends
-    monkeypatch.setattr(gf2orbits, "CHUNK", 7)
-    offsets = gf2orbits._patterns(range(5), 2)[0]
+    monkeypatch.setattr(orbits, "CHUNK", 7)
+    offsets = orbits._patterns(range(5), 2, 2, 5)[0]
     assert len(offsets) > 2 and any(o % 7 for o in offsets)
     narrow = list(_orbit_source(a, autos))
     assert narrow == wide
@@ -1089,18 +1091,18 @@ ORBIT_ORACLE_F2 = {
 
 # the module's block size, a smaller one, one that starts blocks inside the
 # patterns, and one smaller than the number of maps
-@pytest.mark.parametrize("chunk", (gf2orbits.CHUNK, 2048, 7, 1))
+@pytest.mark.parametrize("chunk", (orbits.CHUNK, 2048, 7, 1))
 @pytest.mark.parametrize("name", sorted(ORBIT_ORACLE_F2))
 def test_orbit_forms_match_a_set_closure(monkeypatch, name, chunk):
     a = ORBIT_ORACLE_F2[name]()
-    autos = gf2autos.find_automorphisms(_gf2_lane(a).products, a.dim)
+    autos = automorphisms.find_automorphisms(_gf2_lane(a).products, a.dim)
     assert len(autos) == 3
-    monkeypatch.setattr(gf2orbits, "CHUNK", chunk)
+    monkeypatch.setattr(orbits, "CHUNK", chunk)
     for k in range(a.dim + 1):
         expected = _orbit_oracle(a.dim, k, autos)
         assert sum(size for _, size in expected) == gaussian_binomial(a.dim, k, 2)
-        images = gf2orbits.image_table(a.dim, autos)
-        assert list(gf2orbits.orbit_forms(range(a.dim), k, a.dim, images)) == expected
+        images = orbits.image_table(a.dim, 2, autos)
+        assert list(orbits.orbit_forms(range(a.dim), k, a.dim, 2, images)) == expected
 
 
 def _reduced_echelon(rows):
@@ -1135,7 +1137,7 @@ def test_echelon_of_map_blocks_matches_plain_elimination(n):
         arrays = [
             np.array([s[r] for s in sets], dtype=np.int16).reshape(maps, block) for r in range(k)
         ]
-        mask = gf2orbits._echelon(arrays)
+        mask = orbits._xor_echelon(arrays)
         assert mask.shape == (maps, block) and all(a.dtype == np.int16 for a in arrays)
         for i, rows in enumerate(sets):
             m, b = divmod(i, block)
@@ -1146,20 +1148,22 @@ def test_image_table_applies_each_map():
     rng = random.Random(0)
     n = 9
     autos = [[rng.randrange(1 << n) for _ in range(n)] for _ in range(3)]
-    images = gf2orbits.image_table(n, autos)
+    images = orbits.image_table(n, 2, autos)
     assert images.shape == (3, 1 << n) and images.dtype == np.int16
     for m, phi in enumerate(autos):
-        assert images[m].tolist() == [gf2autos._apply(phi, x) for x in range(1 << n)]
+        assert images[m].tolist() == [automorphisms._Bits(None, n).apply(phi, x) for x in range(1 << n)]
 
 
 def _generators_by_max(prod, n):
-    """gf2autos._generators as a plain max over every candidate, each
+    """automorphisms._generators as a plain max over every basis vector, each
     candidate's subalgebra closed from its generators alone."""
 
     def closure_dim(gens):
         red, queue = {}, list(gens)
         while queue:
-            v = gf2autos._reduce(red, queue.pop())
+            v = queue.pop()
+            while v and v.bit_length() in red:
+                v ^= red[v.bit_length()]
             if v:
                 red[v.bit_length()] = v
                 queue += [prod[v][b] for b in red.values()] + [prod[b][v] for b in red.values()]
@@ -1167,7 +1171,7 @@ def _generators_by_max(prod, n):
 
     gens, dim = [], 0
     while dim < n:
-        dim, first = max((closure_dim(gens + [x]), -x) for x in range(1, 1 << n))
+        dim, first = max((closure_dim(gens + [1 << i]), -(1 << i)) for i in range(n))
         gens.append(-first)
     return gens
 
@@ -1183,22 +1187,22 @@ EVERY_F2 = {
 def test_generators_match_the_brute_force_max(name):
     a = EVERY_F2[name]()
     prod = _gf2_lane(a).products
-    assert gf2autos._generators(prod, a.dim) == _generators_by_max(prod, a.dim)
+    assert automorphisms._generators(automorphisms._Bits(prod, a.dim)) == _generators_by_max(prod, a.dim)
 
 
 def test_generators_are_pinned_on_the_octonions_and_okubo():
     for name, gens in (("octonion-F2", [2, 4, 16]), ("okubo-isotropic-F2", [1, 4])):
         a = DIM8_F2[name]()
-        assert gf2autos._generators(_gf2_lane(a).products, a.dim) == gens
+        assert automorphisms._generators(automorphisms._Bits(_gf2_lane(a).products, a.dim)) == gens
 
 
 @pytest.mark.parametrize("name", ("quaternion-F2-II", "quaternion-F2-III", "quaternion-F2-IV"))
 def test_automorphism_proof_rejects_perturbed_products_and_singular_maps(name):
     a = SMALL_F2[name]()
     n, prod = a.dim, _gf2_lane(a).products
-    autos = gf2autos.find_automorphisms(prod, n)
+    autos = automorphisms.find_automorphisms(prod, n)
     assert len(autos) == 3
-    assert all(gf2autos.is_automorphism(prod, n, phi) for phi in autos)
+    assert all(automorphisms.is_automorphism(prod, n, phi) for phi in autos)
     for phi in autos:
         # phi moves coordinate i: (phi x)_i != x_i for a basis vector x. Then
         # phi preserves no table that differs from a's in e_i e_j alone, since
@@ -1208,17 +1212,17 @@ def test_automorphism_proof_rejects_perturbed_products_and_singular_maps(name):
             table = [list(row) for row in a.table]
             table[i][j] = (F2.add(table[i][j][0], F2.one()),) + table[i][j][1:]
             b = AlgebraTable(F2, n, a.labels, table)
-            assert not gf2autos.is_automorphism(_gf2_lane(b).products, n, phi)
+            assert not automorphisms.is_automorphism(_gf2_lane(b).products, n, phi)
     # the zero map respects every product; only the rank test rejects it
-    assert not gf2autos.is_automorphism(prod, n, [0] * n)
-    assert not gf2autos.is_automorphism(prod, n, [autos[0][0]] * n)
+    assert not automorphisms.is_automorphism(prod, n, [0] * n)
+    assert not automorphisms.is_automorphism(prod, n, [autos[0][0]] * n)
 
 
 def test_tables_without_automorphisms_take_the_plain_source(monkeypatch):
     import complen.length as length
 
     for a in (DIM8_F2["sparse-8"](), DIM8_F2["dense-8"](), SMALL_F2["sparse-5"]()):
-        assert gf2autos.find_automorphisms(_gf2_lane(a).products, a.dim) == []
+        assert automorphisms.find_automorphisms(_gf2_lane(a).products, a.dim) == []
     # sparse-5 is below the floor; without it the search runs and finds nothing
     monkeypatch.setattr(length, "ORBIT_FLOOR", 0)
     res = length_of_algebra(SMALL_F2["sparse-5"](), mode="exhaustive")
