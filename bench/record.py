@@ -42,6 +42,10 @@ memory the jobs allocate, without the interpreter, the imports made before
 them, or the inputs.
 Objects that sit in CPython's free lists count as allocated, so a set-up
 that frees fewer objects can raise it by a few tens of KB.
+Each side's `meta` records what the runs ran with: the BLAS thread
+variables `OPENBLAS_NUM_THREADS` and `OMP_NUM_THREADS` as the child processes
+inherit them (null when unset), and the BLAS library numpy was built
+against, read in a child process of that side's checkout.
 
 The head's results sit at the top level of the file, as in a file without a
 base. With `--base`, `base` holds the same keys for the base commit, and
@@ -275,6 +279,29 @@ def jobs_peak_mb(root: Path, workload: str) -> float:
     return round(json.loads(proc.stdout), 3)
 
 
+# numpy's BLAS build, read in a child process so that the recorder needs no numpy
+BLAS = """
+import json, numpy
+try:
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
+except Exception as e:
+    blas = {"error": repr(e)}
+print(json.dumps(blas))
+"""
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_meta(root: Path) -> dict:
+    """The BLAS thread variables every child inherits (None when unset) and
+    the BLAS library of numpy as imported in root."""
+    proc = subprocess.run([sys.executable, "-c", BLAS], cwd=root, env=_env(root),
+                          capture_output=True, text=True)
+    blas = (json.loads(proc.stdout) if proc.returncode == 0
+            else {"error": proc.stderr.strip()[-2000:]})
+    return {"blas_threads": {v: os.environ.get(v) for v in THREAD_VARIABLES}, "blas": blas}
+
+
 def tier1(root: Path) -> dict:
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
            "-p", "no:cacheprovider"]
@@ -315,7 +342,7 @@ def measure(sides: dict, seeds: list, with_tier1: bool) -> dict:
     seconds = bench["run_seconds"]
     out = {
         side: {"commit": commit, "seconds": seconds, "src_lines": src_lines(root),
-               "workloads": {}}
+               "meta": run_meta(root), "workloads": {}}
         for side, (commit, root) in sides.items()
     }
     for side, (_, root) in sides.items():

@@ -102,7 +102,7 @@ class _Bits:
             i += 1
         return out
 
-    def satisfying(self, relations: list, terms: list, among=None) -> set:
+    def satisfying(self, relations: list, terms: list, among=None) -> frozenset:
         """The vectors u, of among or of all, with sum c_t term_t(u) = 0 for
         every relation c, a term being ("linear", rows), sum u_i rows[i];
         ("word", i), short word i of u (1 to 4); or ("const", v), v. A column
@@ -150,8 +150,8 @@ class _Bits:
                     acc ^= columns[t]
             bad |= acc
         bad = bad.to_bytes(size * width, "little")
-        return {u for u in (range(size) if among is None else among)
-                if not any(bad[u * width:(u + 1) * width])}
+        return frozenset(u for u in (range(size) if among is None else among)
+                         if not any(bad[u * width:(u + 1) * width]))
 
 
 class _Digits:
@@ -222,9 +222,10 @@ class _Digits:
                     out[k] += xi * c
         return tuple([c % self.p for c in out])
 
-    def satisfying(self, relations: list, terms: list, among=None) -> set:
-        """As _Bits.satisfying, with numpy on the vectors' digits: the linear
-        terms of each relation are combined into one matrix first."""
+    def satisfying(self, relations: list, terms: list, among=None) -> frozenset:
+        """As _Bits.satisfying, with numpy on the digits of the vectors of
+        among (or of all): the linear terms of each relation are combined
+        into one matrix first, so all relations take one product."""
         import numpy as np
 
         p, n = self.p, self.n
@@ -240,26 +241,26 @@ class _Digits:
 
             x = np.arange(p**n, dtype=np.int64)[:, None] // p ** np.arange(n) % p
             s = mul(x, x)
-            self.words = [x, s, mul(x, s), mul(s, x), mul(s, s)]
-        at = np.arange(p**n) if among is None else np.array(sorted(among), dtype=np.int64)
+            self.words, self.rows = [x, s, mul(x, s), mul(s, x), mul(s, s)], {}
+        if among not in self.rows:
+            at = np.arange(p**n) if among is None else np.array(sorted(among), dtype=np.int64)
+            self.rows[among] = at, [w[at] for w in self.words]
+        at, words = self.rows[among]
         if not relations:
-            return set(at.tolist())
+            return frozenset(at.tolist())
         rel = np.array(relations, dtype=np.int64)
-        linear = np.zeros((len(terms), n, n), dtype=np.int64)
-        const = np.zeros((len(terms), n), dtype=np.int64)
-        for t, (kind, v) in enumerate(terms):
-            if kind == "linear":
-                linear[t] = v
-            elif kind == "const":
-                const[t] = v
+        linear = [t for t, (kind, _) in enumerate(terms) if kind == "linear"]
+        const = [t for t, (kind, _) in enumerate(terms) if kind == "const"]
+        combined = np.tensordot(rel[:, linear], np.array([terms[t][1] for t in linear]), axes=1)
         # sums[u, r, k]: coordinate k of relation r's sum at vector u
-        combined = np.tensordot(rel, linear, axes=1) % p  # [r, i, k]
-        sums = self.words[0][at] @ combined.transpose(1, 0, 2).reshape(n, -1)
-        sums = sums.reshape(len(at), len(rel), n) + rel @ const
+        sums = (words[0] @ (combined % p).transpose(1, 0, 2).reshape(n, -1)).reshape(
+            len(at), len(rel), n)
+        if const:
+            sums += rel[:, const] @ np.array([terms[t][1] for t in const])
         for t, (kind, v) in enumerate(terms):
             if kind == "word" and rel[:, t].any():
-                sums += rel[:, t, None] * self.words[v][at][:, None, :]
-        return set(at[~(sums % p).reshape(len(at), -1).any(axis=1)].tolist())
+                sums += rel[:, t, None] * words[v][:, None, :]
+        return frozenset(at[~(sums % p).reshape(len(at), -1).any(axis=1)].tolist())
 
 
 def _arithmetic(products, n: int, p: int):
