@@ -1,6 +1,7 @@
 """Span chains, difference sequences, and the length search."""
 
 import functools
+import gc
 import hashlib
 import importlib.util
 import itertools
@@ -46,6 +47,7 @@ from complen.length import (
     _int_lane,
     _mask_row,
     _plain_forms,
+    _row_fills,
     count_subspaces,
     enumerate_subspaces,
     has_descending_certificate,
@@ -1258,3 +1260,251 @@ def test_weights_that_miss_a_subspace_break_the_invariant(monkeypatch, orbits):
     monkeypatch.setattr(length, "_exhaustive_source", short)
     with pytest.raises(InvariantViolation):
         length_of_algebra(a, mode="exhaustive")
+
+
+# --- one search and one pass for every prime field -----------------------------------
+
+
+def test_the_search_leaves_nothing_for_the_cyclic_collector():
+    # the search holds no reference cycle, so the product table it reads dies
+    # with the census instead of waiting for the cyclic collector
+    prod = _gf2_lane(DIM8_F2["octonion-F2"]()).products
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(automorphisms.find_automorphisms(prod, 8)) == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# sha256 of the JSON of {table: maps} that the GF(2)-only search found on every
+# table of EVERY_F2 before the search took every prime field: the same maps in
+# the same order
+GF2_MAPS_SHA256 = "37de167f470ea219e898385d8e73982b7ddf83ed192510393d8751c0e35ebf67"
+
+
+def test_gf2_search_returns_the_recorded_maps():
+    maps = {
+        name: automorphisms.find_automorphisms(_gf2_lane(make()).products, make().dim)
+        for name, make in sorted(EVERY_F2.items())
+    }
+    assert len(maps) == 31 and sum(map(len, maps.values())) == 54
+    digest = hashlib.sha256(json.dumps(maps, sort_keys=True).encode()).hexdigest()
+    assert digest == GF2_MAPS_SHA256
+
+
+def _base_p(p):
+    """_row_fills's encode for base-p integer rows, digit c coordinate c."""
+    return lambda pivot, cells: p**pivot + sum(v * p**c for c, v in cells)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("columns", ((0, 1, 2, 3), (0, 2, 3), (1, 2, 4, 5)))
+def test_pattern_fills_match_the_row_fills(p, columns):
+    n = max(columns) + 1
+    for k in range(1, len(columns) + 1):
+        offsets, masks, rows = orbits._patterns(columns, k, p, n)
+        expected = list(_row_fills(columns, k, p, _base_p(p)))
+        assert len(masks) == len(expected) == len(offsets) - 1
+        for j, (pivots, fills) in enumerate(expected):
+            assert masks[j] == sum(1 << c for c in pivots)
+            for r, (cat, base, stride, width) in enumerate(rows):
+                assert cat[base[j]:base[j] + width[j]].tolist() == fills[r]
+        # the numbers run through the forms in enumeration order
+        read = orbits._rows_at(np.arange(offsets[-1]), offsets, rows)
+        assert list(zip(*(r.tolist() for r in read))) == list(_forms(columns, k, p, _base_p(p)))
+
+
+# best length, census and witness of random mode on the dim-8 isotropic Okubo
+# table over F3 (budget 400), recorded when each draw listed the echelon
+# patterns of its dimension again
+RANDOM_OKUBO_F3 = {
+    0: ("0 2 3 2 1:5,0 2 4 2:38,0 3 5:48,0 4 4:40,0 5 3:43,0 6 2:47,0 7 1:53,0 8:63",
+        ["1 0 0 0 2 0 0 1", "0 1 0 0 1 2 2 1"]),
+    1: ("0 2 3 2 1:3,0 2 4 2:27,0 3 5:53,0 4 4:44,0 5 3:54,0 6 2:43,0 7 1:46,0 8:56",
+        ["1 0 2 2 2 1 0 1", "0 1 1 0 0 1 2 2"]),
+    2: ("0 2 3 2 1:6,0 2 4 2:38,0 3 5:47,0 4 4:49,0 5 3:44,0 6 2:63,0 7 1:42,0 8:52",
+        ["0 1 0 2 2 0 0 1", "0 0 1 1 0 2 2 2"]),
+    3: ("0 2 3 2 1:6,0 2 4 2:32,0 3 4 1:1,0 3 5:44,0 4 4:52,0 5 3:51,0 6 2:62,0 7 1:43,"
+        "0 8:54", ["1 1 0 0 0 1 0 0", "0 0 1 0 2 1 2 1"]),
+    4: ("0 2 3 2 1:6,0 2 4 2:26,0 3 4 1:1,0 3 5:46,0 4 4:47,0 5 3:55,0 6 2:65,0 7 1:45,"
+        "0 8:52", ["0 0 1 0 0 1 2 0", "0 0 0 0 0 0 0 1"]),
+}
+
+
+def test_random_mode_draws_are_pinned():
+    a = make_okubo_isotropic(F3, F3.one(), F3.one())
+    for seed, (census, witness) in RANDOM_OKUBO_F3.items():
+        res = length_of_algebra(a, mode="random", seed=seed, budget=400)
+        assert res.best_length == 4
+        assert res.stats["d_census"] == _census_of(census)
+        assert res.as_dict()["witness"] == [row.split() for row in witness]
+        assert res.enumerated == res.stats["evaluated"] == 400
+
+
+def _quaternions(p):
+    f = field_make(f"F{p}")
+    return make_hurwitz_tower(f, None, (f.one(), f.one()))
+
+
+# odd-prime tables: (table, (automorphisms, items the orbit forms evaluate))
+ODD_PRIME = {
+    **{
+        f"twist-{t}-F{p}": (lambda p=p, t=t: standard_twist(_quaternions(p), t), (3, orbits_))
+        for p, orbits_ in ((3, 29), (5, 39), (7, 49))
+        for t in ("II", "IV")
+    },
+    # the unit quotient: the zero subspace and 7 orbits of the hyperplane's subspaces
+    **{f"quaternion-F{p}": (lambda p=p: _quaternions(p), (3, 8)) for p in (3, 5, 7)},
+    "dense-F3-4": (lambda: _random_table(F3, 4, 0, 0.5), (0, 211)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_PRIME))
+def test_odd_prime_orbit_census_matches_the_plain_forms(monkeypatch, name):
+    import complen.length as length
+
+    make, (maps, items) = ODD_PRIME[name]
+
+    def answer(res):
+        return (
+            res.best_length, res.enumerated, res.stats["generating"], res.stats["d_census"],
+            res.as_dict()["witness"], res.stats["violations"], res.stats["lane"],
+        )
+
+    monkeypatch.setattr(length, "PRIME_ORBIT_FLOOR", 10**9)
+    ref = length_of_algebra(make(), mode="exhaustive")
+    assert "automorphisms" not in ref.stats
+    monkeypatch.setattr(length, "PRIME_ORBIT_FLOOR", 0)
+    res = length_of_algebra(make(), mode="exhaustive")
+    assert answer(res) == answer(ref)
+    assert res.stats["lane"] == "gfp-int"
+    assert (res.stats["automorphisms"], res.stats["evaluated"]) == (maps, items)
+    if not maps:
+        assert res.stats["evaluated"] == ref.stats["evaluated"]
+
+
+# (l, subspaces, generating, census) of perfbench's census-generic workload
+CENSUS_GENERIC = {
+    "quaternion-F3^2": (2, 9103, 7372, "1 2 1:6642,1 3:730"),
+    "quaternion-F3": (2, 211, 118, "1 2 1:90,1 3:28"),
+    "quaternion-F5": (2, 1119, 776, "1 2 1:650,1 3:126"),
+    "quaternion-F7": (2, 3651, 2794, "1 2 1:2450,1 3:344"),
+    **{
+        f"twist-{t}-F{p}": (2, total, generating, census)
+        for p, total, generating, census in (
+            (3, 211, 118, "0 2 2:81,0 3 1:36,0 4:1"),
+            (5, 1119, 776, "0 2 2:625,0 3 1:150,0 4:1"),
+            (7, 3651, 2794, "0 2 2:2401,0 3 1:392,0 4:1"),
+        )
+        for t in ("II", "IV")
+    },
+}
+
+
+def test_census_generic_rows_are_pinned():
+    workloads = _perfbench_workloads()
+    inputs = workloads.CENSUS_GENERIC.setup(1)
+    assert sorted(inputs) == sorted(CENSUS_GENERIC)
+    for name, a in inputs.items():
+        best, total, generating, census = CENSUS_GENERIC[name]
+        expected = (best, total, generating, 0, tuple(sorted(_census_of(census).items())))
+        assert workloads.census_answer(a) == expected, name
+        assert workloads.CENSUS_EXPECTED[name] == expected[:3] + expected[4:]
+
+
+def _orbit_oracle_p(n, p, k, autos):
+    """_orbit_oracle over GF(p): vectors base-p integers, each subspace's
+    vectors closed under the maps with Python sets."""
+    forms = list(_forms(range(n), k, p, _base_p(p)))
+
+    def digits(v):
+        return [v // p**i % p for i in range(n)]
+
+    def combine(coefficients, vectors):
+        out = [0] * n
+        for c, v in zip(coefficients, vectors):
+            out = [(x + c * y) % p for x, y in zip(out, digits(v))]
+        return sum(x * p**i for i, x in enumerate(out))
+
+    def vectors(rows):
+        return frozenset(combine(cs, rows) for cs in itertools.product(range(p), repeat=len(rows)))
+
+    number = {vectors(rows): s for s, rows in enumerate(forms)}
+    seen, out = set(), []
+    for s, rows in enumerate(forms):
+        if s in seen:
+            continue
+        orbit, todo = {s}, [s]
+        while todo:
+            span = vectors(forms[todo.pop()])
+            for phi in autos:
+                t = number[frozenset(combine(digits(v), phi) for v in span)]
+                if t not in orbit:
+                    orbit.add(t)
+                    todo.append(t)
+        seen |= orbit
+        out.append((rows, len(orbit)))
+    return out
+
+
+@pytest.mark.parametrize("chunk", (orbits.CHUNK, 7))
+@pytest.mark.parametrize("name", ("twist-II-F3", "twist-IV-F3", "twist-II-F5"))
+def test_odd_prime_orbit_forms_match_a_set_closure(monkeypatch, name, chunk):
+    a = ODD_PRIME[name][0]()
+    p = a.field.characteristic()
+    autos = automorphisms.find_automorphisms(_int_lane(a).products, a.dim, p)
+    assert len(autos) == 3
+    monkeypatch.setattr(orbits, "CHUNK", chunk)
+    images = orbits.image_table(a.dim, p, autos)
+    for k in range(a.dim + 1):
+        expected = _orbit_oracle_p(a.dim, p, k, autos)
+        assert sum(size for _, size in expected) == gaussian_binomial(a.dim, k, p)
+        assert list(orbits.orbit_forms(range(a.dim), k, a.dim, p, images)) == expected
+
+
+def _maps_the_table(a, phi):
+    """Whether the basis images phi (base-p integers) give an invertible map
+    with phi(e_i e_j) = phi(e_i) phi(e_j), read with the table's own
+    arithmetic."""
+    f, n, p = a.field, a.dim, a.field.characteristic()
+    images = [tuple(f.from_int(v // p**i) for i in range(n)) for v in phi]
+
+    def apply(x):
+        out = (f.zero(),) * n
+        for c, image in zip(x, images):
+            out = tuple(f.add(u, f.mul(c, w)) for u, w in zip(out, image))
+        return out
+
+    if Subspace.span(f, n, images).dim < n:
+        return False
+    basis = [a.basis_element(i) for i in range(n)]
+    return all(
+        apply(a.multiply(x, y)) == a.multiply(images[i], images[j])
+        for i, x in enumerate(basis)
+        for j, y in enumerate(basis)
+    )
+
+
+@pytest.mark.parametrize("name", ("twist-II-F3", "twist-IV-F5", "quaternion-F3"))
+def test_odd_prime_automorphism_proof_rejects_corrupted_maps(name):
+    a = ODD_PRIME[name][0]()
+    n, p, consts = a.dim, a.field.characteristic(), _int_lane(a).products
+    autos = automorphisms.find_automorphisms(consts, n, p)
+    assert len(autos) == 3
+    rejected = 0
+    for phi in autos:
+        assert automorphisms.is_automorphism(consts, n, phi, p) and _maps_the_table(a, phi)
+        # phi with the digit c of basis image i moved by d
+        for i, c, d in itertools.product(range(n), range(n), range(1, p)):
+            bad = list(phi)
+            digit = bad[i] // p**c % p
+            bad[i] += ((digit + d) % p - digit) * p**c
+            verdict = automorphisms.is_automorphism(consts, n, bad, p)
+            assert verdict == _maps_the_table(a, bad)
+            rejected += not verdict
+    assert rejected == len(autos) * n * n * (p - 1)
+    # singular maps respect no product that a unit or a twist's table needs
+    assert not automorphisms.is_automorphism(consts, n, [0] * n, p)
+    assert not automorphisms.is_automorphism(consts, n, [autos[0][0]] * n, p)
