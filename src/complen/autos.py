@@ -162,7 +162,8 @@ class _Digits:
 
     def __init__(self, consts, n: int, p: int):
         self.consts, self.n, self.p = consts, n, p
-        self.words = None
+        self.words = None  # words[i]: digits of short word i of every vector, made on first use
+        self.rows = {}  # among: (its vectors, their words), for satisfying
 
     def vector(self, x: int) -> tuple:
         p = self.p
@@ -241,7 +242,7 @@ class _Digits:
 
             x = np.arange(p**n, dtype=np.int64)[:, None] // p ** np.arange(n) % p
             s = mul(x, x)
-            self.words, self.rows = [x, s, mul(x, s), mul(s, x), mul(s, s)], {}
+            self.words = [x, s, mul(x, s), mul(s, x), mul(s, s)]
         if among not in self.rows:
             at = np.arange(p**n) if among is None else np.array(sorted(among), dtype=np.int64)
             self.rows[among] = at, [w[at] for w in self.words]
@@ -370,9 +371,7 @@ def _maps(ar, gens: list):
     rng = random.Random(0)
     identity = [ar.p**i for i in range(n)]
     zero = ar.vector(0)
-    seen, spent = [], 0
-
-    base = {}
+    seen, spent, base = [], 0, {}
 
     def frame(state: tuple, level: int) -> tuple:
         """A new level: its state, the images that pass the filter, and its

@@ -22,11 +22,13 @@ fields.
 The length search is one loop of three parts. A source yields weighted
 items in a fixed order: seeded random subspaces, or those of the one
 exhaustive source, fed a dimension at a time by pluggable forms: every
-subspace, or over GF(2) one per orbit of a few proved automorphisms
-(gf2autos.py, gf2orbits.py). An item is the tuple of a subspace's reduced
-echelon rows, bitmasks over GF(2) and tuples of scalars otherwise; one
-generator, _row_fills, makes them in that order for the forms, the witness
-walk, the orbit pass and enumerate_subspaces. A lane evaluates each item: lin_spans
+subspace, or over a prime field one per orbit of a few proved automorphisms
+(autos.py, orbits.py: one search and one pass for every prime, GF(2)
+included). An item is the tuple of a subspace's reduced echelon rows,
+bitmasks over GF(2) and tuples of scalars otherwise; one generator,
+_row_fills, makes them in that order for the forms, the witness walk and
+enumerate_subspaces, and the orbit pass builds the same fills in numpy in
+the same order. A lane evaluates each item: lin_spans
 ("span:general"), or the same recursion over GF(2) on bitmask rows with
 product lookup tables ("gf2-bitmask"), or over an odd prime field GF(p) on
 residue rows with integer products reduced mod p in the echelon
@@ -327,7 +329,7 @@ def _exhaustive_source(a: AlgebraTable, forms) -> Iterator[tuple]:
 
     forms(columns, k) yields (item, count) pairs for the k-dimensional
     subspaces on the given columns, the counts summing to their number:
-    _plain_forms counts each subspace once, gf2orbits.orbit_forms gives the
+    _plain_forms counts each subspace once, orbits.orbit_forms gives the
     first subspace of each orbit of a few automorphisms its orbit's size
     (an automorphism g maps Lin_k(S) onto Lin_k(gS)). Without a unit an
     item weighs its count. With a unit e, p its first nonzero coordinate,
@@ -361,8 +363,9 @@ def _exhaustive_source(a: AlgebraTable, forms) -> Iterator[tuple]:
 # sequence of a generating item and None otherwise; encode is the row encoder
 # that _forms(columns, k, q, encode) builds the lane's items with, an item being
 # the tuple of its rows; as_subspace(item) turns the witness item into a
-# Subspace; the GF(2) lane keeps its product table prod[x][y] in products
-# for the automorphism search, and the integer lane its chain for lin_spans.
+# Subspace; products are what the automorphism search multiplies with, the
+# GF(2) lane's product table prod[x][y] or the integer lane's structure
+# constants, and the integer lane keeps its chain for lin_spans.
 # gf2-bitmask takes bitmask rows over F2, span:general and gfp-int scalars.
 
 
@@ -596,9 +599,11 @@ def _int_lane(a: AlgebraTable) -> _Lane:
 # module takes
 ORBIT_FLOOR = 10_000
 # the same over an odd prime field, where the orbit forms run only once numpy
-# is loaded; paired in-process runs with numpy loaded put the orbit census of
-# twist II of the F3 quaternions (211 items) ahead of the plain one, and the
-# unital F7 quaternions (116 items) behind it
+# is loaded. In 11 alternating in-process pairs per table (numpy loaded, 2
+# cores, Python 3.11) the orbit forms lost every pair on the unital F3, F5
+# and F7 quaternions (28-116 items: 0.8-2.4 ms plain, 5.9-17.4 ms with the
+# search) and on the F3 twists (211 items: 5.3 against 6.5 ms), and won every
+# pair on the F5 twists (1 119 items: 27 against 12 ms) and F7 twists (3 651)
 PRIME_ORBIT_FLOOR = 500
 # the most vectors p^n of an orbit census: the search filters and the image
 # table maps each vector, and the number table holds 2^n entries per vector
@@ -659,11 +664,12 @@ def length_of_algebra(
     census of generating difference sequences and to ``enumerated``, the
     subspaces covered. Random mode gives every subspace weight 1; an
     exhaustive search takes _exhaustive_source, over A/<e> with a unit e.
-    Over GF(2), when the plain forms would evaluate at least ORBIT_FLOOR
-    items, it first looks for automorphisms (gf2autos;
-    ``stats["automorphisms"]`` counts the proved maps it uses) and, when it
-    finds some, evaluates one item per orbit (gf2orbits), each map reduced
-    modulo a unit first. An exhaustive search whose weights do not sum to
+    Over a prime field, when _orbits_pay says so (over GF(2) from
+    ORBIT_FLOOR plain items on; over an odd prime from PRIME_ORBIT_FLOOR
+    items on, once numpy is loaded), it first looks for automorphisms
+    (autos; ``stats["automorphisms"]`` counts the proved maps it uses) and,
+    when it finds some, evaluates one item per orbit (orbits), each map
+    reduced modulo a unit first. An exhaustive search whose weights do not sum to
     the number of nonzero subspaces raises InvariantViolation. ``stats``
     names the lane and counts the items it evaluated. Every lane runs the
     general recursion (``gf2-bitmask`` over F2, ``gfp-int`` over an odd

@@ -14,7 +14,7 @@ reading its digits k at a time.
 The module also holds the batched arithmetic of checkers' polarized checks
 (BatchArithmetic, with Bounds for its int64 proof over Q). checkers imports
 it when a scan runs, or a polarized check once numpy is loaded, as length
-imports gf2orbits, the other numpy module, when an orbit census runs; so
+imports orbits, the other numpy module, when an orbit census runs; so
 importing the package needs neither module nor numpy.
 """
 
