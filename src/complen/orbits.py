@@ -104,10 +104,16 @@ def _patterns(columns, k: int, p: int, n: int) -> tuple:
     ]
 
 
-def _rows_at(s, offsets, rows) -> list:
-    """Row r of the forms numbered s, read from row r's concatenated fills."""
+def _rows_at(s, offsets, rows, p: int) -> list:
+    """Row r of the forms numbered s, read from row r's concatenated fills:
+    fill (s - offset) // stride % width of its pattern's. Over GF(2) stride
+    and width are powers of 2, and a shift and a mask read a block several
+    times faster than integer division (CHANGES.md)."""
     j = np.searchsorted(offsets, s, side="right") - 1
     local = s - offsets[j]
+    if p == 2:
+        return [fills[base[j] + (local >> np.log2(stride).astype(np.int64)[j] & width[j] - 1)]
+                for fills, base, stride, width in rows]
     return [fills[base[j] + local // stride[j] % width[j]] for fills, base, stride, width in rows]
 
 
@@ -193,7 +199,7 @@ def _orbit_labels(n: int, p: int, images, offsets, rows, number):
     perms = np.empty((len(images), total), dtype=np.int32)  # perms[m, s]: the number of m(s)
     for start in range(0, total, CHUNK):
         s = np.arange(start, min(start + CHUNK, total))
-        mapped = [images.take(r, axis=1) for r in _rows_at(s, offsets, rows)]
+        mapped = [images.take(r, axis=1) for r in _rows_at(s, offsets, rows, p)]
         mask = _xor_echelon(mapped) if p == 2 else _digit_echelon(mapped, p, n)
         pivots = mask.astype(np.int32) * p**n
         perms[:, start:start + CHUNK] = sum(number.take(pivots + r) for r in mapped)
@@ -225,5 +231,5 @@ def orbit_forms(columns, k: int, n: int, p: int, images) -> Iterator[tuple]:
     number = _number_table(n, p, offsets, masks, rows)
     label = _orbit_labels(n, p, images, offsets, rows, number)
     first, sizes = np.unique(label, return_counts=True)  # sorted: enumeration order
-    reps = _rows_at(first, offsets, rows)
+    reps = _rows_at(first, offsets, rows, p)
     yield from zip(zip(*(r.tolist() for r in reps)), sizes.tolist())

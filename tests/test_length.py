@@ -1312,7 +1312,7 @@ def test_pattern_fills_match_the_row_fills(p, columns):
             for r, (cat, base, stride, width) in enumerate(rows):
                 assert cat[base[j]:base[j] + width[j]].tolist() == fills[r]
         # the numbers run through the forms in enumeration order
-        read = orbits._rows_at(np.arange(offsets[-1]), offsets, rows)
+        read = orbits._rows_at(np.arange(offsets[-1]), offsets, rows, p)
         assert list(zip(*(r.tolist() for r in read))) == list(_forms(columns, k, p, _base_p(p)))
 
 
