@@ -184,7 +184,8 @@ def image_table(n: int, p: int, autos: list, unit=None):
     first nonzero coordinate, which maps the hyperplane where that
     coordinate vanishes to itself (see length._exhaustive_source)."""
     weights = p ** np.arange(n)
-    phi = np.array(autos, dtype=np.int64).reshape(len(autos), n, 1) // weights % p  # digits of g(e_i)
+    # phi[m, i]: the digits of map m's image of e_i
+    phi = np.array(autos, dtype=np.int64).reshape(len(autos), n, 1) // weights % p
     if unit is not None:
         e = np.array(unit, dtype=np.int64)
         t = int(np.flatnonzero(e)[0])

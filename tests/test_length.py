@@ -1153,7 +1153,8 @@ def test_image_table_applies_each_map():
     images = orbits.image_table(n, 2, autos)
     assert images.shape == (3, 1 << n) and images.dtype == np.int16
     for m, phi in enumerate(autos):
-        assert images[m].tolist() == [automorphisms._Bits(None, n).apply(phi, x) for x in range(1 << n)]
+        apply = automorphisms._Bits(None, n).apply
+        assert images[m].tolist() == [apply(phi, x) for x in range(1 << n)]
 
 
 def _generators_by_max(prod, n):
@@ -1189,7 +1190,8 @@ EVERY_F2 = {
 def test_generators_match_the_brute_force_max(name):
     a = EVERY_F2[name]()
     prod = _gf2_lane(a).products
-    assert automorphisms._generators(automorphisms._Bits(prod, a.dim)) == _generators_by_max(prod, a.dim)
+    gens = automorphisms._generators(automorphisms._Bits(prod, a.dim))
+    assert gens == _generators_by_max(prod, a.dim)
 
 
 def test_generators_are_pinned_on_the_octonions_and_okubo():
