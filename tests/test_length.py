@@ -1510,3 +1510,16 @@ def test_odd_prime_automorphism_proof_rejects_corrupted_maps(name):
     # singular maps respect no product that a unit or a twist's table needs
     assert not automorphisms.is_automorphism(consts, n, [0] * n, p)
     assert not automorphisms.is_automorphism(consts, n, [autos[0][0]] * n, p)
+
+
+def test_orbit_census_needs_few_enough_vectors(monkeypatch):
+    import complen.length as length
+
+    # twist II of the F5 quaternions has 5^4 = 625 vectors: at a cap below
+    # that the census takes the plain forms without a search
+    monkeypatch.setattr(length, "PRIME_ORBIT_FLOOR", 0)
+    a = standard_twist(_quaternions(5), "II")
+    assert length_of_algebra(a, mode="exhaustive").stats["evaluated"] == 39
+    monkeypatch.setattr(length, "ORBIT_VECTORS", 624)
+    res = length_of_algebra(a, mode="exhaustive")
+    assert "automorphisms" not in res.stats and res.stats["evaluated"] == 1119
