@@ -1523,3 +1523,52 @@ def test_orbit_census_needs_few_enough_vectors(monkeypatch):
     monkeypatch.setattr(length, "ORBIT_VECTORS", 624)
     res = length_of_algebra(a, mode="exhaustive")
     assert "automorphisms" not in res.stats and res.stats["evaluated"] == 1119
+
+
+def _satisfying_by_hand(ar, relations, terms):
+    """ar.satisfying, vector by vector through ar.mul and digit sums mod p."""
+    p, n = ar.p, ar.n
+
+    def value(kind, v, u):
+        if kind == "const":
+            return ar.digits(v)
+        if kind == "linear":
+            return [sum(c * w for c, w in zip(ar.digits(u), col)) % p
+                    for col in zip(*map(ar.digits, v))]
+        s = ar.mul(u, u)
+        return ar.digits((u, s, ar.mul(u, s), ar.mul(s, u), ar.mul(s, s))[v])
+
+    out = set()
+    for number in range(p**n):
+        u = ar.vector(number)
+        values = [value(kind, v, u) for kind, v in terms]
+        if all(
+            not any(sum(c * val[k] for c, val in zip(rel, values)) % p for k in range(n))
+            for rel in relations
+        ):
+            out.add(number)
+    return out
+
+
+@pytest.mark.parametrize("name", ("octonion-F2-zero-extended", "twist-IV-F3"))
+def test_candidate_filter_matches_a_vector_by_vector_reading(name):
+    # n = 9 over F2 packs two bytes per vector; F3 reads digits with numpy
+    if name == "twist-IV-F3":
+        a = ODD_PRIME[name][0]()
+        ar = automorphisms._Digits(_int_lane(a).products, a.dim, 3)
+    else:
+        a = _zero_extended(DIM8_F2["octonion-F2"]())
+        ar = automorphisms._Bits(_gf2_lane(a).products, a.dim)
+    gens = automorphisms._generators(ar)
+    base = ar.satisfying(*automorphisms._filter(ar, {}, gens[0]))
+    assert base == _satisfying_by_hand(ar, *automorphisms._filter(ar, {}, gens[0]))
+    # a graph that the first generator's images close, read on base alone
+    for u in sorted(base):
+        state = automorphisms._close(ar, ({}, {}), gens[0], ar.vector(u))
+        if state is not None and len(gens) > 1:
+            relations, terms = automorphisms._filter(ar, state[0], gens[1])
+            assert relations
+            assert ar.satisfying(relations, terms, base) == _satisfying_by_hand(
+                ar, relations, terms) & base
+            return
+    pytest.fail("no image of the first generator closes")
