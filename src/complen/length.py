@@ -14,28 +14,26 @@ stored row, so the rows a level adds (those whose pivots the level below
 lacks) span it modulo that level. Lin_k is built from products of rows added
 at levels i and k-i, so the chain stops as soon as the span is the whole
 algebra, or when k > 2L, L the last level that added rows: past 2L one
-factor of every pair is empty, and the chain is stable there. Over Q and
-prime fields it runs on the integer lane's echelon (fraction-free over Q);
-the Subspace chain, _general_spans, is the reference and serves extension
-fields.
+factor of every pair is empty, and the chain is stable there. The chain runs
+on the integer lane's echelon: over Q fraction-free, over GF(p) mod p, and
+over GF(p^k) on the restriction of scalars to GF(p).
 
 The length search is one loop of three parts. A source yields weighted
 items in a fixed order: seeded random subspaces, or those of the one
 exhaustive source, fed a dimension at a time by pluggable forms: every
 subspace, or over a prime field one per orbit of a few proved automorphisms
 (autos.py, orbits.py: one search and one pass for every prime, GF(2)
-included). An item is the tuple of a subspace's reduced echelon rows,
-bitmasks over GF(2) and tuples of scalars otherwise; one generator,
-_row_fills, makes them in that order for the forms, the witness walk and
-enumerate_subspaces, and the orbit pass builds the same fills in numpy in
-the same order. A lane evaluates each item: lin_spans
-("span:general"), or the same recursion over GF(2) on bitmask rows with
-product lookup tables ("gf2-bitmask"), or over an odd prime field GF(p) on
-residue rows with integer products reduced mod p in the echelon
-("gfp-int"). The loop itself is the one accumulator: it adds each weight to
-the census and to the covered count, checks that the weights of an
-exhaustive search cover every nonzero subspace, keeps the witness, and
-builds the SearchResult.
+included). An item is the tuple of a subspace's encoded reduced echelon
+rows; one generator, _row_fills, makes them in that order for the forms,
+the witness walk and enumerate_subspaces, and the orbit pass builds the
+same fills in numpy in the same order. A lane evaluates each item by the
+recursion: "gf2-bitmask" in an exhaustive census over F2, on bitmask rows
+with product lookup tables, and the integer lane everywhere else, on rows of
+ints with integer products ("gfp-int" over a finite field, reduced mod p in
+the echelon; "q-int" over Q, fraction-free). The loop itself is the one
+accumulator: it adds each weight to the census and to the covered count,
+checks that the weights of an exhaustive search cover every nonzero
+subspace, keeps the witness, and builds the SearchResult.
 """
 
 from __future__ import annotations
@@ -123,60 +121,17 @@ def has_descending_certificate(a: AlgebraTable) -> bool:
     return any(name in a.certificates for name in DESCENDING)
 
 
-def _new_rows(old: Subspace, new: Subspace) -> list:
-    """Rows of new whose pivots old lacks: new = old + their span, because
-    inserting into a forward-reduced store never rewrites a stored row."""
-    have = set(old.pivots)
-    return [r for r, p in zip(new.basis, new.pivots) if p not in have]
-
-
-def _general_spans(a: AlgebraTable, s: Sequence[Element]):
-    """The chain on Subspace snapshots: the reference, run over extension fields."""
-    e = a.unit_element()
-    lin0 = Subspace.span(a.field, a.dim, [] if e is None else [e])
-    spans = [lin0, lin0.sum(Subspace.span(a.field, a.dim, s))]
-    # new[i] spans Lin_i modulo Lin_{i-1}, kept for level 1 and the levels that
-    # added rows; the unit row of Lin_0 only ever yields shorter words, so
-    # Lin_k = Lin_{k-1} + sum over i+j=k of new[i]*new[j]
-    new = {1: _new_rows(*spans)}
-    last = 1 if new[1] else 0
-    while spans[-1].dim < a.dim and len(spans) <= 2 * last:
-        k = len(spans)
-        acc = spans[-1]
-        products = (
-            a.multiply(x, y) for i, xs in new.items() for x in xs for y in new.get(k - i, ())
-        )
-        for v in products:
-            acc = acc.insert(v)
-            if acc.dim == a.dim:
-                break
-        if acc is not spans[-1]:
-            new[k], last = _new_rows(spans[-1], acc), k
-        spans.append(acc)
-    return spans[: max(last, 1) + 1]
-
-
-def _integral(v) -> list:
-    """v times the lcm of its entries' denominators: ints on the same line."""
-    m = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (m // x.denominator) for x in v]
-
-
 def _int_spans(a: AlgebraTable, s: Sequence[Element]) -> list:
-    """The spans of _general_spans over Q or GF(p) from the integer lane: Lin_k
-    is one Subspace of the rows levels 0..k added, each divided by its pivot
-    entry; 0 left of distinct pivots is all Subspace.reduce needs."""
+    """The spans of the chain from the integer lane: Lin_k is one Subspace of
+    the rows levels 0..k added, read back and divided by their pivot entries
+    (the lane's chain); 0 left of distinct pivots is all Subspace.reduce needs."""
     for v in s:
         if len(v) != a.dim:
             raise DimensionMismatch(f"vector length {len(v)} in ambient {a.dim}")
-    new = _int_lane(a).chain([_integral(v) for v in s])
+    new = _int_lane(a).chain(s)
     rows, spans = [], []  # (pivot, row) pairs
     for k in range(max(new) + 1):
-        for r in new.get(k, ()):
-            p = next(i for i, x in enumerate(r) if x)
-            c = r[p]
-            rows.append((p, r if c == 1 else tuple(
-                x // c if x % c == 0 else Fraction(x, c) for x in r)))
+        rows += new.get(k, ())
         rows.sort()
         spans.append(Subspace(a.field, a.dim, tuple(r for _, r in rows), tuple(p for p, _ in rows)))
     return spans
@@ -185,11 +140,10 @@ def _int_spans(a: AlgebraTable, s: Sequence[Element]) -> list:
 def lin_spans(a: AlgebraTable, s: Sequence[Element], mode: str = "general") -> LengthReport:
     """Nested spans and difference sequence of a set of elements.
 
-    Both modes run the general recursion. mode "descending" also requires a
-    cached descending certificate on the algebra, the proof that the
-    descending laws apply to the chain, and raises ModeUnjustified without one.
-    Over Q and prime fields the chain runs on the integer lane (_int_spans),
-    over extension fields on the reference Subspace chain (_general_spans).
+    Both modes run the general recursion, on the integer lane (_int_spans)
+    over every field. mode "descending" also requires a cached descending
+    certificate on the algebra, the proof that the descending laws apply to
+    the chain, and raises ModeUnjustified without one.
     """
     if mode not in ("general", "descending"):
         raise ModeUnjustified(f"unknown mode {mode!r}")
@@ -198,8 +152,7 @@ def lin_spans(a: AlgebraTable, s: Sequence[Element], mode: str = "general") -> L
             "descending mode needs a descending certificate on the algebra; "
             "run check_descending or acquire_descending_certificates first"
         )
-    q = a.field.cardinality()
-    spans = _general_spans(a, s) if q and q != a.field.characteristic() else _int_spans(a, s)
+    spans = _int_spans(a, s)
     dims = [sp.dim for sp in spans]
     d = _trim([dims[0]] + [dims[k] - dims[k - 1] for k in range(1, len(dims))])
     return LengthReport(
@@ -292,8 +245,11 @@ def enumerate_subspaces(field: Field, ambient: int, k: int) -> Iterator[Subspace
         yield Subspace(field, ambient, rows, pivots)
 
 
-def _random_subspace(field: Field, ambient: int, rng: random.Random, patterns: dict) -> tuple:
-    """Uniform dimension, then the rows of a uniform reduced echelon form.
+def _random_subspace(
+    field: Field, ambient: int, rng: random.Random, patterns: dict, encode: Callable
+) -> tuple:
+    """Uniform dimension, then the rows of a uniform reduced echelon form,
+    each row as encode(pivot, cells) gives it (_row_fills's encode).
 
     Finite fields: pivot sets weighted by how many echelon forms they carry,
     free entries uniform. Rationals: uniform pivot set, small integer entries.
@@ -313,7 +269,7 @@ def _random_subspace(field: Field, ambient: int, rng: random.Random, patterns: d
         pivots, cells = listed[rng.randrange(len(listed))]
         values = [field.from_int(rng.randint(-3, 3)) for _ in cells]
     return tuple(
-        _scalar_row(field, ambient, p, [(c, x) for (row, c), x in zip(cells, values) if row == r])
+        encode(p, [(c, x) for (row, c), x in zip(cells, values) if row == r])
         for r, p in enumerate(pivots)
     )
 
@@ -366,7 +322,6 @@ def _exhaustive_source(a: AlgebraTable, forms) -> Iterator[tuple]:
 # Subspace; products are what the automorphism search multiplies with, the
 # GF(2) lane's product table prod[x][y] or the integer lane's structure
 # constants, and the integer lane keeps its chain for lin_spans.
-# gf2-bitmask takes bitmask rows over F2, span:general and gfp-int scalars.
 
 
 @dataclass(frozen=True)
@@ -375,14 +330,14 @@ class _Lane:
     evaluate: Callable
     encode: Callable
     as_subspace: Callable
-    products: Optional[list] = None
+    products: list
     chain: Optional[Callable] = None
 
 
 def _chain_d(dim: int, d0: int, first: list, red: list, level: Callable):
-    """The recursion of _general_spans on a lane's echelon red, which holds
-    Lin_0 (d0 rows) and the rows first that S added: the trimmed difference
-    sequence, or None when the chain stops short of dim, and the rows new.
+    """The recursion on a lane's echelon red, which holds Lin_0 (d0 rows) and
+    the rows first that S added: the trimmed difference sequence, or None
+    when the chain stops short of dim, and the rows new.
 
     level(red, new, k, room) inserts the products of the rows first added at
     levels i and k - i (new[i] and new[k - i]) into red and returns the rows
@@ -401,22 +356,11 @@ def _chain_d(dim: int, d0: int, first: list, red: list, level: Callable):
     return (_trim(d) if sum(d) == dim else None), new
 
 
-def _span_lane(a: AlgebraTable) -> _Lane:
-    """Rows of scalars through lin_spans in general mode."""
-
-    def evaluate(rows: tuple):
-        rep = lin_spans(a, rows, mode="general")
-        return rep.d if rep.generating else None
-
-    return _Lane("span:general", evaluate, functools.partial(_scalar_row, a.field, a.dim),
-                 functools.partial(Subspace.span, a.field, a.dim))
-
-
 def _gf2_lane(a: AlgebraTable) -> _Lane:
     """Bitmask-row items over the two-element field, with product lookups.
 
-    The recursion of _general_spans on bitmasks: level k adds prod[x][y] for
-    x and y among the rows first added at levels i and k - i.
+    The recursion on bitmasks: level k adds prod[x][y] for x and y among the
+    rows first added at levels i and k - i.
     """
     dim = a.dim
     size = 1 << dim
@@ -493,81 +437,106 @@ _LANES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _int_lane(a: AlgebraTable) -> _Lane:
-    """Rows of ints over Q or a prime field GF(p), with integer products: the
-    chain of lin_spans over both, and the census lane over GF(p), p odd.
+    """Rows of ints with integer products over Q and every finite field: the
+    chain of lin_spans, and the search lane but in an exhaustive census over F2.
 
-    The recursion of _general_spans on ints, as _gf2_lane runs it on bitmasks:
-    a product sums the nonzero structure constants e_i*e_j = sum c_k e_k in
-    plain ints. Over GF(p) the echelon does the only reduction mod p; its row
-    at pivot k is reduced and 1 at k. Over Q the table is scaled by the lcm
-    of its denominators (Lin_k depends only on lines), and the echelon is
-    fraction-free (Bareiss): v = w[k]*v - v[k]*w, and a new row is stored
-    divided by its gcd, pivot positive. chain(rows) gives _chain_d's new,
-    new[0] the rows of Lin_0; the census evaluates without it.
+    The recursion on ints, as _gf2_lane runs it on bitmasks: a product sums
+    the nonzero structure constants e_i*e_j = sum c_k e_k in plain ints. Over
+    GF(p) the echelon does the only reduction mod p; its row at pivot k is
+    reduced and 1 at k. Over Q the table is scaled by the lcm of its
+    denominators (Lin_k depends only on lines), and the echelon is
+    fraction-free (Bareiss): v = w[k]*v - v[k]*w, stored over its gcd, pivot positive.
+
+    Over GF(q), q = p^k, it runs on the restriction of scalars (primescan):
+    dimension nk over GF(p) on f_(i*k+u) = e_i X^u, coordinate i*k + u being
+    digit u of coordinate i's index. An item's row is the k rows v, Xv, ...,
+    X^(k-1)v, whose GF(p)-span is the GF(q)-span of v (k = 1: the row v).
+    Products are GF(q)-bilinear, so each Lin_j is one set over both fields,
+    and each d_j over GF(p) is k times its value over GF(q): evaluate
+    divides, and raises InvariantViolation where k does not divide.
+    chain(vectors) gives _chain_d's new, new[0] the rows of Lin_0, each as
+    (pivot, the row read back, k digits to a scalar, over its pivot entry);
+    over GF(q) only the rows at the first digit (i, 0) of each GF(q) pivot i:
+    the echelon has every (i, u), and those rows span Lin_j over GF(q).
     """
     if a in _LANES:
         return _LANES[a]
-    dim, p = a.dim, a.field.characteristic()
-    # consts[i] lists (j, k, c) for the nonzero structure constants of e_i:
-    # e_i*e_j = sum c e_k; grouped by i, this measured faster than one flat
-    # list of (i, j, ((k, c), ...)) on the F5 and F7 twists
-    consts = [
-        [(j, k, c) for j, v in enumerate(row) for k, c in enumerate(v) if c]
-        for row in a.table
-    ]
+    f, n, one = a.field, a.dim, a.field.one()
+    p, k = f.characteristic(), f.spec.k
+    m = n * k
+    powers = [p ** (k - 1 - u) for u in range(k)]  # X^u as an index: [1] over Q and GF(p)
+
+    def digits(x) -> list:
+        return [x // xu % p for xu in powers] if p else [x]
+
+    def restrict(v) -> tuple:
+        """The k rows of v, Xv, ..., X^(k-1)v; over Q, v times the lcm of its
+        entries' denominators: ints on the same line."""
+        if not p:
+            den = math.lcm(*(x.denominator for x in v))
+            return ([x.numerator * (den // x.denominator) for x in v],)
+        return tuple(tuple(c for x in v for c in digits(f.mul(xu, x))) for xu in powers)
+
+    # consts[r] lists (s, t, c) for the nonzero structure constants of f_r:
+    # f_r*f_s = sum c f_t; grouped by r, this measured faster than one flat
+    # list of (r, s, ((t, c), ...)) on the F5 and F7 twists
+    consts = [[(j * k + v, t * k + w, c) for j, e_ij in enumerate(a.table[i]) for v in range(k)
+               for t, x in enumerate(e_ij) if x
+               for w, c in enumerate(digits(f.mul(x, f.mul(powers[u], powers[v])))) if c]
+              for i in range(n) for u in range(k)]
     if not p:
         den = math.lcm(*(c.denominator for cs in consts for _, _, c in cs))
-        consts = [[(j, k, c.numerator * (den // c.denominator)) for j, k, c in cs]
+        consts = [[(j, t, c.numerator * (den // c.denominator)) for j, t, c in cs]
                   for cs in consts]
 
     def multiply(x, y) -> list:
-        v = [0] * dim
+        v = [0] * m
         for i, xi in enumerate(x):
             if xi:
-                for j, k, c in consts[i]:
+                for j, t, c in consts[i]:
                     yj = y[j]
                     if yj:
-                        v[k] += xi * yj * c
+                        v[t] += xi * yj * c
         return v
 
     def insert_mod_p(red: list, v) -> Optional[tuple]:
         """Reduce v by the echelon red and store what is left: the new row,
         or None when v lies in the span."""
-        for k in range(dim):
-            c = v[k] % p
+        for t in range(m):
+            c = v[t] % p
             if c:
-                w = red[k]
+                w = red[t]
                 if w is None:
                     c = pow(c, -1, p)
-                    red[k] = w = tuple([x * c % p for x in v])
+                    red[t] = w = tuple([x * c % p for x in v])
                     return w
                 v = [x - c * y for x, y in zip(v, w)]
         return None
 
     def insert_q(red: list, v) -> Optional[tuple]:
-        for k in range(dim):
-            c = v[k]
+        for t in range(m):
+            c = v[t]
             if c:
-                w = red[k]
+                w = red[t]
                 if w is None:
                     g = math.gcd(*v) if c > 0 else -math.gcd(*v)
-                    red[k] = w = tuple([x // g for x in v])
+                    red[t] = w = tuple([x // g for x in v])
                     return w
-                b = w[k]
+                b = w[t]
                 v = [b * x - c * y for x, y in zip(v, w)]
         return None
 
     insert = insert_mod_p if p else insert_q
-    red0 = [None] * dim
+    red0 = [None] * m
     e = a.unit_element()
-    lin0 = [] if e is None else [insert(red0, _integral(e))]
+    lin0 = [] if e is None else [insert(red0, r) for r in restrict(e)]
     d0 = len(lin0)
 
-    def level(red: list, new: dict, k: int, room: int) -> list:
-        """The rows level k adds to the echelon red, stopping at room rows."""
+    def level(red: list, new: dict, j: int, room: int) -> list:
+        """The rows level j adds to the echelon red, stopping at room rows."""
         fresh = []
         for i, xs in new.items():
-            ys = new.get(k - i, ())
+            ys = new.get(j - i, ())
             for x in xs:
                 for y in ys:
                     w = insert(red, multiply(x, y))
@@ -577,18 +546,48 @@ def _int_lane(a: AlgebraTable) -> _Lane:
                             return fresh
         return fresh
 
+    def start(rows) -> tuple:
+        """The rows that rows add to a copy of Lin_0's echelon, and the copy."""
+        red = red0.copy()
+        return [w for w in (insert(red, v) for v in rows) if w is not None], red
+
     def evaluate(s_rows: tuple):
-        red = red0.copy()
-        first = [w for w in (insert(red, v) for v in s_rows) if w is not None]
-        return _chain_d(dim, d0, first, red, level)[0]
+        d = _chain_d(m, d0, *start(s_rows if k == 1 else itertools.chain(*s_rows)), level)[0]
+        if k == 1 or d is None:
+            return d
+        if any(x % k for x in d):
+            raise InvariantViolation(f"d = {d} over GF({p}) is not {k} times a d over GF({p}^{k})")
+        return tuple(x // k for x in d)
 
-    def chain(s_rows) -> dict:
-        red = red0.copy()
-        first = [w for w in (insert(red, v) for v in s_rows) if w is not None]
-        return {0: lin0, **_chain_d(dim, d0, first, red, level)[1]}
+    def encode(pivot: int, cells):
+        rows = restrict(_scalar_row(f, n, pivot, cells))
+        return rows[0] if k == 1 else rows
 
-    lane = _LANES[a] = _Lane("gfp-int", evaluate, functools.partial(_scalar_row, a.field, dim),
-                             functools.partial(Subspace.span, a.field, dim), consts, chain)
+    def read_back(w: tuple) -> Optional[tuple]:
+        t, u = divmod(next(i for i, x in enumerate(w) if x), k)
+        if u:
+            return None
+        row = w if k == 1 else tuple(
+            sum(c * xu for c, xu in zip(w[i : i + k], powers)) for i in range(0, m, k))
+        c = row[t]
+        if c == one:
+            return t, row
+        if not p:
+            return t, tuple(x // c if x % c == 0 else Fraction(x, c) for x in row)
+        c = f.inv(c)
+        return t, tuple(f.mul(c, x) for x in row)
+
+    def as_subspace(s_rows: tuple) -> Subspace:
+        # an item's row v is 1 at its pivot, and its first residue row reads back to v
+        return Subspace.span(f, n, s_rows if k == 1 else [read_back(r[0])[1] for r in s_rows])
+
+    def chain(vectors) -> dict:
+        restricted = (r for v in vectors for r in restrict(v))
+        new = {0: lin0, **_chain_d(m, d0, *start(restricted), level)[1]}
+        return {j: [r for r in map(read_back, rows) if r] for j, rows in new.items()}
+
+    name = "gfp-int" if p else "q-int"
+    lane = _LANES[a] = _Lane(name, evaluate, encode, as_subspace, consts, chain)
     return lane
 
 
@@ -671,10 +670,10 @@ def length_of_algebra(
     when it finds some, evaluates one item per orbit (orbits), each map
     reduced modulo a unit first. An exhaustive search whose weights do not sum to
     the number of nonzero subspaces raises InvariantViolation. ``stats``
-    names the lane and counts the items it evaluated. Every lane runs the
-    general recursion (``gf2-bitmask`` over F2, ``gfp-int`` over an odd
-    prime field, ``span:general`` over extension fields and in random
-    mode); certificates only choose the laws ``violations`` checks.
+    names the lane and counts the items it evaluated. Both lanes run the
+    general recursion (``gf2-bitmask`` in an exhaustive census over F2, the
+    integer lane otherwise); certificates only choose the laws
+    ``violations`` checks.
 
     The witness is the first subspace of maximal length in enumeration
     order. Orbit forms yield each orbit's first item, in enumeration order,
@@ -699,15 +698,13 @@ def length_of_algebra(
                 estimate=total,
             )
         q = f.cardinality()
-        lane = (
-            _gf2_lane(a) if q == 2
-            else _int_lane(a) if q == f.characteristic()
-            else _span_lane(a)
-        )
+        lane = _gf2_lane(a) if q == 2 else _int_lane(a)
         forms = functools.partial(_plain_forms, q=q, encode=lane.encode)
         quotient = a.is_unital()
         items = count_subspaces(f, a.dim - 1, range(a.dim)) if quotient else total
-        if lane.products is not None and _orbits_pay(q, a.dim, items):
+        # over GF(p^k) the lane's constants are those of the restriction of
+        # scalars, whose automorphisms need not be GF(p^k)-linear
+        if q == f.characteristic() and _orbits_pay(q, a.dim, items):
             from .autos import find_automorphisms
 
             autos = find_automorphisms(lane.products, a.dim, q)
@@ -725,9 +722,10 @@ def length_of_algebra(
     elif mode == "random":
         if budget < 1:
             raise ParseError(f"random search needs a budget of at least 1, got {budget}")
-        rng, patterns = random.Random(seed), {}
-        source = ((_random_subspace(f, a.dim, rng, patterns), 1) for _ in range(budget))
-        lane = _span_lane(a)
+        # never the GF(2) lane: its 2^n x 2^n table is not bounded by cost_cap()
+        lane, rng, patterns = _int_lane(a), random.Random(seed), {}
+        source = ((_random_subspace(f, a.dim, rng, patterns, lane.encode), 1)
+                  for _ in range(budget))
     else:
         raise ModeUnjustified(f"unknown search mode {mode!r}")
 

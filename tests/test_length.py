@@ -42,7 +42,6 @@ from complen.length import (
     ORBIT_FLOOR,
     _exhaustive_source,
     _forms,
-    _general_spans,
     _gf2_lane,
     _int_lane,
     _mask_row,
@@ -396,7 +395,7 @@ def test_gf9_quaternion_census_and_file_are_pinned():
     assert json.dumps(length_of_algebra(a, mode="exhaustive").as_dict(), sort_keys=True) == (
         '{"best_length": 2, "enumerated": 9103, "exact": true, "mode": "exhaustive", '
         '"stats": {"d_census": {"1 2 1": 6642, "1 3": 730}, "evaluated": 184, '
-        '"generating": 7372, "lane": "span:general", "violations": []}, '
+        '"generating": 7372, "lane": "gfp-int", "violations": []}, '
         '"witness": [["1,0", "0,0", "0,0", "0,1"], '
         '["0,0", "1,0", "0,0", "0,0"]]}'
     )
@@ -405,9 +404,43 @@ def test_gf9_quaternion_census_and_file_are_pinned():
 # --- the unit quotient -------------------------------------------------------------
 
 
+def _new_rows(old, new):
+    """Rows of new whose pivots old lacks: new = old + their span, because
+    inserting into a forward-reduced store never rewrites a stored row."""
+    have = set(old.pivots)
+    return [r for r, p in zip(new.basis, new.pivots) if p not in have]
+
+
+def _general_spans(a, s):
+    """The chain on Subspace snapshots, in the field's own arithmetic: the
+    reference that every lane and lin_spans are compared with."""
+    e = a.unit_element()
+    lin0 = Subspace.span(a.field, a.dim, [] if e is None else [e])
+    spans = [lin0, lin0.sum(Subspace.span(a.field, a.dim, s))]
+    # new[i] spans Lin_i modulo Lin_{i-1}, kept for level 1 and the levels that
+    # added rows; the unit row of Lin_0 only ever yields shorter words, so
+    # Lin_k = Lin_{k-1} + sum over i+j=k of new[i]*new[j]
+    new = {1: _new_rows(*spans)}
+    last = 1 if new[1] else 0
+    while spans[-1].dim < a.dim and len(spans) <= 2 * last:
+        k = len(spans)
+        acc = spans[-1]
+        products = (
+            a.multiply(x, y) for i, xs in new.items() for x in xs for y in new.get(k - i, ())
+        )
+        for v in products:
+            acc = acc.insert(v)
+            if acc.dim == a.dim:
+                break
+        if acc is not spans[-1]:
+            new[k], last = _new_rows(spans[-1], acc), k
+        spans.append(acc)
+    return spans[: max(last, 1) + 1]
+
+
 def _reference_dict(a, s, mode="general", spans=None):
     """lin_spans(a, s, mode).as_dict() read from the Subspace reference
-    chain, _general_spans, which lin_spans runs only over extension fields."""
+    chain, _general_spans."""
     dims = [sp.dim for sp in (spans or _general_spans(a, s))]
     d = [dims[0]] + [y - x for x, y in zip(dims, dims[1:])]
     while len(d) > 1 and not d[-1]:
@@ -448,6 +481,8 @@ def _uncertified(a):
 
 
 GF4 = field_make("F2^2:1,1,1")
+GF9 = field_make("F3^2:1,0,1")
+GF25 = field_make("F5^2:2,0,1")
 F5 = field_make("F5")
 
 UNITAL = {
@@ -478,9 +513,7 @@ def test_unit_quotient_matches_every_subspace(name):
     # one item per subspace of the hyperplane, the zero subspace included
     q = a.field.cardinality()
     assert res.stats["evaluated"] == count_subspaces(a.field, a.dim - 1, range(a.dim))
-    assert res.stats["lane"] == (
-        "gf2-bitmask" if q == 2 else "gfp-int" if q == a.field.characteristic() else "span:general"
-    )
+    assert res.stats["lane"] == ("gf2-bitmask" if q == 2 else "gfp-int")
 
 
 def test_non_unital_search_evaluates_every_subspace():
@@ -554,16 +587,17 @@ def test_certificate_free_gf2_octonion_census_is_pinned():
 
 
 def _random_table(f, n, seed, density):
-    """A seeded table over a prime field without certificates: each coordinate
-    of each basis product is nonzero with probability density, and then a
-    uniform nonzero residue (1 over F2, with no draw for it)."""
+    """A seeded table over a finite field without certificates: each
+    coordinate of each basis product is nonzero with probability density,
+    and then a uniform nonzero scalar, drawn as its index (1 over F2, with
+    no draw for it)."""
     rng = random.Random(seed)
     q = f.cardinality()
 
     def entry():
         if rng.random() >= density:
             return f.zero()
-        return f.one() if q == 2 else f.from_int(rng.randrange(1, q))
+        return f.one() if q == 2 else rng.randrange(1, q)
 
     table = [[tuple(entry() for _ in range(n)) for _ in range(n)] for _ in range(n)]
     return AlgebraTable(f, n, [f"e{i}" for i in range(n)], table, name=f"random-{seed}")
@@ -626,8 +660,9 @@ def _zero_table(f, n):
     return AlgebraTable(f, n, [f"e{i}" for i in range(n)], [[zero] * n for _ in range(n)])
 
 
-# sparse-F3-3, sparse-F3-4, sparse-F5-3 and sparse-F5-4 have generating
-# subspaces whose chain stalls at a level and grows again later
+# the sparse tables have generating subspaces whose chain stalls at a level
+# and grows again later. Over GF(4) and GF(9) the lane runs on the
+# restriction of scalars to GF(2) and GF(3); GF(9) stays at dimension 3
 SMALL_FP = {
     **{
         f"quaternion-F{p}": (lambda f=f: make_hurwitz_tower(f, None, (f.one(), f.one())))
@@ -648,6 +683,15 @@ SMALL_FP = {
     "sparse-F5-4": lambda: _random_table(F5, 4, 1, 0.1),
     "dense-F3-4": lambda: _random_table(F3, 4, 0, 0.5),
     "dense-F5-3": lambda: _random_table(F5, 3, 0, 0.5),
+    "quaternion-GF4": UNITAL["quaternion-GF4"],
+    **{
+        f"quaternion-GF4-{t}": (lambda t=t: standard_twist(UNITAL["quaternion-GF4"](), t))
+        for t in ("II", "IV")
+    },
+    "sparse-GF4-4": lambda: _random_table(GF4, 4, 0, 0.1),
+    "dense-GF4-4": lambda: _random_table(GF4, 4, 0, 0.5),
+    "sparse-GF9-3": lambda: _random_table(GF9, 3, 4, 0.15),
+    "dense-GF9-3": lambda: _random_table(GF9, 3, 0, 0.5),
 }
 
 
@@ -667,7 +711,7 @@ def test_gfp_lane_matches_general_spans_on_every_subspace(name, cleared):
         ]
         for rows in subs:
             d = lane.evaluate(rows)
-            assert d == _general_d(a, rows), (name, rows)
+            assert d == _general_d(a, lane.as_subspace(rows).basis), (name, rows)
             inner_plateaus += d is not None and 0 in d[1:]
     if name.startswith("sparse"):
         assert inner_plateaus
@@ -777,29 +821,38 @@ LIN_SPANS_CASES = {
     ),
     **{f"{name}-seeded": (lambda name=name: _seeded_pairs(SMALL_FP[name](), name))
        for name in SMALL_FP},
+    # lin_spans alone, without a census: GF(9) at dimension 4 and GF(25)
+    "quaternion-GF9-seeded": lambda: _seeded_pairs(
+        make_hurwitz_tower(GF9, None, (GF9.one(), GF9.one())), "quaternion-GF9"),
+    "quaternion-GF25-II-seeded": lambda: _seeded_pairs(
+        standard_twist(make_hurwitz_tower(GF25, None, (GF25.one(), GF25.one())), "II"), "GF25"),
+    "dense-GF25-3-seeded": lambda: _seeded_pairs(_random_table(GF25, 3, 1, 0.5), "dense-GF25"),
     **{f"{name}-seeded": (lambda name=name: _seeded_pairs(SMALL_F2[name](), name))
        for name in SMALL_F2},
 }
 
 
-def _assert_stored_rows(sp, p):
+def _assert_stored_rows(sp):
     """sp's stored rows as Subspace.insert keeps them: pivots increasing, each
-    row 1 at its pivot and 0 left of it, every entry a reduced scalar."""
+    row one at its pivot and 0 left of it, every entry a reduced scalar (an
+    index below q over GF(q))."""
+    q = sp.field.cardinality()
     assert list(sp.pivots) == sorted(set(sp.pivots)) and len(sp.basis) == len(sp.pivots)
     for row, piv in zip(sp.basis, sp.pivots):
-        assert len(row) == sp.ambient and row[piv] == 1 and not any(row[:piv])
+        assert len(row) == sp.ambient and row[piv] == sp.field.one() and not any(row[:piv])
         for x in row:
-            if p:
-                assert type(x) is int and 0 <= x < p
+            if q:
+                assert type(x) is int and 0 <= x < q
             else:
                 assert type(x) is int or x.denominator != 1
 
 
 @pytest.mark.parametrize("case", sorted(LIN_SPANS_CASES))
 def test_lin_spans_matches_the_subspace_chain(case):
-    """Over Q and prime fields lin_spans runs the integer lane: its whole
-    report (d, length, generating, the spans and as_dict) equals the one read
-    from the Subspace chain, in both modes."""
+    """lin_spans runs the integer lane over every field, over GF(p^k) on the
+    restriction of scalars: its whole report (d, length, generating, the
+    spans and as_dict) equals the one read from the Subspace chain, in both
+    modes."""
     for a, s in LIN_SPANS_CASES[case]():
         spans = _general_spans(a, s)
         for mode in ("general", "descending"):
@@ -814,10 +867,10 @@ def test_lin_spans_matches_the_subspace_chain(case):
                 ref["d"], ref["length"], ref["generating"])
             assert list(rep.spans) == spans, (case, s)
             for sp in rep.spans:
-                _assert_stored_rows(sp, a.field.characteristic())
+                _assert_stored_rows(sp)
 
 
-@pytest.mark.parametrize("field", (Q, F2, F3, field_make("F3^2:1,0,1")), ids=str)
+@pytest.mark.parametrize("field", (Q, F2, F3, GF4, GF9, GF25), ids=str)
 def test_lin_spans_checks_vector_lengths(field):
     # the integer lane keeps the length check that Subspace.span makes
     mu = field.one() if field.characteristic() == 2 else None
@@ -1343,6 +1396,94 @@ def test_random_mode_draws_are_pinned():
         assert res.stats["d_census"] == _census_of(census)
         assert res.as_dict()["witness"] == [row.split() for row in witness]
         assert res.enumerated == res.stats["evaluated"] == 400
+
+
+# best length, census and witness of random mode on twist II of the GF(9)
+# quaternions (budget 400) and on the isotropic Okubo table over Q (budget
+# 200), recorded when random mode evaluated through lin_spans
+RANDOM_PINS = {
+    ("twist-II-GF9", 0): (2, "0 2 2:86,0 3 1:91,0 4:101",
+                          ["1,0 0,0 1,2 0,0", "0,0 1,0 1,0 0,0", "0,0 0,0 0,0 1,0"]),
+    ("twist-II-GF9", 1): (2, "0 2 2:94,0 3 1:94,0 4:103", ["1,0 0,0 0,1 1,1", "0,0 1,0 0,1 2,1"]),
+    ("twist-II-GF9", 2): (2, "0 2 2:102,0 3 1:92,0 4:96",
+                          ["1,0 0,0 0,0 0,0", "0,0 1,0 0,0 0,2", "0,0 0,0 1,0 2,0"]),
+    ("okubo-isotropic-Q", 0): (
+        4, "0 2 3 2 1:2,0 2 4 2:20,0 3 5:26,0 4 4:20,0 5 3:27,0 6 2:23,0 7 1:31,0 8:25",
+        ["0 0 0 0 0 1 0 0", "0 0 0 0 0 0 0 1"]),
+    ("okubo-isotropic-Q", 1): (
+        4, "0 2 3 2 1:2,0 2 4 2:20,0 3 3 2:1,0 3 5:26,0 4 4:25,0 5 3:25,0 6 2:23,0 7 1:26,"
+        "0 8:28", ["0 0 0 0 0 1 3 0", "0 0 0 0 0 0 0 1"]),
+    ("okubo-isotropic-Q", 2): (
+        4, "0 2 3 2 1:1,0 2 4 2:23,0 3 5:26,0 4 4:27,0 5 3:18,0 6 2:27,0 7 1:27,0 8:26",
+        ["0 0 0 0 1 1 0 0", "0 0 0 0 0 0 0 1"]),
+}
+RANDOM_TABLES = {
+    "twist-II-GF9": (
+        lambda: standard_twist(make_hurwitz_tower(GF9, None, (GF9.one(), GF9.one())), "II"),
+        400, "gfp-int",
+    ),
+    "okubo-isotropic-Q": (lambda: make_okubo_isotropic(Q, Q.one(), Q.one()), 200, "q-int"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_TABLES))
+def test_random_mode_on_the_integer_lane_is_pinned(name):
+    make, budget, lane = RANDOM_TABLES[name]
+    a = make()
+    for seed in range(3):
+        best, census, witness = RANDOM_PINS[name, seed]
+        res = length_of_algebra(a, mode="random", seed=seed, budget=budget)
+        assert res.best_length == best
+        assert res.stats["d_census"] == _census_of(census)
+        assert res.as_dict()["witness"] == [row.split() for row in witness]
+        assert res.enumerated == res.stats["evaluated"] == budget
+        assert res.stats["lane"] == lane
+
+
+def test_random_mode_never_builds_the_gf2_product_table(monkeypatch):
+    import complen.length as length
+
+    def refuse(a):
+        raise AssertionError("random mode built the 2^n x 2^n GF(2) product table")
+
+    monkeypatch.setattr(length, "_gf2_lane", refuse)
+    a = DIM8_F2["okubo-isotropic-F2"]()
+    res = length_of_algebra(a, mode="random", seed=0, budget=200)
+    assert res.stats["lane"] == "gfp-int" and res.stats["evaluated"] == 200
+    # never above the exhaustive value, and the witness's d is the reference's
+    assert res.best_length <= DIM8_ORBIT_PINS["okubo-isotropic-F2"][0]
+    assert len(_general_d(a, res.witness.basis)) - 1 == res.best_length
+
+
+def test_extension_field_census_takes_no_orbit_forms():
+    # 528 plain items over GF(4), above PRIME_ORBIT_FLOOR with numpy loaded: a
+    # map found on the restriction of scalars to GF(2) need not be GF(4)-linear
+    import complen.length as length
+
+    a = standard_twist(make_hurwitz_tower(GF4, GF4.one(), (GF4.one(),)), "II")
+    assert "numpy" in sys.modules and not a.is_unital()
+    assert count_subspaces(GF4, 4, range(1, 5)) == 528 >= length.PRIME_ORBIT_FLOOR
+    res = length_of_algebra(a, mode="exhaustive")
+    assert "automorphisms" not in res.stats
+    assert res.stats["evaluated"] == res.enumerated == 528
+    assert res.stats["lane"] == "gfp-int"
+    census, enumerated, best, witness = _reference_search(a)
+    assert res.stats["d_census"] == census
+    assert res.best_length == best and res.witness.rows == witness
+
+
+def test_restricted_lane_checks_that_k_divides_every_d():
+    # drop one structure constant of f_2 = e_1 over GF(4): the restricted
+    # table is then no longer GF(4)-bilinear, and some chain over GF(2)
+    # stops being one over GF(4)
+    a = _uncertified(make_hurwitz_tower(GF4, GF4.one(), (GF4.one(),)))
+    lane = _int_lane(a)
+    del lane.products[2][3]
+    message = r"d = \(2, 2, 1, 3\) over GF\(2\) is not 2 times"
+    with pytest.raises(InvariantViolation, match=message):
+        for k in range(1, a.dim + 1):
+            for rows in _forms(range(a.dim), k, 4, lane.encode):
+                lane.evaluate(rows)
 
 
 def _quaternions(p):
