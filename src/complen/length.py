@@ -122,19 +122,11 @@ def has_descending_certificate(a: AlgebraTable) -> bool:
 
 
 def _int_spans(a: AlgebraTable, s: Sequence[Element]) -> list:
-    """The spans of the chain from the integer lane: Lin_k is one Subspace of
-    the rows levels 0..k added, read back and divided by their pivot entries
-    (the lane's chain); 0 left of distinct pivots is all Subspace.reduce needs."""
+    """The spans of the chain of s, from the integer lane's chain."""
     for v in s:
         if len(v) != a.dim:
             raise DimensionMismatch(f"vector length {len(v)} in ambient {a.dim}")
-    new = _int_lane(a).chain(s)
-    rows, spans = [], []  # (pivot, row) pairs
-    for k in range(max(new) + 1):
-        rows += new.get(k, ())
-        rows.sort()
-        spans.append(Subspace(a.field, a.dim, tuple(r for _, r in rows), tuple(p for p, _ in rows)))
-    return spans
+    return _int_lane(a).chain(s)
 
 
 def lin_spans(a: AlgebraTable, s: Sequence[Element], mode: str = "general") -> LengthReport:
@@ -454,10 +446,11 @@ def _int_lane(a: AlgebraTable) -> _Lane:
     Products are GF(q)-bilinear, so each Lin_j is one set over both fields,
     and each d_j over GF(p) is k times its value over GF(q): evaluate
     divides, and raises InvariantViolation where k does not divide.
-    chain(vectors) gives _chain_d's new, new[0] the rows of Lin_0, each as
-    (pivot, the row read back, k digits to a scalar, over its pivot entry);
-    over GF(q) only the rows at the first digit (i, 0) of each GF(q) pivot i:
-    the echelon has every (i, u), and those rows span Lin_j over GF(q).
+    chain(vectors) gives lin_spans's Lin_0, Lin_1, ...: each the Subspace of
+    the rows levels 0..j added (0 left of distinct pivots is all
+    Subspace.reduce needs), read back, k digits to a scalar, over their pivot
+    entries; over GF(q) the rows at the first digit (i, 0) of each GF(q)
+    pivot i, which span Lin_j since the echelon has every (i, u).
     """
     if a in _LANES:
         return _LANES[a]
@@ -466,23 +459,27 @@ def _int_lane(a: AlgebraTable) -> _Lane:
     m = n * k
     powers = [p ** (k - 1 - u) for u in range(k)]  # X^u as an index: [1] over Q and GF(p)
 
-    def digits(x) -> list:
-        return [x // xu % p for xu in powers] if p else [x]
+    @functools.cache
+    def spread(x) -> list:
+        """The digits of x, Xx, ..., X^(k-1)x; [[x]] over Q."""
+        return [[f.mul(xu, x) // xw % p for xw in powers] for xu in powers] if p else [[x]]
 
     def restrict(v) -> tuple:
-        """The k rows of v, Xv, ..., X^(k-1)v; over Q, v times the lcm of its
-        entries' denominators: ints on the same line."""
-        if not p:
-            den = math.lcm(*(x.denominator for x in v))
-            return ([x.numerator * (den // x.denominator) for x in v],)
-        return tuple(tuple(c for x in v for c in digits(f.mul(xu, x))) for xu in powers)
+        """The k rows of v, Xv, ..., X^(k-1)v; over Q, v scaled to ints on its line."""
+        if k > 1:
+            cols = [spread(x) for x in v]
+            return tuple(tuple(c for col in cols for c in col[u]) for u in range(k))
+        if p:
+            return (tuple(v),)
+        den = math.lcm(*(x.denominator for x in v))
+        return ([x.numerator * (den // x.denominator) for x in v],)
 
     # consts[r] lists (s, t, c) for the nonzero structure constants of f_r:
     # f_r*f_s = sum c f_t; grouped by r, this measured faster than one flat
     # list of (r, s, ((t, c), ...)) on the F5 and F7 twists
     consts = [[(j * k + v, t * k + w, c) for j, e_ij in enumerate(a.table[i]) for v in range(k)
                for t, x in enumerate(e_ij) if x
-               for w, c in enumerate(digits(f.mul(x, f.mul(powers[u], powers[v])))) if c]
+               for w, c in enumerate(spread(f.mul(powers[u], x))[v]) if c]
               for i in range(n) for u in range(k)]
     if not p:
         den = math.lcm(*(c.denominator for cs in consts for _, _, c in cs))
@@ -546,13 +543,11 @@ def _int_lane(a: AlgebraTable) -> _Lane:
                             return fresh
         return fresh
 
-    def start(rows) -> tuple:
-        """The rows that rows add to a copy of Lin_0's echelon, and the copy."""
-        red = red0.copy()
-        return [w for w in (insert(red, v) for v in rows) if w is not None], red
-
     def evaluate(s_rows: tuple):
-        d = _chain_d(m, d0, *start(s_rows if k == 1 else itertools.chain(*s_rows)), level)[0]
+        red = red0.copy()
+        rows = s_rows if k == 1 else itertools.chain(*s_rows)
+        first = [w for v in rows if (w := insert(red, v)) is not None]
+        d = _chain_d(m, d0, first, red, level)[0]
         if k == 1 or d is None:
             return d
         if any(x % k for x in d):
@@ -564,27 +559,34 @@ def _int_lane(a: AlgebraTable) -> _Lane:
         return rows[0] if k == 1 else rows
 
     def read_back(w: tuple) -> Optional[tuple]:
-        t, u = divmod(next(i for i, x in enumerate(w) if x), k)
-        if u:
-            return None
-        row = w if k == 1 else tuple(
-            sum(c * xu for c, xu in zip(w[i : i + k], powers)) for i in range(0, m, k))
-        c = row[t]
+        t = next(i for i, x in enumerate(w) if x)
+        if k > 1:
+            if t % k:
+                return None
+            t, w = t // k, tuple(sum(c * xu for c, xu in zip(w[i : i + k], powers))
+                                 for i in range(0, m, k))
+        c = w[t]
         if c == one:
-            return t, row
+            return t, w
         if not p:
-            return t, tuple(x // c if x % c == 0 else Fraction(x, c) for x in row)
+            return t, tuple(x // c if x % c == 0 else Fraction(x, c) for x in w)
         c = f.inv(c)
-        return t, tuple(f.mul(c, x) for x in row)
+        return t, tuple(f.mul(c, x) for x in w)
 
     def as_subspace(s_rows: tuple) -> Subspace:
         # an item's row v is 1 at its pivot, and its first residue row reads back to v
         return Subspace.span(f, n, s_rows if k == 1 else [read_back(r[0])[1] for r in s_rows])
 
-    def chain(vectors) -> dict:
-        restricted = (r for v in vectors for r in restrict(v))
-        new = {0: lin0, **_chain_d(m, d0, *start(restricted), level)[1]}
-        return {j: [r for r in map(read_back, rows) if r] for j, rows in new.items()}
+    def chain(vectors) -> list:
+        red = red0.copy()
+        first = [w for v in vectors for r in restrict(v) if (w := insert(red, r)) is not None]
+        new = {0: lin0, **_chain_d(m, d0, first, red, level)[1]}
+        rows, spans = [], []  # (pivot, row) pairs
+        for j in range(max(new) + 1):
+            rows += filter(None, map(read_back, new.get(j, ())))
+            rows.sort()
+            spans.append(Subspace(f, n, tuple(r for _, r in rows), tuple(t for t, _ in rows)))
+        return spans
 
     name = "gfp-int" if p else "q-int"
     lane = _LANES[a] = _Lane(name, evaluate, encode, as_subspace, consts, chain)
@@ -702,8 +704,7 @@ def length_of_algebra(
         forms = functools.partial(_plain_forms, q=q, encode=lane.encode)
         quotient = a.is_unital()
         items = count_subspaces(f, a.dim - 1, range(a.dim)) if quotient else total
-        # over GF(p^k) the lane's constants are those of the restriction of
-        # scalars, whose automorphisms need not be GF(p^k)-linear
+        # prime fields only: a map of GF(p^k)'s restriction need not be GF(p^k)-linear
         if q == f.characteristic() and _orbits_pay(q, a.dim, items):
             from .autos import find_automorphisms
 
