@@ -22,8 +22,11 @@ x (x x), (x x) x and (x x)(x x), and x's products with the graph's rows
 the same term of u, so a relation among the x sides that fails on the u sides
 puts a pair (0, nonzero) in the closure. The filter is only a necessary
 condition: every candidate that passes it still goes through the closure.
-The search's choices are deterministic (the candidates of each choice in one
-seeded shuffle of every nonzero vector), and it stops after CLOSURE_BUDGET
+The search's choices are deterministic: one seeded generator shuffles the
+candidates of every choice, over GF(2) in a shuffle of every nonzero vector
+(the order the recorded GF(2) maps and orbit counts rest on), over an odd
+prime in a shuffle of the images that pass the filter alone, as the filter
+keeps some 170 of the 2 400 vectors of F7^4. It stops after CLOSURE_BUDGET
 closures with what it has. Every map it returns is proved on all dim^2 basis
 products and shown to be invertible. length imports this module for an
 exhaustive census that may use the orbits (length._orbits_pay), and orbits,
@@ -35,7 +38,7 @@ the census.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 # maps searched for: on the isotropic Okubo table over F2 the first two found
 # leave 17 657 orbits, three leave 2 158; on the F2 octonions, over the unit
@@ -153,6 +156,15 @@ class _Bits:
         return frozenset(u for u in (range(size) if among is None else among)
                          if not any(bad[u * width:(u + 1) * width]))
 
+    def candidates(self, ok: frozenset, rng) -> Iterator[int]:
+        """The vectors of ok in one shuffle of every nonzero vector. Over
+        GF(2) the whole shuffle costs little (255 vectors at dim 8), and the
+        maps it finds are recorded (GF2_MAPS_SHA256 in the tests) and give
+        the orbit counts of the GF(2) censuses."""
+        order = list(range(1, 1 << self.n))
+        rng.shuffle(order)
+        return (u for u in order if u in ok)
+
 
 class _Digits:
     """Row arithmetic over GF(p), any prime p: a vector is the tuple of its n
@@ -162,8 +174,7 @@ class _Digits:
 
     def __init__(self, consts, n: int, p: int):
         self.consts, self.n, self.p = consts, n, p
-        self.words = None  # words[i]: digits of short word i of every vector, made on first use
-        self.rows = {}  # among: (its vectors, their words), for satisfying
+        self.words = None  # words[u]: digits of u's short words 0 to 4, made on first use
 
     def vector(self, x: int) -> tuple:
         p = self.p
@@ -223,45 +234,58 @@ class _Digits:
                     out[k] += xi * c
         return tuple([c % self.p for c in out])
 
-    def satisfying(self, relations: list, terms: list, among=None) -> frozenset:
-        """As _Bits.satisfying, with numpy on the digits of the vectors of
-        among (or of all): the linear terms of each relation are combined
-        into one matrix first, so all relations take one product."""
+    def satisfying(self, relations: list, terms: list, among=None) -> list:
+        """As _Bits.satisfying, as a sorted list, with numpy on the vectors of
+        among (a sorted list, or all): words[u] holds the digits of u and of
+        its short words side by side, so every relation at every vector is one
+        product of words with the relations' coefficients on those digits."""
         import numpy as np
 
         p, n = self.p, self.n
         if self.words is None:
-            table = np.zeros((n, n, n), dtype=np.int64)  # table[i, j, k]: e_i e_j = sum e_k
-            for i, cs in enumerate(self.consts):
-                for j, k, c in cs:
-                    table[i, j, k] = c
+            def mul(x, y):  # x y for the digit columns x and y of every vector
+                out = [0] * n
+                for i, cs in enumerate(self.consts):
+                    for j, k, c in cs:
+                        out[k] = out[k] + x[i] * y[j] * c
+                return [v % p for v in out]
 
-            def mul(x, y):
-                return (x[:, :, None] * y[:, None, :]).reshape(len(x), n * n) @ table.reshape(
-                    n * n, n) % p
-
-            x = np.arange(p**n, dtype=np.int64)[:, None] // p ** np.arange(n) % p
+            x = list(np.arange(p**n) // p ** np.arange(n)[:, None] % p)
             s = mul(x, x)
-            self.words = [x, s, mul(x, s), mul(s, x), mul(s, s)]
-        if among not in self.rows:
-            at = np.arange(p**n) if among is None else np.array(sorted(among), dtype=np.int64)
-            self.rows[among] = at, [w[at] for w in self.words]
-        at, words = self.rows[among]
+            self.words = np.stack(x + s + mul(x, s) + mul(s, x) + mul(s, s), axis=1)
+        at = np.arange(p**n) if among is None else np.array(among, dtype=np.int64)
         if not relations:
-            return frozenset(at.tolist())
+            return at.tolist()
         rel = np.array(relations, dtype=np.int64)
-        linear = [t for t, (kind, _) in enumerate(terms) if kind == "linear"]
-        const = [t for t, (kind, _) in enumerate(terms) if kind == "const"]
-        combined = np.tensordot(rel[:, linear], np.array([terms[t][1] for t in linear]), axes=1)
-        # sums[u, r, k]: coordinate k of relation r's sum at vector u
-        sums = (words[0] @ (combined % p).transpose(1, 0, 2).reshape(n, -1)).reshape(
-            len(at), len(rel), n)
-        if const:
-            sums += rel[:, const] @ np.array([terms[t][1] for t in const])
+        # coeffs[w, i, r, k]: the coefficient of digit i of word w (0: u
+        # itself) in coordinate k of relation r; shift: the constant terms
+        coeffs = np.zeros((5, n, len(rel), n), dtype=np.int64)
+        shift = np.zeros((len(rel), n), dtype=np.int64)
         for t, (kind, v) in enumerate(terms):
-            if kind == "word" and rel[:, t].any():
-                sums += rel[:, t, None] * words[v][:, None, :]
-        return frozenset(at[~(sums % p).reshape(len(at), -1).any(axis=1)].tolist())
+            c = rel[:, t]
+            if kind == "linear":
+                coeffs[0] += c[None, :, None] * np.array(v)[:, None, :]
+            elif kind == "word":
+                coeffs[v] += c[None, :, None] * np.eye(n, dtype=np.int64)[:, None, :]
+            else:
+                shift += c[:, None] * np.array(v)
+        coeffs %= p
+        # one relation first, on every vector, then the rest on the few that
+        # pass it: the F5 and F7 twists' searches read faster in paired runs
+        for block in (slice(0, 1), slice(1, None)):
+            sums = self.words[at] @ coeffs[:, :, block].reshape(5 * n, -1) + shift[block].ravel()
+            at = at[~(sums % p).any(axis=1)]
+        return at.tolist()
+
+    def candidates(self, ok: list, rng) -> Iterator[int]:
+        """The nonzero vectors of ok in a shuffle of ok alone: shuffling all
+        p^n - 1 vectors drew 2 400 random numbers per frame over F7^4 for
+        some 170 that pass. Zero passes every filter without a constant
+        term; it is shuffled with the rest, as in the recorded maps, and
+        skipped."""
+        order = list(ok)
+        rng.shuffle(order)
+        return (u for u in order if u)
 
 
 def _arithmetic(products, n: int, p: int):
@@ -311,7 +335,7 @@ def _kernel(ar, vectors: list) -> list:
         rows.remove(piv)
         c = pow(piv[col], -1, p)
         piv = [v * c % p for v in piv]
-        rows = [[(v - r[col] * w) % p for v, w in zip(r, piv)] for r in rows]
+        rows = [[(v - r[col] * w) % p for v, w in zip(r, piv)] if r[col] else r for r in rows]
     return [r[n:] for r in rows]
 
 
@@ -365,39 +389,37 @@ def _maps(ar, gens: list):
     """Each new map the depth-first search finds, as the list of its basis
     images, the search starting afresh after each; it ends when the search
     is exhausted or CLOSURE_BUDGET closures are spent. The frames sit on an
-    explicit stack: (graph state, the level's filter, iterator over its
-    shuffled candidates)."""
-    n, size = ar.n, ar.p**ar.n
+    explicit stack: (graph state, iterator over the level's candidates).
+    One seeded generator orders every frame's candidates, by ar.candidates."""
+    n = ar.n
     rng = random.Random(0)
     identity = [ar.p**i for i in range(n)]
     zero = ar.vector(0)
     seen, spent, base = [], 0, {}
 
     def frame(state: tuple, level: int) -> tuple:
-        """A new level: its state, the images that pass the filter, and its
-        candidates. A level's filter without the graph is made once; with
-        the graph it is read on those images alone."""
-        order = list(range(1, size))
-        rng.shuffle(order)
+        """A new level: its state and its candidates, the images that pass
+        the filter in the order ar.candidates draws. A level's filter without
+        the graph is made once; with the graph it is read on those images
+        alone."""
         x = gens[level]
         if level not in base:
             base[level] = ar.satisfying(*_filter(ar, {}, x))
         ok = ar.satisfying(*_filter(ar, state[0], x), base[level]) if state[0] else base[level]
-        return state, ok, iter(order)
+        return state, ar.candidates(ok, rng)
 
     while True:
         frames = [frame(({}, {}), 0)]
         while frames:
-            state, ok, order = frames[-1]
+            state, order = frames[-1]
             level = len(frames) - 1
             for u in order:
-                if u in ok:
-                    spent += 1
-                    if spent > CLOSURE_BUDGET:
-                        return
-                    nxt = _close(ar, state, gens[level], ar.vector(u))
-                    if nxt is not None:
-                        break
+                spent += 1
+                if spent > CLOSURE_BUDGET:
+                    return
+                nxt = _close(ar, state, gens[level], ar.vector(u))
+                if nxt is not None:
+                    break
             else:
                 frames.pop()
                 continue

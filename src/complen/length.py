@@ -558,32 +558,35 @@ def _int_lane(a: AlgebraTable) -> _Lane:
         rows = restrict(_scalar_row(f, n, pivot, cells))
         return rows[0] if k == 1 else rows
 
-    def read_back(w: tuple) -> Optional[tuple]:
-        t = next(i for i, x in enumerate(w) if x)
-        if k > 1:
-            if t % k:
-                return None
-            t, w = t // k, tuple(sum(c * xu for c, xu in zip(w[i : i + k], powers))
-                                 for i in range(0, m, k))
-        c = w[t]
-        if c == one:
-            return t, w
-        if not p:
-            return t, tuple(x // c if x % c == 0 else Fraction(x, c) for x in w)
-        c = f.inv(c)
-        return t, tuple(f.mul(c, x) for x in w)
+    def scalars(w: tuple) -> tuple:
+        """The GF(q) row whose coordinate i reads the k digits (i, u) of w."""
+        return tuple(sum(c * xu for c, xu in zip(w[i : i + k], powers)) for i in range(0, m, k))
 
     def as_subspace(s_rows: tuple) -> Subspace:
         # an item's row v is 1 at its pivot, and its first residue row reads back to v
-        return Subspace.span(f, n, s_rows if k == 1 else [read_back(r[0])[1] for r in s_rows])
+        return Subspace.span(f, n, s_rows if k == 1 else [scalars(r[0]) for r in s_rows])
 
     def chain(vectors) -> list:
         red = red0.copy()
         first = [w for v in vectors for r in restrict(v) if (w := insert(red, r)) is not None]
         new = {0: lin0, **_chain_d(m, d0, first, red, level)[1]}
+        pivots = {w: t for t, w in enumerate(red) if w is not None}
         rows, spans = [], []  # (pivot, row) pairs
         for j in range(max(new) + 1):
-            rows += filter(None, map(read_back, new.get(j, ())))
+            for w in new.get(j, ()):
+                t = pivots[w]
+                if k > 1:
+                    if t % k:
+                        continue
+                    t, w = t // k, scalars(w)
+                c = w[t]
+                if c != one:
+                    if p:
+                        c = f.inv(c)
+                        w = tuple([f.mul(c, x) for x in w])
+                    else:
+                        w = tuple([x // c if x % c == 0 else Fraction(x, c) for x in w])
+                rows.append((t, w))
             rows.sort()
             spans.append(Subspace(f, n, tuple(r for _, r in rows), tuple(t for t, _ in rows)))
         return spans
@@ -601,10 +604,12 @@ def _int_lane(a: AlgebraTable) -> _Lane:
 ORBIT_FLOOR = 10_000
 # the same over an odd prime field, where the orbit forms run only once numpy
 # is loaded. In 11 alternating in-process pairs per table (numpy loaded, 2
-# cores, Python 3.11) the orbit forms lost every pair on the unital F3, F5
-# and F7 quaternions (28-116 items: 0.8-2.4 ms plain, 5.9-17.4 ms with the
-# search) and on the F3 twists (211 items: 5.3 against 6.5 ms), and won every
-# pair on the F5 twists (1 119 items: 27 against 12 ms) and F7 twists (3 651)
+# cores, Python 3.11; medians of best-of-3 censuses) the orbit forms lost
+# every pair on the unital F3, F5 and F7 quaternions (28-116 items: 0.5-1.8
+# ms plain, 3.5-7.8 ms with the search), 9 and 11 of 11 on the F3 twists
+# (211 items: 3.9-4.0 against 5.4-6.0 ms), and won every pair on the F5
+# twists (1 119 items: 19-21 against 7 ms) and F7 twists (3 651: 62-69
+# against 12-14 ms)
 PRIME_ORBIT_FLOOR = 500
 # the most vectors p^n of an orbit census: the search filters and the image
 # table maps each vector, and the number table holds 2^n entries per vector

@@ -1702,14 +1702,72 @@ def test_candidate_filter_matches_a_vector_by_vector_reading(name):
         ar = automorphisms._Bits(_gf2_lane(a).products, a.dim)
     gens = automorphisms._generators(ar)
     base = ar.satisfying(*automorphisms._filter(ar, {}, gens[0]))
-    assert base == _satisfying_by_hand(ar, *automorphisms._filter(ar, {}, gens[0]))
+    assert set(base) == _satisfying_by_hand(ar, *automorphisms._filter(ar, {}, gens[0]))
     # a graph that the first generator's images close, read on base alone
     for u in sorted(base):
         state = automorphisms._close(ar, ({}, {}), gens[0], ar.vector(u))
         if state is not None and len(gens) > 1:
             relations, terms = automorphisms._filter(ar, state[0], gens[1])
             assert relations
-            assert ar.satisfying(relations, terms, base) == _satisfying_by_hand(
-                ar, relations, terms) & base
+            assert set(ar.satisfying(relations, terms, base)) == _satisfying_by_hand(
+                ar, relations, terms) & set(base)
             return
     pytest.fail("no image of the first generator closes")
+
+
+# sha256 of the JSON of {table: maps} that the search finds on every table of
+# ODD_PRIME, each frame shuffling only the images that pass its filter
+ODD_PRIME_MAPS_SHA256 = "041f4013a071e238003dbc5e9c69d7f6453584221db0155a057ed1d7f3d64c5e"
+
+
+def test_odd_prime_search_returns_the_recorded_maps():
+    maps = {}
+    for name, (make, (count, _)) in sorted(ODD_PRIME.items()):
+        a = make()
+        maps[name] = automorphisms.find_automorphisms(
+            _int_lane(a).products, a.dim, a.field.characteristic())
+        assert len(maps[name]) == count, name
+    digest = hashlib.sha256(json.dumps(maps, sort_keys=True).encode()).hexdigest()
+    assert digest == ODD_PRIME_MAPS_SHA256
+
+
+@pytest.mark.parametrize("name", ("twist-II-F5", "twist-IV-F7", "quaternion-F7", "octonion-F2"))
+def test_search_shuffles_only_what_the_filter_keeps_over_an_odd_prime(monkeypatch, name):
+    # over an odd prime each frame shuffles the images that pass its filter;
+    # over GF(2) every frame shuffles all 2^n - 1 nonzero vectors
+    if name in DIM8_F2:
+        a = DIM8_F2[name]()
+        products, p = _gf2_lane(a).products, 2
+        arithmetic = automorphisms._Bits
+    else:
+        a = ODD_PRIME[name][0]()
+        products, p = _int_lane(a).products, a.field.characteristic()
+        arithmetic = automorphisms._Digits
+    survivors, frames = [], []  # each filter's result; (ok, shuffled list) per frame
+    satisfying, candidates = arithmetic.satisfying, arithmetic.candidates
+    shuffle = random.Random.shuffle
+
+    def spy_satisfying(self, *args):
+        survivors.append(satisfying(self, *args))
+        return survivors[-1]
+
+    def spy_candidates(self, ok, rng):
+        assert any(ok is s for s in survivors)
+        frames.append((ok, None))
+        return candidates(self, ok, rng)
+
+    def spy_shuffle(self, x):
+        shuffle(self, x)
+        assert frames[-1][1] is None  # one shuffle per frame
+        frames[-1] = (frames[-1][0], list(x))
+
+    monkeypatch.setattr(arithmetic, "satisfying", spy_satisfying)
+    monkeypatch.setattr(arithmetic, "candidates", spy_candidates)
+    monkeypatch.setattr(random.Random, "shuffle", spy_shuffle)
+    assert len(automorphisms.find_automorphisms(products, a.dim, p)) == 3
+    assert frames and all(order is not None for _, order in frames)
+    for ok, order in frames:
+        if p == 2:
+            assert sorted(order) == list(range(1, 2**a.dim))
+        else:
+            assert sorted(order) == sorted(ok) and len(order) < p**a.dim - 1
