@@ -605,11 +605,12 @@ ORBIT_FLOOR = 10_000
 # the same over an odd prime field, where the orbit forms run only once numpy
 # is loaded. In 11 alternating in-process pairs per table (numpy loaded, 2
 # cores, Python 3.11; medians of best-of-3 censuses) the orbit forms lost
-# every pair on the unital F3, F5 and F7 quaternions (28-116 items: 0.5-1.8
-# ms plain, 3.5-7.8 ms with the search), 9 and 11 of 11 on the F3 twists
-# (211 items: 3.9-4.0 against 5.4-6.0 ms), and won every pair on the F5
-# twists (1 119 items: 19-21 against 7 ms) and F7 twists (3 651: 62-69
-# against 12-14 ms)
+# every pair on the unital F3, F5 and F7 quaternions (28-116 items: 0.5-1.7
+# ms plain, 3.5-6.9 ms with the search), 32 of 33 pairs on twist II over F3
+# and 33 of 33 on twist IV in three runs (211 items: 3.5-3.8 against 4.9-5.0
+# ms; 5.4 against 7.9 ms for the first table of one run), and won every pair
+# on the F5 twists (1 119 items: 18-19 against 6 ms) and F7 twists (3 651:
+# 58-59 against 11-14 ms)
 PRIME_ORBIT_FLOOR = 500
 # the most vectors p^n of an orbit census: the search filters and the image
 # table maps each vector, and the number table holds 2^n entries per vector
