@@ -1504,11 +1504,25 @@ ODD_PRIME = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ODD_PRIME))
+def _square_zero(p, n=4):
+    """e0 e0 = e1 and every other product 0 over F_p: no product has a term
+    in e0 or in e2, ..., e_{n-1}."""
+    f = field_make(f"F{p}")
+    table = [[(f.zero(),) * n for _ in range(n)] for _ in range(n)]
+    table[0][0] = tuple(f.one() if k == 1 else f.zero() for k in range(n))
+    return AlgebraTable(f, n, [f"e{i}" for i in range(n)], table, name=f"square-zero-F{p}")
+
+
+# odd-prime tables outside the ODD_PRIME pins, in the same form: tables whose
+# products reach only some coordinates
+SPARSE_PRIME = {"square-zero-F5": (lambda: _square_zero(5), (3, 11))}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_PRIME) + sorted(SPARSE_PRIME))
 def test_odd_prime_orbit_census_matches_the_plain_forms(monkeypatch, name):
     import complen.length as length
 
-    make, (maps, items) = ODD_PRIME[name]
+    make, (maps, items) = {**ODD_PRIME, **SPARSE_PRIME}[name]
 
     def answer(res):
         return (
@@ -1653,6 +1667,16 @@ def test_odd_prime_automorphism_proof_rejects_corrupted_maps(name):
     assert not automorphisms.is_automorphism(consts, n, [autos[0][0]] * n, p)
 
 
+@pytest.mark.parametrize("name", sorted(SPARSE_PRIME))
+def test_odd_prime_search_proves_its_maps_where_products_miss_coordinates(name):
+    a = SPARSE_PRIME[name][0]()
+    n, p, consts = a.dim, a.field.characteristic(), _int_lane(a).products
+    autos = automorphisms.find_automorphisms(consts, n, p)
+    assert len(autos) == SPARSE_PRIME[name][1][0]
+    for phi in autos:
+        assert automorphisms.is_automorphism(consts, n, phi, p) and _maps_the_table(a, phi)
+
+
 def test_orbit_census_needs_few_enough_vectors(monkeypatch):
     import complen.length as length
 
@@ -1691,12 +1715,13 @@ def _satisfying_by_hand(ar, relations, terms):
     return out
 
 
-@pytest.mark.parametrize("name", ("octonion-F2-zero-extended", "twist-IV-F3"))
+@pytest.mark.parametrize("name", ("octonion-F2-zero-extended", "twist-IV-F3", "square-zero-F5"))
 def test_candidate_filter_matches_a_vector_by_vector_reading(name):
-    # n = 9 over F2 packs two bytes per vector; F3 reads digits with numpy
-    if name == "twist-IV-F3":
-        a = ODD_PRIME[name][0]()
-        ar = automorphisms._Digits(_int_lane(a).products, a.dim, 3)
+    # n = 9 over F2 packs two bytes per vector; F3 and F5 read digits with
+    # numpy, and no product of square-zero-F5 reaches e0, e2 or e3
+    if name != "octonion-F2-zero-extended":
+        a = {**ODD_PRIME, **SPARSE_PRIME}[name][0]()
+        ar = automorphisms._Digits(_int_lane(a).products, a.dim, a.field.characteristic())
     else:
         a = _zero_extended(DIM8_F2["octonion-F2"]())
         ar = automorphisms._Bits(_gf2_lane(a).products, a.dim)
